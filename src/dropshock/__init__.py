@@ -16,6 +16,7 @@ from .core import (
     SmoothProfile,
     characteristic_position,
     decay_integral,
+    fan_velocity,
     relax_velocity,
 )
 from .burgers import BlowupReport, BurgersWave, WaveKind, blowup, smooth_fields
@@ -23,7 +24,6 @@ from .droplet import (
     ContactSolution,
     DeltaShockSolution,
     DeltaVariant,
-    NumericDeltaShockSolution,
     PointValue,
     SingularPart,
     VacuumSolution,

@@ -23,6 +23,7 @@ from .core import (
     RiemannData,
     SmoothProfile,
     characteristic_position,
+    fan_velocity,
     relax_velocity,
 )
 
@@ -96,16 +97,7 @@ class BurgersWave:
         self._require(WaveKind.RAREFACTION, "fan_velocity")
         if np.ndim(t) != 0:
             raise ValueError("fan_velocity expects a scalar time")
-        t = float(t)
-        if t <= 0.0:
-            raise ValueError("fan velocity is undefined at t <= 0 (removable singularity)")
-        mu, ua = self.params.mu, self.params.ua
-        xx = np.asarray(x, dtype=float)
-        if mu == 0.0:
-            out = xx / t
-        else:
-            out = ua + mu * (xx - ua * t) / math.expm1(mu * t)
-        return float(out) if np.ndim(x) == 0 else out
+        return fan_velocity(x, float(t), self.params)
 
     def evaluate(self, x, t):
         """Pointwise velocity at time t (vectorized over x).

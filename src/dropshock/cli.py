@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -20,12 +21,7 @@ import numpy as np
 from . import grh
 from .burgers import blowup
 from .core import BlowupError, ModelParams, RiemannData, SmoothProfile
-from .droplet import (
-    DeltaShockSolution,
-    NumericDeltaShockSolution,
-    VacuumSolution,
-    solve,
-)
+from .droplet import DeltaShockSolution, VacuumSolution, initial_shock_speed, solve
 from .fv import FieldState, Grid1D, SolverAbort, advance, reconstruct_velocity
 from .svgplot import line_plot
 from .validation import ErrorReport, compare, first_crossing_time
@@ -69,6 +65,16 @@ def _require(cfg: dict, key: str, where: str = "scenario"):
     if key not in cfg:
         raise ConfigError(f"{where} is missing required key {key!r}")
     return cfg[key]
+
+
+def _finite(value, what: str) -> float:
+    try:
+        v = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be a number, got {value!r}") from None
+    if not math.isfinite(v):
+        raise ConfigError(f"{what} must be finite, got {value!r}")
+    return v
 
 
 def _params_from(cfg: dict) -> ModelParams:
@@ -116,8 +122,11 @@ def _scenario_from(cfg: dict, raw: str, args) -> Scenario:
     params = _params_from(cfg)
     data = _riemann_from(cfg) if "riemann" in cfg else None
     domain = cfg.get("domain", [-1.0, 2.0])
-    if not (isinstance(domain, (list, tuple)) and len(domain) == 2 and domain[1] > domain[0]):
+    if not (isinstance(domain, (list, tuple)) and len(domain) == 2):
         raise ConfigError(f"domain must be [x_min, x_max] with x_min < x_max, got {domain!r}")
+    domain = (_finite(domain[0], "domain x_min"), _finite(domain[1], "domain x_max"))
+    if not domain[1] > domain[0]:
+        raise ConfigError(f"domain must be [x_min, x_max] with x_min < x_max, got {list(domain)!r}")
     n_cells = int(cfg.get("n_cells", 3000))
     if getattr(args, "cells", None):
         n_cells = int(args.cells)
@@ -126,7 +135,7 @@ def _scenario_from(cfg: dict, raw: str, args) -> Scenario:
     snaps = cfg.get("t_snapshots", [])
     if not isinstance(snaps, list) or len(snaps) == 0:
         raise ConfigError("t_snapshots must be a nonempty list of times")
-    snaps = [float(t) for t in snaps]
+    snaps = [_finite(t, "t_snapshots entry") for t in snaps]
     if any(t < 0 for t in snaps) or any(b <= a for a, b in zip(snaps, snaps[1:])):
         raise ConfigError("t_snapshots must be nonnegative and strictly increasing")
     cfl = float(cfg.get("cfl", 0.15))
@@ -141,7 +150,7 @@ def _scenario_from(cfg: dict, raw: str, args) -> Scenario:
         name=name,
         params=params,
         data=data,
-        domain=(float(domain[0]), float(domain[1])),
+        domain=domain,
         n_cells=n_cells,
         t_snapshots=snaps,
         cfl=cfl,
@@ -154,7 +163,7 @@ def _scenario_from(cfg: dict, raw: str, args) -> Scenario:
 
 
 def _solution_kind(solution) -> str:
-    if isinstance(solution, (DeltaShockSolution, NumericDeltaShockSolution)):
+    if isinstance(solution, DeltaShockSolution):
         return "delta-shock"
     if isinstance(solution, VacuumSolution):
         return "vacuum"
@@ -377,8 +386,6 @@ def cmd_grh(args, cfg=None, raw=None, out=None) -> int:
     states = grh.LimitStates.from_riemann(data, params)
     try:
         if sigma0 is None and data.omega0 > 0.0:
-            from .droplet import initial_shock_speed
-
             sigma0 = initial_shock_speed(data.alpha_l, data.u_l, data.alpha_r, data.u_r)
         traj = grh.integrate(
             grh.GrhState(mass=data.omega0, momentum=data.omega0 * (sigma0 if sigma0 else 0.0)),

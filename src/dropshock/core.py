@@ -27,6 +27,7 @@ __all__ = [
     "decay_integral",
     "relax_velocity",
     "characteristic_position",
+    "fan_velocity",
 ]
 
 
@@ -184,3 +185,21 @@ def characteristic_position(x0, u0_at_x0, params: ModelParams, t):
     if np.ndim(x0) == 0 and np.ndim(u0_at_x0) == 0 and np.ndim(t) == 0:
         return float(out)
     return out
+
+
+def fan_velocity(x, t: float, params: ModelParams):
+    """Velocity at time t > 0 of the characteristic fan leaving x = 0.
+
+    ua + mu*(x - ua*t)/(exp(mu*t) - 1), the velocity at time t of the
+    characteristic that leaves the origin and reaches x; x/t at mu = 0.
+    t = 0 is a removable 0/0 singularity and is rejected.
+    """
+    if t <= 0.0:
+        raise ValueError("fan velocity is undefined at t <= 0 (removable singularity)")
+    mu, ua = params.mu, params.ua
+    xx = np.asarray(x, dtype=float)
+    if mu == 0.0:
+        out = xx / t
+    else:
+        out = ua + mu * (xx - ua * t) / math.expm1(mu * t)
+    return float(out) if np.ndim(x) == 0 else out

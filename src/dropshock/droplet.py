@@ -7,7 +7,9 @@ weight and speed have closed forms both for the full conservative system
 (square-root-of-density weighting) and for the velocity-decoupled
 subsystem (arithmetic density weighting); the two are deliberately kept
 under one type with a variant tag because they disagree whenever the side
-densities differ.
+densities differ.  The full-system closed form also covers data with one
+zero side density: no mass is swept in, so the weight stays omega0 and
+the front rides the relaxed velocity of the non-empty side.
 
 Point masses are carried symbolically as (weight, location) descriptors;
 ``evaluate`` never folds a Dirac mass into a pointwise density value.
@@ -18,16 +20,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from . import grh
 from .core import (
     ModelParams,
     RiemannData,
     characteristic_position,
     decay_integral,
+    fan_velocity,
     relax_velocity,
 )
 
@@ -36,7 +38,6 @@ __all__ = [
     "SingularPart",
     "PointValue",
     "DeltaShockSolution",
-    "NumericDeltaShockSolution",
     "VacuumSolution",
     "ContactSolution",
     "RiemannSolution",
@@ -96,27 +97,86 @@ def weight_lower_bound(t, data: RiemannData, params: ModelParams):
 
 
 @dataclass(frozen=True)
-class DeltaShockSolution:
+class _Solution:
+    """Riemann data and parameters, with the relaxed one-sided limit states."""
+
+    data: RiemannData
+    params: ModelParams
+
+    def left_state(self, t) -> Tuple[float, float]:
+        return self.data.alpha_l, relax_velocity(self.data.u_l, self.params, t)
+
+    def right_state(self, t) -> Tuple[float, float]:
+        return self.data.alpha_r, relax_velocity(self.data.u_r, self.params, t)
+
+    def _singular_at(self, x: float, t: float) -> SingularPart:
+        return _ABSENT
+
+    def evaluate(self, x: float, t: float) -> PointValue:
+        """Regular fields at (x, t) plus the point-mass descriptor."""
+        alpha, u = self.regular_fields(x, t)
+        return PointValue(alpha=float(alpha), u=float(u), singular=self._singular_at(x, t))
+
+
+@dataclass(frozen=True)
+class _Front(_Solution):
+    """A single discontinuity leaving x = 0 with ``initial_speed``.
+
+    The side states hold on either side of the curve; exactly on it the
+    velocity is the front speed and the regular density is reported as
+    the mean of the one-sided limits (a measure-zero convention).
+    """
+
+    def speed(self, t):
+        """Front speed at time t, relaxing toward the carrier velocity."""
+        return relax_velocity(self.initial_speed, self.params, t)
+
+    def position(self, t):
+        """Front location, the time integral of the speed, with position(0) = 0."""
+        return characteristic_position(0.0, self.initial_speed, self.params, t)
+
+    def regular_fields(self, x, t):
+        """Regular (alpha, u) arrays at time t; a Dirac mass is not included."""
+        xx = np.asarray(x, dtype=float)
+        xi = self.position(t)
+        al, ul = self.left_state(t)
+        ar, ur = self.right_state(t)
+        alpha = np.where(xx < xi, al, ar)
+        u = np.where(xx < xi, ul, ur)
+        alpha = np.where(xx == xi, 0.5 * (al + ar), alpha)
+        u = np.where(xx == xi, self.speed(t), u)
+        return alpha, u
+
+
+@dataclass(frozen=True)
+class DeltaShockSolution(_Front):
     """Closed-form delta shock: point mass, speed and trajectory vs time.
 
     Both variants share the speed form ua + (s0 - ua)*exp(-mu*t), with
     s0 the square-root-weighted mean (full system) or the arithmetic mean
     (subsystem); the weights grow like decay_integral with prefactors
-    sqrt(alpha_l*alpha_r) and (alpha_l+alpha_r)/2 respectively.
+    sqrt(alpha_l*alpha_r) and (alpha_l+alpha_r)/2 respectively.  One zero
+    side density is allowed and flagged by ``warning``; exactly on the
+    shock curve ``evaluate`` reports the point mass as the singular part.
     """
 
-    data: RiemannData
-    params: ModelParams
     variant: DeltaVariant = DeltaVariant.FULL_SYSTEM
 
     def __post_init__(self) -> None:
         if not self.data.u_l > self.data.u_r:
             raise ValueError("a delta shock requires u_l > u_r")
-        if not (self.data.alpha_l > 0.0 and self.data.alpha_r > 0.0):
-            raise ValueError(
-                "closed-form delta shock requires strictly positive densities; "
-                "use solve() to route degenerate data to numerical integration"
-            )
+        if self.data.alpha_l == 0.0 and self.data.alpha_r == 0.0:
+            raise ValueError("both densities vanish; there is no mass to concentrate")
+
+    @property
+    def warning(self) -> Optional[str]:
+        """Why the data lie outside the existence hypotheses, or None."""
+        if self.data.alpha_l > 0.0 and self.data.alpha_r > 0.0:
+            return None
+        return (
+            "one side has zero density: outside the closed-form existence hypotheses; "
+            "the full-system shock keeps weight omega0 and moves with the other side"
+        )
 
     @property
     def initial_speed(self) -> float:
@@ -136,162 +196,29 @@ class DeltaShockSolution:
         """Point mass at time t, starting from omega0."""
         return self.data.omega0 + self._weight_rate * decay_integral(self.params.mu, t)
 
-    def speed(self, t):
-        """Shock speed at time t, relaxing toward the carrier velocity."""
-        return relax_velocity(self.initial_speed, self.params, t)
-
-    def position(self, t):
-        """Shock location, the time integral of the speed, with position(0) = 0."""
-        return characteristic_position(0.0, self.initial_speed, self.params, t)
-
-    def left_state(self, t) -> Tuple[float, float]:
-        return self.data.alpha_l, relax_velocity(self.data.u_l, self.params, t)
-
-    def right_state(self, t) -> Tuple[float, float]:
-        return self.data.alpha_r, relax_velocity(self.data.u_r, self.params, t)
-
     def entropy_gaps(self, t):
-        """(u_l - sigma, sigma - u_r); both positive and decaying to zero."""
-        s = self.speed(t)
-        return self.left_state(t)[1] - s, s - self.right_state(t)[1]
+        """(u_l - sigma, sigma - u_r); nonnegative and decaying to zero.
 
-    def regular_fields(self, x, t):
-        """Regular (alpha, u) arrays at time t; the Dirac mass is not included."""
-        xx = np.asarray(x, dtype=float)
-        xi = self.position(t)
-        al, ul = self.left_state(t)
-        ar, ur = self.right_state(t)
-        alpha = np.where(xx < xi, al, ar)
-        u = np.where(xx < xi, ul, ur)
-        alpha = np.where(xx == xi, 0.5 * (al + ar), alpha)
-        u = np.where(xx == xi, self.speed(t), u)
-        return alpha, u
-
-    def evaluate(self, x: float, t: float) -> PointValue:
-        """Regular fields at (x, t) plus the point-mass descriptor.
-
-        Exactly on the shock curve the velocity is the shock speed and the
-        singular part is present; the regular density there is reported as
-        the mean of the one-sided limits (a measure-zero convention).
+        Both are positive when both densities are; the gap on the side of
+        the nonzero density is zero otherwise.
         """
-        alpha, u = self.regular_fields(x, t)
-        xi = self.position(t)
-        if x == xi:
-            sing = SingularPart(present=True, weight=self.weight(t), location=xi)
-        else:
-            sing = _ABSENT
-        return PointValue(alpha=float(alpha), u=float(u), singular=sing)
-
-
-class NumericDeltaShockSolution:
-    """Delta shock for degenerate data (a vanishing side density).
-
-    The closed form assumes both densities positive; here the point-mass
-    pair is integrated numerically instead and queried by interpolation.
-    The ``warning`` field records why the closed form was not used.
-    """
-
-    variant = DeltaVariant.FULL_SYSTEM
-
-    def __init__(self, data: RiemannData, params: ModelParams, dt: float = 1e-3):
-        if not data.u_l > data.u_r:
-            raise ValueError("a delta shock requires u_l > u_r")
-        if data.alpha_l == 0.0 and data.alpha_r == 0.0:
-            raise ValueError("both densities vanish; there is no mass to concentrate")
-        self.data = data
-        self.params = params
-        self.dt = min(dt, 0.05 / params.mu) if params.mu > 0 else dt
-        self.warning = (
-            "one side density is zero: outside the closed-form existence "
-            "hypotheses, falling back to numerical point-mass integration"
-        )
-        self._states = grh.LimitStates.from_riemann(data, params)
-        self._sigma0 = _sqrt_weighted_speed(data.alpha_l, data.u_l, data.alpha_r, data.u_r)
-        self._traj = None
-        self._t_max = 0.0
-
-    def _ensure(self, t: float) -> grh.GrhTrajectory:
-        t_need = max(float(np.max(np.asarray(t))), 10.0 * self.dt)
-        if self._traj is None or t_need > self._t_max:
-            self._t_max = max(1.25 * t_need, 1.0)
-            self._traj = grh.integrate(
-                grh.GrhState(mass=self.data.omega0, momentum=self.data.omega0 * self._sigma0),
-                self._sigma0,
-                self._t_max,
-                self.dt,
-                self._states,
-                self.params,
-            )
-        return self._traj
-
-    @property
-    def initial_speed(self) -> float:
-        return self._sigma0
-
-    def weight(self, t):
-        traj = self._ensure(t)
-        w = traj.interp_mass(t) - traj.mass[0]  # remove the regularization seed
-        return self.data.omega0 + w if np.ndim(t) else float(self.data.omega0 + w)
-
-    def speed(self, t):
-        traj = self._ensure(t)
-        out = traj.interp_speed(t)
-        return out if np.ndim(t) else float(out)
-
-    def position(self, t):
-        traj = self._ensure(t)
-        out = traj.interp_position(t)
-        return out if np.ndim(t) else float(out)
-
-    def left_state(self, t) -> Tuple[float, float]:
-        return self.data.alpha_l, relax_velocity(self.data.u_l, self.params, t)
-
-    def right_state(self, t) -> Tuple[float, float]:
-        return self.data.alpha_r, relax_velocity(self.data.u_r, self.params, t)
-
-    def entropy_gaps(self, t):
         s = self.speed(t)
         return self.left_state(t)[1] - s, s - self.right_state(t)[1]
 
-    def regular_fields(self, x, t):
-        xx = np.asarray(x, dtype=float)
-        xi = self.position(t)
-        al, ul = self.left_state(t)
-        ar, ur = self.right_state(t)
-        alpha = np.where(xx < xi, al, ar)
-        u = np.where(xx < xi, ul, ur)
-        alpha = np.where(xx == xi, 0.5 * (al + ar), alpha)
-        u = np.where(xx == xi, self.speed(t), u)
-        return alpha, u
-
-    def evaluate(self, x: float, t: float) -> PointValue:
-        alpha, u = self.regular_fields(x, t)
+    def _singular_at(self, x: float, t: float) -> SingularPart:
         xi = self.position(t)
         if x == xi:
-            sing = SingularPart(present=True, weight=self.weight(t), location=xi)
-        else:
-            sing = _ABSENT
-        return PointValue(alpha=float(alpha), u=float(u), singular=sing)
+            return SingularPart(present=True, weight=self.weight(t), location=xi)
+        return _ABSENT
 
 
 @dataclass(frozen=True)
-class VacuumSolution:
+class VacuumSolution(_Solution):
     """Two contact discontinuities enclosing a vacuum, velocity continuous."""
-
-    data: RiemannData
-    params: ModelParams
 
     def __post_init__(self) -> None:
         if not self.data.u_l < self.data.u_r:
             raise ValueError("a vacuum solution requires u_l < u_r")
-
-    @property
-    def alpha_left(self) -> float:
-        return self.data.alpha_l
-
-    @property
-    def alpha_right(self) -> float:
-        return self.data.alpha_r
 
     def bounds(self, t):
         """Contact locations (X1(t), X2(t)) delimiting the vacuum."""
@@ -299,23 +226,9 @@ class VacuumSolution:
         x2 = characteristic_position(0.0, self.data.u_r, self.params, t)
         return x1, x2
 
-    def left_state(self, t) -> Tuple[float, float]:
-        return self.data.alpha_l, relax_velocity(self.data.u_l, self.params, t)
-
-    def right_state(self, t) -> Tuple[float, float]:
-        return self.data.alpha_r, relax_velocity(self.data.u_r, self.params, t)
-
     def fan_velocity(self, x, t):
         """Continuous velocity inside the vacuum region (t > 0)."""
-        if t <= 0.0:
-            raise ValueError("fan velocity is undefined at t <= 0 (removable singularity)")
-        mu, ua = self.params.mu, self.params.ua
-        xx = np.asarray(x, dtype=float)
-        if mu == 0.0:
-            out = xx / t
-        else:
-            out = ua + mu * (xx - ua * t) / math.expm1(mu * t)
-        return float(out) if np.ndim(x) == 0 else out
+        return fan_velocity(x, t, self.params)
 
     def regular_fields(self, x, t):
         """(alpha, u) arrays at time t; alpha is identically zero in the vacuum."""
@@ -334,67 +247,36 @@ class VacuumSolution:
         u = np.where(xx > x2, ur, u)
         return alpha, u
 
-    def evaluate(self, x: float, t: float) -> PointValue:
-        alpha, u = self.regular_fields(x, t)
-        return PointValue(alpha=float(alpha), u=float(u), singular=_ABSENT)
-
 
 @dataclass(frozen=True)
-class ContactSolution:
+class ContactSolution(_Front):
     """Equal side velocities: a single contact moving with the relaxed velocity."""
-
-    data: RiemannData
-    params: ModelParams
 
     def __post_init__(self) -> None:
         if self.data.u_l != self.data.u_r:
             raise ValueError("a contact requires u_l == u_r")
 
-    def speed(self, t):
-        return relax_velocity(self.data.u_l, self.params, t)
-
-    def position(self, t):
-        return characteristic_position(0.0, self.data.u_l, self.params, t)
+    @property
+    def initial_speed(self) -> float:
+        return self.data.u_l
 
     def weight(self, t):
         """The point mass never grows across a contact."""
         return self.data.omega0 + 0.0 * np.asarray(t, dtype=float) if np.ndim(t) else self.data.omega0
 
-    def left_state(self, t) -> Tuple[float, float]:
-        return self.data.alpha_l, relax_velocity(self.data.u_l, self.params, t)
 
-    def right_state(self, t) -> Tuple[float, float]:
-        return self.data.alpha_r, relax_velocity(self.data.u_r, self.params, t)
-
-    def regular_fields(self, x, t):
-        xx = np.asarray(x, dtype=float)
-        xi = self.position(t)
-        u = np.full_like(xx, self.speed(t))
-        alpha = np.where(xx < xi, self.data.alpha_l, self.data.alpha_r)
-        alpha = np.where(xx == xi, 0.5 * (self.data.alpha_l + self.data.alpha_r), alpha)
-        return alpha, u
-
-    def evaluate(self, x: float, t: float) -> PointValue:
-        alpha, u = self.regular_fields(x, t)
-        return PointValue(alpha=float(alpha), u=float(u), singular=_ABSENT)
-
-
-RiemannSolution = Union[
-    DeltaShockSolution, NumericDeltaShockSolution, VacuumSolution, ContactSolution
-]
+RiemannSolution = Union[DeltaShockSolution, VacuumSolution, ContactSolution]
 
 
 def solve(data: RiemannData, params: ModelParams) -> RiemannSolution:
     """Classify and solve the Riemann problem for the full system.
 
-    u_l > u_r: delta shock (closed form when both densities are positive,
-    numerical point-mass integration with a warning otherwise);
-    u_l < u_r: vacuum two-contact solution; equal velocities: contact.
+    u_l > u_r: delta shock (closed form; one zero side density sets its
+    ``warning``, both zero is rejected); u_l < u_r: vacuum two-contact
+    solution; equal velocities: contact.
     """
     if data.u_l > data.u_r:
-        if data.alpha_l > 0.0 and data.alpha_r > 0.0:
-            return DeltaShockSolution(data, params, DeltaVariant.FULL_SYSTEM)
-        return NumericDeltaShockSolution(data, params)
+        return DeltaShockSolution(data, params, DeltaVariant.FULL_SYSTEM)
     if data.u_l < data.u_r:
         return VacuumSolution(data, params)
     return ContactSolution(data, params)

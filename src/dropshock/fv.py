@@ -142,6 +142,8 @@ def advance(
     outflow (ghost cells copy the adjacent interior cell), so the total
     mass changes exactly by the net boundary flux.
     """
+    if not math.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end!r}")
     if t_end < state.time:
         raise ValueError("t_end must not precede the state time")
     if fixed_dt is None and not 0.0 < cfl <= 1.0:

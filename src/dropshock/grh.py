@@ -24,6 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import ModelParams, RiemannData, relax_velocity
+from .droplet import initial_shock_speed
 
 __all__ = [
     "GrhMonitorError",
@@ -89,16 +90,21 @@ class GrhState:
         return self.momentum / self.mass
 
 
+def _rates(t: float, w: float, m: float, states: LimitStates, params: ModelParams):
+    """(dmass, dmomentum, speed) of the point-mass pair (w, m) at time t."""
+    if w <= 0.0:
+        raise GrhMonitorError(f"point mass became nonpositive ({w:g}) at t={t:g}")
+    a, b, c = states.coefficients(t)
+    s = m / w
+    return a * s - b, b * s + params.mu * (params.ua * w - m) - c, s
+
+
 def rhs(z: GrhState, t: float, states: LimitStates, params: ModelParams):
     """Time derivative (dmass, dmomentum) of the point-mass pair."""
     if z.mass <= 0.0:
         raise ValueError(f"point mass must be positive to evaluate the rhs, got {z.mass!r}")
-    a, b, c = states.coefficients(t)
-    s = z.momentum / z.mass
-    return (
-        a * s - b,
-        b * s + params.mu * (params.ua * z.mass - z.momentum) - c,
-    )
+    dw, dm, _ = _rates(t, z.mass, z.momentum, states, params)
+    return dw, dm
 
 
 @dataclass(frozen=True)
@@ -165,8 +171,6 @@ def integrate(
     ur0 = float(states.u_r(0.0))
     if z0.mass == 0.0:
         if sigma0 is None:
-            from .droplet import initial_shock_speed
-
             sigma0 = initial_shock_speed(
                 float(states.alpha_l(0.0)), ul0, float(states.alpha_r(0.0)), ur0
             )
@@ -193,19 +197,12 @@ def integrate(
     x = 0.0
     ts[0], ws[0], ms[0], xs[0] = t, w, m, x
 
-    def f(tk, wk, mk):
-        if wk <= 0.0:
-            raise GrhMonitorError(f"point mass became nonpositive ({wk:g}) at t={tk:g}")
-        a, b, c = states.coefficients(tk)
-        s = mk / wk
-        return a * s - b, b * s + params.mu * (params.ua * wk - mk) - c, s
-
     for k in range(n_steps):
         h = min(dt, t_end - t)
-        k1w, k1m, k1x = f(t, w, m)
-        k2w, k2m, k2x = f(t + 0.5 * h, w + 0.5 * h * k1w, m + 0.5 * h * k1m)
-        k3w, k3m, k3x = f(t + 0.5 * h, w + 0.5 * h * k2w, m + 0.5 * h * k2m)
-        k4w, k4m, k4x = f(t + h, w + h * k3w, m + h * k3m)
+        k1w, k1m, k1x = _rates(t, w, m, states, params)
+        k2w, k2m, k2x = _rates(t + 0.5 * h, w + 0.5 * h * k1w, m + 0.5 * h * k1m, states, params)
+        k3w, k3m, k3x = _rates(t + 0.5 * h, w + 0.5 * h * k2w, m + 0.5 * h * k2m, states, params)
+        k4w, k4m, k4x = _rates(t + h, w + h * k3w, m + h * k3m, states, params)
         w_new = w + (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
         m_new = m + (h / 6.0) * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
         x_new = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)

@@ -15,12 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import ModelParams, RiemannData, SmoothProfile, characteristic_position
-from .droplet import (
-    ContactSolution,
-    DeltaShockSolution,
-    NumericDeltaShockSolution,
-    VacuumSolution,
-)
+from .droplet import ContactSolution, DeltaShockSolution, VacuumSolution, solve
 from .fv import FieldState, Grid1D, advance, reconstruct_velocity, shock_mass
 
 __all__ = [
@@ -164,7 +159,7 @@ def _simpson_weights(n: int) -> np.ndarray:
 
 def _segments_at(solution, t: float, x_lo: float, x_hi: float):
     """Piecewise-constant (xa, xb, alpha, u) segments of the regular part."""
-    if isinstance(solution, (DeltaShockSolution, NumericDeltaShockSolution, ContactSolution)):
+    if isinstance(solution, (DeltaShockSolution, ContactSolution)):
         xi = float(solution.position(t))
         al, ul = solution.left_state(t)
         ar, ur = solution.right_state(t)
@@ -182,7 +177,7 @@ def _segments_at(solution, t: float, x_lo: float, x_hi: float):
 
 
 def _has_line_terms(solution) -> bool:
-    if isinstance(solution, (DeltaShockSolution, NumericDeltaShockSolution)):
+    if isinstance(solution, DeltaShockSolution):
         return True
     return isinstance(solution, ContactSolution) and solution.data.omega0 > 0.0
 
@@ -305,7 +300,7 @@ def sample_exact(solution, grid: Grid1D, t: float, lump_delta: bool = False) -> 
     alpha, u = solution.regular_fields(x, t)
     alpha = np.array(alpha, dtype=float)
     q = alpha * np.asarray(u, dtype=float)
-    if lump_delta and isinstance(solution, (DeltaShockSolution, NumericDeltaShockSolution)):
+    if lump_delta and isinstance(solution, DeltaShockSolution):
         w = float(solution.weight(t))
         xi = float(solution.position(t))
         j = grid.cell_index(xi)
@@ -362,7 +357,7 @@ def compare(
     dx = grid.dx
     alpha_ex, u_ex = exact.regular_fields(x, t)
     u_num = reconstruct_velocity(numeric, exact.params)
-    is_delta = isinstance(exact, (DeltaShockSolution, NumericDeltaShockSolution))
+    is_delta = isinstance(exact, DeltaShockSolution)
 
     if is_delta:
         xi = float(exact.position(t))
@@ -403,8 +398,6 @@ def convergence_study(
     label: str = "",
 ) -> List[ErrorReport]:
     """Run the solver over a grid ladder and report errors in grid order."""
-    from .droplet import solve
-
     exact = solve(data, params)
     reports = []
     for n in n_cells_list:

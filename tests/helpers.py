@@ -9,6 +9,7 @@ run time so the literals never drift from their definitions.
 import numpy as np
 
 import dropshock as ds
+from dropshock.validation import BumpTestFunction
 
 # decay_integral and relaxation values
 PHI_1_1 = 0.6321205588285577          # (1 - e^-1)
@@ -36,6 +37,15 @@ SIGMA1_FULL = 1.0984147956795147
 XI1_FULL = 1.1089465360360706
 OMEGA1_SUB = 0.004984904290355499
 BOUND1 = 0.0027190387038302723
+
+# the five test functions of acceptance criterion 9
+CRITERION9_PSIS = [
+    BumpTestFunction(0.5, 0.9, 0.8, 0.7),
+    BumpTestFunction(0.3, 0.8, 0.3, 0.6, ((1.0, 1, 0),)),
+    BumpTestFunction(0.7, 1.0, 0.5, 0.8, ((0.5, 0, 1), (1.0, 0, 0))),
+    BumpTestFunction(0.2, 0.7, -0.1, 0.5),
+    BumpTestFunction(0.9, 0.9, 0.9, 0.85, ((1.0, 2, 0),)),
+]
 
 PARAMS_02 = ds.ModelParams(0.2, 1.0)
 DELTA_DATA = ds.RiemannData(0.008, 1.5, 0.003, 0.5)

@@ -210,6 +210,9 @@ def test_csv_17_digit_roundtrip(tmp_path):
         lambda s: s.update(n_cells=8),
         lambda s: s.pop("riemann"),
         lambda s: s.update(domain=[2.0, -1.0]),
+        lambda s: s.update(domain=["a", 1]),
+        lambda s: s.update(domain=[None, 1.0]),
+        lambda s: s.update(domain=[-1.0, float("inf")]),
     ],
 )
 def test_config_errors_exit_2(tmp_path, mutate):
@@ -218,6 +221,34 @@ def test_config_errors_exit_2(tmp_path, mutate):
     cfg = tmp_path / "bad.json"
     write_config(cfg, scenario)
     assert main(["exact", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+
+def test_nonfinite_snapshot_exit_2(tmp_path):
+    # 1e400 parses as inf; `simulate` must not write the initial data as t=inf
+    cfg = tmp_path / "s.json"
+    cfg.write_text(json.dumps(dict(DELTA_SCENARIO, n_cells=64)).replace("[0.4, 1.0]", "[1e400]"))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_exact_one_zero_density_reports_warning(tmp_path):
+    # the front speed starts on the edge of the entropy interval here
+    cfg = tmp_path / "s.json"
+    scenario = dict(
+        DELTA_SCENARIO,
+        name="empty",
+        params={"mu": 3.0, "ua": -0.5},
+        riemann={"alpha_l": 0.0, "u_l": 2.0, "alpha_r": 0.05, "u_r": -1.0},
+    )
+    write_config(cfg, scenario)
+    assert main(["exact", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "empty_exact_report.json").read_text())
+    assert report["solution_kind"] == "delta-shock"
+    assert "zero density" in report["warning"]
+    p = ds.ModelParams(3.0, -0.5)
+    for snap in report["snapshots"]:
+        assert snap["omega"] == 0.0
+        assert snap["sigma"] == ds.relax_velocity(-1.0, p, snap["t"])
 
 
 def test_missing_and_malformed_config_exit_2(tmp_path):

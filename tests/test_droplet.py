@@ -7,15 +7,16 @@ from dropshock.droplet import (
     ContactSolution,
     DeltaShockSolution,
     DeltaVariant,
-    NumericDeltaShockSolution,
     VacuumSolution,
     initial_shock_speed,
     solve,
     weight_lower_bound,
 )
+from dropshock.validation import weak_residual
 
 from helpers import (
     BOUND1,
+    CRITERION9_PSIS,
     DELTA_DATA,
     OMEGA1_FULL,
     OMEGA1_SUB,
@@ -32,7 +33,9 @@ VAC = VacuumSolution(VACUUM_DATA, PARAMS_02)
 
 
 def test_solve_dispatch():
-    assert isinstance(solve(DELTA_DATA, PARAMS_02), DeltaShockSolution)
+    delta = solve(DELTA_DATA, PARAMS_02)
+    assert isinstance(delta, DeltaShockSolution)
+    assert delta.warning is None
     assert isinstance(solve(VACUUM_DATA, PARAMS_02), VacuumSolution)
     contact = solve(ds.RiemannData(0.01, 0.7, 0.02, 0.7), PARAMS_02)
     assert isinstance(contact, ContactSolution)
@@ -278,12 +281,11 @@ def test_vacuum_velocity_continuity():
 def test_degenerate_density_routes_to_numeric():
     d = ds.RiemannData(0.008, 1.5, 0.0, 0.5)
     sol = solve(d, PARAMS_02)
-    assert isinstance(sol, NumericDeltaShockSolution)
     assert "zero" in sol.warning
     # vacuum ahead: nothing to sweep up, so no mass concentrates and the
     # front rides the left-state velocity
-    assert abs(sol.weight(1.0)) <= 1e-8
-    assert sol.speed(1.0) == pytest.approx(ds.relax_velocity(1.5, PARAMS_02, 1.0), abs=1e-6)
+    assert sol.weight(1.0) == 0.0
+    assert sol.speed(1.0) == ds.relax_velocity(1.5, PARAMS_02, 1.0)
 
 
 def test_degenerate_both_zero_rejected():
@@ -292,5 +294,47 @@ def test_degenerate_both_zero_rejected():
 
 
 def test_closed_form_requires_positive_densities():
-    with pytest.raises(ValueError):
-        DeltaShockSolution(ds.RiemannData(0.0, 1.5, 0.003, 0.5), PARAMS_02)
+    # one zero side density is inside the closed form; both zero is not
+    with pytest.raises(ValueError, match="both densities vanish"):
+        DeltaShockSolution(ds.RiemannData(0.0, 1.5, 0.0, 0.5), PARAMS_02)
+
+
+# one side density zero; in the first case the front speed starts on the
+# edge of the entropy interval
+ONE_EMPTY_SIDE = [
+    (ds.RiemannData(0.0, 2.0, 0.05, -1.0), -0.5),
+    (ds.RiemannData(0.008, 1.5, 0.0, 0.5), 1.0),
+]
+
+
+@pytest.mark.parametrize("omega0", [0.0, 0.01])
+@pytest.mark.parametrize("mu", [0.0, 0.2, 3.0])
+@pytest.mark.parametrize("case", ONE_EMPTY_SIDE, ids=["alpha_l=0", "alpha_r=0"])
+def test_one_zero_density_closed_form(case, mu, omega0):
+    base, ua = case
+    d = ds.RiemannData(base.alpha_l, base.u_l, base.alpha_r, base.u_r, omega0)
+    p = ds.ModelParams(mu, ua)
+    sol = solve(d, p)
+    assert "zero density" in sol.warning
+    # no mass is swept in, and the front moves with the non-empty side
+    u_side = d.u_r if d.alpha_l == 0.0 else d.u_l
+    for t in (0.0, 0.5, 1.0, 4.0):
+        assert sol.weight(t) == omega0
+        assert sol.speed(t) == ds.relax_velocity(u_side, p, t)
+    assert np.max(np.abs(weak_residual(sol, CRITERION9_PSIS, quad_resolution=400))) <= 1e-6
+
+
+def test_contact_regular_fields_and_evaluate():
+    d = ds.RiemannData(0.01, 0.7, 0.02, 0.7)
+    sol = ContactSolution(d, PARAMS_02)
+    t = 1.5
+    xi = sol.position(t)
+    speed = sol.speed(t)
+    x = np.array([xi - 1.0, xi - 1e-9, xi, xi + 1e-9, xi + 1.0])
+    alpha, u = sol.regular_fields(x, t)
+    assert list(alpha) == [0.01, 0.01, 0.5 * (0.01 + 0.02), 0.02, 0.02]
+    assert np.all(u == speed)
+    for xk, ak in zip(x, alpha):
+        pv = sol.evaluate(float(xk), t)
+        assert pv.alpha == ak and pv.u == speed
+        assert not pv.singular.present

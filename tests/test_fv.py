@@ -166,6 +166,14 @@ def test_advance_rejects_bad_inputs():
         advance(st, PARAMS_02, 1.0, cfl=1.5)
 
 
+@pytest.mark.parametrize("t_end", [np.inf, np.nan], ids=["inf", "nan"])
+def test_advance_rejects_nonfinite_t_end(t_end):
+    # a non-finite end time would skip the time loop and echo the state
+    st = FieldState.from_riemann(Grid1D(-1.0, 2.0, 64), DELTA_DATA)
+    with pytest.raises(ValueError, match="finite"):
+        advance(st, PARAMS_02, t_end)
+
+
 @pytest.mark.filterwarnings("ignore:invalid value")
 def test_advance_aborts_on_nonfinite():
     g = Grid1D(0.0, 1.0, 32)
