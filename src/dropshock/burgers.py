@@ -17,15 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (
-    BlowupError,
-    ModelParams,
-    RiemannData,
-    SmoothProfile,
-    characteristic_position,
-    fan_velocity,
-    relax_velocity,
-)
+from .core import BlowupError, ModelParams, RiemannData, SmoothProfile, decay_integral
+from .droplet import ContactSolution, DeltaShockSolution, DeltaVariant, VacuumSolution
 
 __all__ = [
     "WaveKind",
@@ -45,7 +38,12 @@ class WaveKind(Enum):
 
 @dataclass(frozen=True)
 class BurgersWave:
-    """Exact solution of the velocity Riemann problem (alpha fields unused)."""
+    """Exact solution of the velocity Riemann problem (alpha fields unused).
+
+    The velocity is that of the decoupled subsystem's droplet solution:
+    the subsystem delta shock (arithmetic-mean speed) for a shock, the
+    vacuum fan for a rarefaction and a contact for a constant state.
+    """
 
     data: RiemannData
     params: ModelParams
@@ -58,46 +56,45 @@ class BurgersWave:
             return WaveKind.RAREFACTION
         return WaveKind.CONSTANT
 
-    def _require(self, kind: WaveKind, op: str) -> None:
+    @property
+    def _solution(self):
+        kind, d, p = self.kind, self.data, self.params
+        if kind is WaveKind.SHOCK:
+            return DeltaShockSolution(d, p, DeltaVariant.SUBSYSTEM)
+        return VacuumSolution(d, p) if kind is WaveKind.RAREFACTION else ContactSolution(d, p)
+
+    def _wave(self, kind: WaveKind, op: str):
+        """The droplet solution, once ``op`` is known to apply to this kind of wave."""
         if self.kind is not kind:
             raise ValueError(f"{op} is only defined for a {kind.value} wave, not {self.kind.value}")
+        return self._solution
 
     def left_state(self, t):
         """Left limit state u_l(t)."""
-        return relax_velocity(self.data.u_l, self.params, t)
+        return self._solution.left_state(t)[1]
 
     def right_state(self, t):
         """Right limit state u_r(t)."""
-        return relax_velocity(self.data.u_r, self.params, t)
+        return self._solution.right_state(t)[1]
 
     def shock_speed(self, t):
         """sigma(t) = (u_l(t) + u_r(t))/2, strictly between the limit states."""
-        self._require(WaveKind.SHOCK, "shock_speed")
-        mean0 = 0.5 * (self.data.u_l + self.data.u_r)
-        return relax_velocity(mean0, self.params, t)
+        return self._wave(WaveKind.SHOCK, "shock_speed").speed(t)
 
     def shock_position(self, t):
         """xi(t), the time integral of the shock speed, with xi(0) = 0."""
-        self._require(WaveKind.SHOCK, "shock_position")
-        mean0 = 0.5 * (self.data.u_l + self.data.u_r)
-        return characteristic_position(0.0, mean0, self.params, t)
+        return self._wave(WaveKind.SHOCK, "shock_position").position(t)
 
     def rarefaction_bounds(self, t):
         """Fan edges (X1(t), X2(t)): integrals of the left/right limit states."""
-        self._require(WaveKind.RAREFACTION, "rarefaction_bounds")
-        x1 = characteristic_position(0.0, self.data.u_l, self.params, t)
-        x2 = characteristic_position(0.0, self.data.u_r, self.params, t)
-        return x1, x2
+        return self._wave(WaveKind.RAREFACTION, "rarefaction_bounds").bounds(t)
 
     def fan_velocity(self, x, t):
-        """Velocity inside the fan: ua + mu*(x - ua*t)/(exp(mu*t) - 1); x/t at mu = 0.
-
-        t = 0 is a removable 0/0 singularity and is rejected.
-        """
-        self._require(WaveKind.RAREFACTION, "fan_velocity")
+        """Velocity inside the fan (``core.fan_velocity``); t = 0 is rejected."""
+        fan = self._wave(WaveKind.RAREFACTION, "fan_velocity")
         if np.ndim(t) != 0:
             raise ValueError("fan_velocity expects a scalar time")
-        return fan_velocity(x, float(t), self.params)
+        return fan.fan_velocity(x, float(t))
 
     def evaluate(self, x, t):
         """Pointwise velocity at time t (vectorized over x).
@@ -112,24 +109,8 @@ class BurgersWave:
         t = float(t)
         if t < 0.0:
             raise ValueError("t must be nonnegative")
-        xx = np.asarray(x, dtype=float)
-        kind = self.kind
-        if kind is WaveKind.CONSTANT:
-            out = np.full_like(xx, relax_velocity(self.data.u_l, self.params, t))
-        elif kind is WaveKind.SHOCK:
-            xi = self.shock_position(t)
-            out = np.where(xx < xi, self.left_state(t), self.right_state(t))
-            out = np.where(xx == xi, self.shock_speed(t), out)
-        else:
-            if t == 0.0:
-                out = np.where(xx < 0.0, self.data.u_l, self.data.u_r)
-                out = np.where(xx == 0.0, 0.5 * (self.data.u_l + self.data.u_r), out)
-            else:
-                x1, x2 = self.rarefaction_bounds(t)
-                out = np.asarray(self.fan_velocity(xx, t))
-                out = np.where(xx < x1, self.left_state(t), out)
-                out = np.where(xx > x2, self.right_state(t), out)
-        return float(out) if np.ndim(x) == 0 else out
+        u = self._solution.regular_fields(x, t)[1]
+        return float(u) if np.ndim(x) == 0 else u
 
 
 @dataclass(frozen=True)
@@ -141,24 +122,20 @@ class BlowupReport:
     x0_star: Optional[float] = None
 
 
-def blowup_time_for_slope(slope: float, mu: float) -> float:
+def blowup_time_for_slope(slope, mu: float):
     """First blowup time of the characteristic map for an initial slope < -mu.
 
-    -log(1 + mu/slope)/mu, with the classical limit -1/slope at mu = 0.
+    The free-frame Jacobian 1 + tau*slope vanishes at tau = -1/slope, that
+    is at t = -log(1 + mu/slope)/mu, with the classical limit -1/slope at
+    mu = 0.  ``slope`` may be a scalar or an array.
     """
-    if mu == 0.0:
-        if slope >= 0.0:
-            raise ValueError("blowup requires a negative slope when mu = 0")
-        return -1.0 / slope
-    if slope >= -mu:
+    if not np.all(np.asarray(slope) < -mu):
         raise ValueError("blowup requires slope < -mu")
-    return -math.log1p(mu / slope) / mu
+    return -1.0 / slope if mu == 0.0 else -np.log1p(mu / slope) / mu
 
 
 def _slope_time_or_inf(slope: float, mu: float) -> float:
-    if (mu == 0.0 and slope < 0.0) or (mu > 0.0 and slope < -mu):
-        return blowup_time_for_slope(slope, mu)
-    return math.inf
+    return float(blowup_time_for_slope(slope, mu)) if slope < -mu else math.inf
 
 
 def _golden_refine(profile: SmoothProfile, mu: float, a: float, b: float, iters: int = 90):
@@ -207,10 +184,7 @@ def blowup(profile: SmoothProfile, params: ModelParams) -> BlowupReport:
         return BlowupReport(blows_up=False)
 
     times = np.full_like(slopes, np.inf)
-    if mu == 0.0:
-        times[qualifying] = -1.0 / slopes[qualifying]
-    else:
-        times[qualifying] = -np.log1p(mu / slopes[qualifying]) / mu
+    times[qualifying] = blowup_time_for_slope(slopes[qualifying], mu)
     i = int(np.argmin(times))
     lo = x[max(i - 1, 0)]
     hi = x[min(i + 1, len(x) - 1)]
@@ -223,25 +197,15 @@ def blowup(profile: SmoothProfile, params: ModelParams) -> BlowupReport:
 def smooth_fields(x0: float, t: float, profile: SmoothProfile, params: ModelParams):
     """Gradient and volume fraction along the characteristic through x0.
 
-    Returns (du/dx, alpha) at time t before blowup.  Both share the
-    denominator mu + (1 - exp(-mu*t))*u0'(x0) (its mu -> 0 limit is
-    1 + t*u0'); a denominator at or below 1e-14 signals blowup.
+    Returns (du/dx, alpha) at time t before blowup.  Both divide by the
+    free-frame Jacobian dy/dy0 = 1 + tau*u0'(x0), tau = decay_integral(mu, t):
+    alpha = alpha0/J and du/dx = exp(-mu*t)*u0'/J.  A Jacobian at or below
+    1e-14 signals blowup.
     """
     if t < 0.0:
         raise ValueError("t must be nonnegative")
     s = float(profile.u0_prime(x0))
-    a0 = float(profile.alpha0(x0))
-    mu = params.mu
-    if mu > 0.0:
-        denom = mu + (-math.expm1(-mu * t)) * s
-        if denom <= 1e-14:
-            raise BlowupError(f"characteristic from x0={x0:.6g} has blown up by t={t:.6g}")
-        u_x = mu * math.exp(-mu * t) * s / denom
-        alpha = mu * a0 / denom
-    else:
-        denom = 1.0 + t * s
-        if denom <= 1e-14:
-            raise BlowupError(f"characteristic from x0={x0:.6g} has blown up by t={t:.6g}")
-        u_x = s / denom
-        alpha = a0 / denom
-    return u_x, alpha
+    jac = 1.0 + decay_integral(params.mu, t) * s
+    if jac <= 1e-14:
+        raise BlowupError(f"characteristic from x0={x0:.6g} has blown up by t={t:.6g}")
+    return math.exp(-params.mu * t) * s / jac, float(profile.alpha0(x0)) / jac

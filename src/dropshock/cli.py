@@ -21,7 +21,7 @@ import numpy as np
 from . import grh
 from .burgers import blowup
 from .core import BlowupError, ModelParams, RiemannData, SmoothProfile
-from .droplet import DeltaShockSolution, VacuumSolution, initial_shock_speed, solve
+from .droplet import initial_shock_speed, solve
 from .fv import FieldState, Grid1D, SolverAbort, advance, reconstruct_velocity
 from .svgplot import line_plot
 from .validation import ErrorReport, compare, first_crossing_time
@@ -77,28 +77,40 @@ def _finite(value, what: str) -> float:
     return v
 
 
+def _number(block: dict, key: str, default=None, where: str = "scenario") -> float:
+    """block[key] as a finite float; required when ``default`` is None."""
+    value = _require(block, key, where) if default is None else block.get(key, default)
+    return _finite(value, f"{where} {key}")
+
+
+def _count(block: dict, key: str, default: int) -> int:
+    v = _number(block, key, default)
+    if not v.is_integer():
+        raise ConfigError(f"{key} must be an integer, got {block[key]!r}")
+    return int(v)
+
+
+def _domain(cfg: dict, default) -> tuple:
+    domain = cfg.get("domain", default)
+    if not (isinstance(domain, (list, tuple)) and len(domain) == 2):
+        raise ConfigError(f"domain must be [x_min, x_max] with x_min < x_max, got {domain!r}")
+    domain = (_finite(domain[0], "domain x_min"), _finite(domain[1], "domain x_max"))
+    if not domain[1] > domain[0]:
+        raise ConfigError(f"domain must be [x_min, x_max] with x_min < x_max, got {list(domain)!r}")
+    return domain
+
+
 def _params_from(cfg: dict) -> ModelParams:
     p = _require(cfg, "params")
-    try:
-        return ModelParams(mu=float(_require(p, "mu", "params")), ua=float(_require(p, "ua", "params")))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad params block: {exc}") from exc
+    return ModelParams(mu=_number(p, "mu", where="params"), ua=_number(p, "ua", where="params"))
 
 
 def _riemann_from(cfg: dict) -> RiemannData:
     if "riemann" not in cfg:
         raise ConfigError("scenario needs a 'riemann' block (smooth profiles go through `blowup`)")
     r = cfg["riemann"]
-    try:
-        return RiemannData(
-            alpha_l=float(_require(r, "alpha_l", "riemann")),
-            u_l=float(_require(r, "u_l", "riemann")),
-            alpha_r=float(_require(r, "alpha_r", "riemann")),
-            u_r=float(_require(r, "u_r", "riemann")),
-            omega0=float(r.get("omega0", 0.0)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad riemann block: {exc}") from exc
+    sides = [_number(r, key, where="riemann") for key in ("alpha_l", "u_l", "alpha_r", "u_r")]
+    return RiemannData(*sides, omega0=_number(r, "omega0", 0.0, "riemann"))
 
 
 @dataclass
@@ -114,20 +126,14 @@ class Scenario:
     outputs: dict
     exclusion_half_width: float
     raw: str
-    cfg: dict
 
 
 def _scenario_from(cfg: dict, raw: str, args) -> Scenario:
     name = str(cfg.get("name", "scenario"))
     params = _params_from(cfg)
     data = _riemann_from(cfg) if "riemann" in cfg else None
-    domain = cfg.get("domain", [-1.0, 2.0])
-    if not (isinstance(domain, (list, tuple)) and len(domain) == 2):
-        raise ConfigError(f"domain must be [x_min, x_max] with x_min < x_max, got {domain!r}")
-    domain = (_finite(domain[0], "domain x_min"), _finite(domain[1], "domain x_max"))
-    if not domain[1] > domain[0]:
-        raise ConfigError(f"domain must be [x_min, x_max] with x_min < x_max, got {list(domain)!r}")
-    n_cells = int(cfg.get("n_cells", 3000))
+    domain = _domain(cfg, [-1.0, 2.0])
+    n_cells = _count(cfg, "n_cells", 3000)
     if getattr(args, "cells", None):
         n_cells = int(args.cells)
     if n_cells < 16:
@@ -138,14 +144,14 @@ def _scenario_from(cfg: dict, raw: str, args) -> Scenario:
     snaps = [_finite(t, "t_snapshots entry") for t in snaps]
     if any(t < 0 for t in snaps) or any(b <= a for a, b in zip(snaps, snaps[1:])):
         raise ConfigError("t_snapshots must be nonnegative and strictly increasing")
-    cfl = float(cfg.get("cfl", 0.15))
+    cfl = _number(cfg, "cfl", 0.15)
     fixed_dt = cfg.get("fixed_dt")
     if getattr(args, "fixed_dt", None) is not None:
         fixed_dt = args.fixed_dt
-    fixed_dt = None if fixed_dt is None else float(fixed_dt)
+    fixed_dt = None if fixed_dt is None else _finite(fixed_dt, "fixed_dt")
     outputs = {"csv": True, "svg": False, "report": True}
     outputs.update(cfg.get("outputs", {}))
-    excl = float(cfg.get("exclusion_half_width", 0.05))
+    excl = _number(cfg, "exclusion_half_width", 0.05)
     return Scenario(
         name=name,
         params=params,
@@ -158,34 +164,18 @@ def _scenario_from(cfg: dict, raw: str, args) -> Scenario:
         outputs=outputs,
         exclusion_half_width=excl,
         raw=raw,
-        cfg=cfg,
     )
 
 
-def _solution_kind(solution) -> str:
-    if isinstance(solution, DeltaShockSolution):
-        return "delta-shock"
-    if isinstance(solution, VacuumSolution):
-        return "vacuum"
-    return "contact"
-
-
 def _exact_snapshot_row(solution, t: float) -> dict:
-    kind = _solution_kind(solution)
-    if kind == "delta-shock":
-        gl, gr = solution.entropy_gaps(t)
-        return {
-            "t": t,
-            "xi": float(solution.position(t)),
-            "sigma": float(solution.speed(t)),
-            "omega": float(solution.weight(t)),
-            "gap_left": float(gl),
-            "gap_right": float(gr),
-        }
-    if kind == "vacuum":
+    if solution.kind == "vacuum":
         x1, x2 = solution.bounds(t)
         return {"t": t, "X1": float(x1), "X2": float(x2)}
-    return {"t": t, "xi": float(solution.position(t)), "sigma": float(solution.speed(t))}
+    row = {"t": t, "xi": float(solution.position(t)), "sigma": float(solution.speed(t))}
+    if solution.kind == "delta-shock":
+        gl, gr = solution.entropy_gaps(t)
+        row.update(omega=float(solution.weight(t)), gap_left=float(gl), gap_right=float(gr))
+    return row
 
 
 def _write_report(path: str, payload: dict) -> None:
@@ -218,12 +208,11 @@ def cmd_exact(args, cfg=None, raw=None, out=None) -> int:
     if sc.outputs["report"]:
         payload = {
             "scenario": sc.raw,
-            "solution_kind": _solution_kind(solution),
+            "solution_kind": solution.kind,
             "snapshots": rows,
         }
-        warning = getattr(solution, "warning", None)
-        if warning:
-            payload["warning"] = warning
+        if solution.warning:
+            payload["warning"] = solution.warning
         _write_report(os.path.join(out, f"{sc.name}_exact_report.json"), payload)
     return 0
 
@@ -304,7 +293,7 @@ def cmd_compare(args, cfg=None, raw=None, out=None) -> int:
             os.path.join(out, f"{sc.name}_compare_report.json"),
             {
                 "scenario": sc.raw,
-                "solution_kind": _solution_kind(solution),
+                "solution_kind": solution.kind,
                 "snapshots": exact_rows,
                 "errors": [rep.__dict__ for rep in reports],
             },
@@ -315,21 +304,21 @@ def cmd_compare(args, cfg=None, raw=None, out=None) -> int:
 def _profile_from(cfg: dict) -> SmoothProfile:
     p = _require(cfg, "profile")
     kind = _require(p, "kind", "profile")
-    center = float(p.get("center", 0.0))
-    offset = float(p.get("offset", 0.0))
-    alpha0 = float(p.get("alpha0", 1.0))
-    domain = cfg.get("domain", [-3.0, 3.0])
-    count = int(cfg.get("sample_count", 2001))
+    center = _number(p, "center", 0.0, "profile")
+    offset = _number(p, "offset", 0.0, "profile")
+    alpha0 = _number(p, "alpha0", 1.0, "profile")
+    domain = _domain(cfg, [-3.0, 3.0])
+    count = _count(cfg, "sample_count", 2001)
     if kind == "tanh":
-        amp = float(_require(p, "amplitude", "profile"))
-        width = float(p.get("width", 1.0))
+        amp = _number(p, "amplitude", where="profile")
+        width = _number(p, "width", 1.0, "profile")
         if width <= 0:
             raise ConfigError("profile width must be positive")
         u0 = lambda x: offset + amp * np.tanh((np.asarray(x) - center) / width)
         u0p = lambda x: amp / width / np.cosh((np.asarray(x) - center) / width) ** 2
     elif kind == "cubic":
-        c1 = float(_require(p, "c1", "profile"))
-        c3 = float(p.get("c3", 0.0))
+        c1 = _number(p, "c1", where="profile")
+        c3 = _number(p, "c3", 0.0, "profile")
         u0 = lambda x: offset + c1 * (np.asarray(x) - center) + c3 * (np.asarray(x) - center) ** 3
         u0p = lambda x: c1 + 3.0 * c3 * (np.asarray(x) - center) ** 2
     else:
@@ -339,7 +328,7 @@ def _profile_from(cfg: dict) -> SmoothProfile:
             u0=u0,
             u0_prime=u0p,
             alpha0=lambda x: alpha0 + 0.0 * np.asarray(x, dtype=float),
-            domain=(float(domain[0]), float(domain[1])),
+            domain=domain,
             sample_count=count,
         )
     except ValueError as exc:
@@ -352,8 +341,8 @@ def cmd_blowup(args, cfg=None, raw=None, out=None) -> int:
     params = _params_from(cfg)
     profile = _profile_from(cfg)
     out = out or _out_dir(args)
-    t_max = float(cfg.get("t_max", 50.0))
-    n_feet = int(cfg.get("n_feet", 4001))
+    t_max = _number(cfg, "t_max", 50.0)
+    n_feet = _count(cfg, "n_feet", 4001)
     report = blowup(profile, params)
     oracle = first_crossing_time(profile, params, t_max, n_feet)
     name = str(cfg.get("name", "profile"))
@@ -377,10 +366,10 @@ def cmd_grh(args, cfg=None, raw=None, out=None) -> int:
     data = _riemann_from(cfg)
     out = out or _out_dir(args)
     name = str(cfg.get("name", "grh"))
-    t_end = float(cfg.get("t_end", 1.0))
-    dt = float(cfg.get("dt", 1e-4))
+    t_end = _number(cfg, "t_end", 1.0)
+    dt = _number(cfg, "dt", 1e-4)
     sigma0 = cfg.get("sigma0")
-    sigma0 = None if sigma0 is None else float(sigma0)
+    sigma0 = None if sigma0 is None else _finite(sigma0, "sigma0")
     if t_end <= 0 or dt <= 0:
         raise ConfigError("t_end and dt must be positive")
     states = grh.LimitStates.from_riemann(data, params)

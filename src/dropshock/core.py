@@ -3,9 +3,17 @@
 The model is pressureless gas dynamics for a dispersed phase (volume
 fraction ``alpha``, velocity ``u``) with a linear drag source that pulls
 the velocity toward the carrier-fluid velocity ``ua`` at rate ``mu``.
-Along a characteristic the velocity relaxes exponentially, and positions
-follow by integrating the relaxed velocity; the two kernels below are the
-building blocks for every closed-form solution in this package.
+
+One change of variables, the free-frame map
+
+    y = x - ua*t,   tau = decay_integral(mu, t),   v = (u - ua)*exp(mu*t),
+
+turns the drag system into the drag-free one (alpha unchanged), in which
+particles move on straight lines y = y0 + v*tau.  Every closed form in
+this package is a drag-free formula put through this map:
+``relax_velocity``, ``characteristic_position`` and ``fan_velocity`` are
+the inverse images of a constant velocity, a straight line and the fan
+v = y/tau.
 
 All operations are pure functions of immutable values and accept scalars
 or numpy arrays in their time/space arguments.
@@ -190,16 +198,12 @@ def characteristic_position(x0, u0_at_x0, params: ModelParams, t):
 def fan_velocity(x, t: float, params: ModelParams):
     """Velocity at time t > 0 of the characteristic fan leaving x = 0.
 
-    ua + mu*(x - ua*t)/(exp(mu*t) - 1), the velocity at time t of the
-    characteristic that leaves the origin and reaches x; x/t at mu = 0.
-    t = 0 is a removable 0/0 singularity and is rejected.
+    The drag-free fan v = y/tau mapped back: ua + exp(-mu*t)*(x - ua*t)/tau,
+    which is x/t at mu = 0.  t = 0 is a removable 0/0 singularity and is
+    rejected.
     """
     if t <= 0.0:
         raise ValueError("fan velocity is undefined at t <= 0 (removable singularity)")
     mu, ua = params.mu, params.ua
-    xx = np.asarray(x, dtype=float)
-    if mu == 0.0:
-        out = xx / t
-    else:
-        out = ua + mu * (xx - ua * t) / math.expm1(mu * t)
+    out = ua + (np.asarray(x, dtype=float) - ua * t) * math.exp(-mu * t) / decay_integral(mu, t)
     return float(out) if np.ndim(x) == 0 else out

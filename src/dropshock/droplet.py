@@ -98,10 +98,16 @@ def weight_lower_bound(t, data: RiemannData, params: ModelParams):
 
 @dataclass(frozen=True)
 class _Solution:
-    """Riemann data and parameters, with the relaxed one-sided limit states."""
+    """Riemann data and parameters, with the relaxed one-sided limit states.
+
+    Every solution has a ``kind``, a ``warning`` (None when the closed
+    form's hypotheses hold) and the ``bounds`` of its wave.
+    """
 
     data: RiemannData
     params: ModelParams
+
+    warning = None
 
     def left_state(self, t) -> Tuple[float, float]:
         return self.data.alpha_l, relax_velocity(self.data.u_l, self.params, t)
@@ -135,6 +141,11 @@ class _Front(_Solution):
         """Front location, the time integral of the speed, with position(0) = 0."""
         return characteristic_position(0.0, self.initial_speed, self.params, t)
 
+    def bounds(self, t):
+        """The wave's extent (xi(t), xi(t)): a front has zero width."""
+        xi = self.position(t)
+        return xi, xi
+
     def regular_fields(self, x, t):
         """Regular (alpha, u) arrays at time t; a Dirac mass is not included."""
         xx = np.asarray(x, dtype=float)
@@ -158,14 +169,17 @@ class DeltaShockSolution(_Front):
     sqrt(alpha_l*alpha_r) and (alpha_l+alpha_r)/2 respectively.  One zero
     side density is allowed and flagged by ``warning``; exactly on the
     shock curve ``evaluate`` reports the point mass as the singular part.
+    Only the full system rejects two zero densities.
     """
 
     variant: DeltaVariant = DeltaVariant.FULL_SYSTEM
 
+    kind = "delta-shock"
+
     def __post_init__(self) -> None:
         if not self.data.u_l > self.data.u_r:
             raise ValueError("a delta shock requires u_l > u_r")
-        if self.data.alpha_l == 0.0 and self.data.alpha_r == 0.0:
+        if self.variant is DeltaVariant.FULL_SYSTEM and self.data.alpha_l == self.data.alpha_r == 0.0:
             raise ValueError("both densities vanish; there is no mass to concentrate")
 
     @property
@@ -216,6 +230,8 @@ class DeltaShockSolution(_Front):
 class VacuumSolution(_Solution):
     """Two contact discontinuities enclosing a vacuum, velocity continuous."""
 
+    kind = "vacuum"
+
     def __post_init__(self) -> None:
         if not self.data.u_l < self.data.u_r:
             raise ValueError("a vacuum solution requires u_l < u_r")
@@ -251,6 +267,8 @@ class VacuumSolution(_Solution):
 @dataclass(frozen=True)
 class ContactSolution(_Front):
     """Equal side velocities: a single contact moving with the relaxed velocity."""
+
+    kind = "contact"
 
     def __post_init__(self) -> None:
         if self.data.u_l != self.data.u_r:

@@ -133,14 +133,13 @@ def advance(
     t_end: float,
     cfl: float = 0.15,
     fixed_dt: float = None,
-    dt_cap: float = math.inf,
 ) -> FieldState:
     """March the state to t_end with transport-then-source splitting.
 
-    Each step uses dt = min(cfl*dx/max|u|, dt_cap, remaining time), or the
-    given ``fixed_dt`` (aborting if it violates CFL <= 1).  Boundaries are
-    outflow (ghost cells copy the adjacent interior cell), so the total
-    mass changes exactly by the net boundary flux.
+    Each step uses dt = min(cfl*dx/max|u|, remaining time), or the given
+    positive, finite ``fixed_dt`` (aborting if it violates CFL <= 1).
+    Boundaries are outflow (ghost cells copy the adjacent interior cell),
+    so the total mass changes exactly by the net boundary flux.
     """
     if not math.isfinite(t_end):
         raise ValueError(f"t_end must be finite, got {t_end!r}")
@@ -148,6 +147,8 @@ def advance(
         raise ValueError("t_end must not precede the state time")
     if fixed_dt is None and not 0.0 < cfl <= 1.0:
         raise ValueError("cfl must lie in (0, 1]")
+    if fixed_dt is not None and not (fixed_dt > 0.0 and math.isfinite(fixed_dt)):
+        raise ValueError(f"fixed_dt must be positive and finite, got {fixed_dt!r}")
     grid = state.grid
     dx = grid.dx
     alpha = state.alpha.astype(float).copy()
@@ -172,7 +173,7 @@ def advance(
                     f"(t={t:.6g}, max|u|={umax:g}, dx={dx:g})"
                 )
         else:
-            dt = min(cfl * dx / umax, dt_cap, remaining)
+            dt = min(cfl * dx / umax, remaining)
 
         a_ext = np.concatenate((alpha[:1], alpha, alpha[-1:]))
         u_ext = np.concatenate((u[:1], u, u[-1:]))

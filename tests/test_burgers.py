@@ -118,6 +118,18 @@ def test_fan_velocity_mu_zero_similarity():
     assert fan.fan_velocity(0.3, 1.0) == pytest.approx(0.3, abs=1e-15)
 
 
+@pytest.mark.parametrize("u_l,u_r", [(1.0, 0.5), (0.5, 1.0), (0.7, 0.7)])
+def test_velocity_ignores_densities(u_l, u_r):
+    # zero densities included: the velocity solution never reads them
+    empty = BurgersWave(ds.RiemannData(0.0, u_l, 0.0, u_r), P1)
+    full = BurgersWave(ds.RiemannData(1.0, u_l, 1.0, u_r), P1)
+    x = np.linspace(-1.0, 2.0, 31)
+    for t in (0.0, 0.7, 3.0):
+        assert np.array_equal(empty.evaluate(x, t), full.evaluate(x, t))
+    if empty.kind is WaveKind.SHOCK:
+        assert empty.shock_speed(1.0) == full.shock_speed(1.0)
+
+
 def test_fan_velocity_rejects_t0():
     with pytest.raises(ValueError, match="singularity"):
         FAN.fan_velocity(0.0, 0.0)

@@ -201,6 +201,19 @@ def test_csv_17_digit_roundtrip(tmp_path):
     assert np.array_equal(rows[:, 2], u)  # 17 significant digits reproduce doubles exactly
 
 
+TANH = {"kind": "tanh", "amplitude": -2.0}
+
+
+def run_as(command, **fields):
+    """A mutation that sets ``fields`` and names the subcommand to run instead of `exact`."""
+
+    def mutate(s):
+        s.update(fields)
+        return command
+
+    return mutate
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -213,14 +226,35 @@ def test_csv_17_digit_roundtrip(tmp_path):
         lambda s: s.update(domain=["a", 1]),
         lambda s: s.update(domain=[None, 1.0]),
         lambda s: s.update(domain=[-1.0, float("inf")]),
+        pytest.param(run_as("exact", cfl=None), id="cfl-null"),
+        pytest.param(run_as("exact", n_cells=None), id="n_cells-null"),
+        pytest.param(run_as("exact", n_cells=float("inf")), id="n_cells-inf"),
+        pytest.param(run_as("exact", n_cells=300.5), id="n_cells-fraction"),
+        pytest.param(run_as("compare", exclusion_half_width=float("nan")), id="exclusion-nan"),
+        pytest.param(run_as("simulate", fixed_dt=0), id="fixed_dt-zero"),
+        pytest.param(run_as("simulate", fixed_dt=-1e-3), id="fixed_dt-negative"),
+        pytest.param(run_as("simulate", fixed_dt=float("nan")), id="fixed_dt-nan"),
+        pytest.param(run_as("exact", params={"mu": None, "ua": 1.0}), id="mu-null"),
+        pytest.param(run_as("grh", t_end=float("inf")), id="grh-t_end-inf"),
+        pytest.param(run_as("grh", t_end=None), id="grh-t_end-null"),
+        pytest.param(run_as("grh", dt="a"), id="grh-dt-text"),
+        pytest.param(run_as("blowup", profile=TANH, n_feet=None), id="blowup-n_feet-null"),
+        pytest.param(run_as("blowup", profile=TANH, n_feet=4000.5), id="blowup-n_feet-fraction"),
+        pytest.param(run_as("blowup", profile=TANH, sample_count=None), id="blowup-sample_count-null"),
+        pytest.param(run_as("blowup", profile=TANH, domain=[1]), id="blowup-domain-short"),
+        pytest.param(run_as("blowup", profile=TANH, t_max=float("inf")), id="blowup-t_max-inf"),
+        pytest.param(run_as("blowup", profile=dict(TANH, width=None)), id="blowup-width-null"),
     ],
 )
-def test_config_errors_exit_2(tmp_path, mutate):
+def test_config_errors_exit_2(tmp_path, mutate, capsys):
     scenario = json.loads(json.dumps(DELTA_SCENARIO))
-    mutate(scenario)
+    command = mutate(scenario)
     cfg = tmp_path / "bad.json"
     write_config(cfg, scenario)
-    assert main(["exact", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    command = command if command in ("exact", "simulate", "compare", "grh", "blowup") else "exact"
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_nonfinite_snapshot_exit_2(tmp_path):

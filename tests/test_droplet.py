@@ -43,6 +43,27 @@ def test_solve_dispatch():
     assert contact.weight(2.0) == 0.0
 
 
+def test_solutions_describe_themselves():
+    contact = solve(ds.RiemannData(0.01, 0.7, 0.02, 0.7), PARAMS_02)
+    assert [s.kind for s in (FULL, SUB, VAC, contact)] == ["delta-shock", "delta-shock", "vacuum", "contact"]
+    assert VAC.warning is None and contact.warning is None
+    for front in (FULL, SUB, contact):
+        xi = front.position(1.5)
+        assert front.bounds(1.5) == (xi, xi)
+    assert VAC.bounds(0.0) == (0.0, 0.0)
+
+
+def test_subsystem_accepts_zero_densities():
+    # the subsystem speed is the arithmetic mean whatever the densities
+    d = ds.RiemannData(0.0, 1.5, 0.0, 0.5, omega0=0.02)
+    sub = DeltaShockSolution(d, PARAMS_02, DeltaVariant.SUBSYSTEM)
+    for t in (0.0, 0.5, 3.0):
+        assert sub.weight(t) == 0.02
+        assert sub.speed(t) == ds.relax_velocity(1.0, PARAMS_02, t)
+    with pytest.raises(ValueError, match="both densities vanish"):
+        DeltaShockSolution(d, PARAMS_02, DeltaVariant.FULL_SYSTEM)
+
+
 def test_initial_shock_speed_equal_densities_is_mean():
     assert initial_shock_speed(0.01, 1.5, 0.01, 0.5) == pytest.approx(1.0, rel=1e-15)
 

@@ -174,6 +174,14 @@ def test_advance_rejects_nonfinite_t_end(t_end):
         advance(st, PARAMS_02, t_end)
 
 
+@pytest.mark.parametrize("fixed_dt", [0.0, -1e-3, np.nan, np.inf], ids=["zero", "negative", "nan", "inf"])
+def test_advance_rejects_bad_fixed_dt(fixed_dt):
+    # zero never advances t, a negative step marches backward in time
+    st = FieldState.from_riemann(Grid1D(-1.0, 2.0, 64), DELTA_DATA)
+    with pytest.raises(ValueError, match="fixed_dt"):
+        advance(st, PARAMS_02, 1.0, fixed_dt=fixed_dt)
+
+
 @pytest.mark.filterwarnings("ignore:invalid value")
 def test_advance_aborts_on_nonfinite():
     g = Grid1D(0.0, 1.0, 32)
