@@ -34,16 +34,8 @@ class ConfigError(Exception):
     """The scenario file is missing, malformed, or inconsistent."""
 
 
-def _fmt(v: float) -> str:
-    return f"{float(v):.17g}"
-
-
 def write_csv(path: str, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
-    rows = len(columns[0])
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(rows):
-            fh.write(",".join(_fmt(col[i]) for col in columns) + "\n")
+    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",", header=",".join(header), comments="")
 
 
 def _load_config(path: str):
@@ -56,9 +48,13 @@ def _load_config(path: str):
         cfg = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
-    return cfg, raw
+    return _object(cfg, "config root"), raw
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {value!r}")
+    return value
 
 
 def _require(cfg: dict, key: str, where: str = "scenario"):
@@ -68,9 +64,11 @@ def _require(cfg: dict, key: str, where: str = "scenario"):
 
 
 def _finite(value, what: str) -> float:
+    if isinstance(value, (bool, str)):  # float() would read true as 1 and "1e-3" as 0.001
+        raise ConfigError(f"{what} must be a number, got {value!r}")
     try:
         v = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{what} must be a number, got {value!r}") from None
     if not math.isfinite(v):
         raise ConfigError(f"{what} must be finite, got {value!r}")
@@ -101,14 +99,14 @@ def _domain(cfg: dict, default) -> tuple:
 
 
 def _params_from(cfg: dict) -> ModelParams:
-    p = _require(cfg, "params")
+    p = _object(_require(cfg, "params"), "params")
     return ModelParams(mu=_number(p, "mu", where="params"), ua=_number(p, "ua", where="params"))
 
 
 def _riemann_from(cfg: dict) -> RiemannData:
     if "riemann" not in cfg:
         raise ConfigError("scenario needs a 'riemann' block (smooth profiles go through `blowup`)")
-    r = cfg["riemann"]
+    r = _object(cfg["riemann"], "riemann")
     sides = [_number(r, key, where="riemann") for key in ("alpha_l", "u_l", "alpha_r", "u_r")]
     return RiemannData(*sides, omega0=_number(r, "omega0", 0.0, "riemann"))
 
@@ -117,7 +115,7 @@ def _riemann_from(cfg: dict) -> RiemannData:
 class Scenario:
     name: str
     params: ModelParams
-    data: Optional[RiemannData]
+    data: RiemannData
     domain: tuple
     n_cells: int
     t_snapshots: List[float]
@@ -128,14 +126,23 @@ class Scenario:
     raw: str
 
 
+def _outputs_from(cfg: dict) -> dict:
+    outputs = {"csv": True, "svg": False, "report": True}
+    for key, value in _object(cfg.get("outputs", {}), "outputs").items():
+        if key not in outputs or not isinstance(value, bool):
+            raise ConfigError(f"outputs takes only csv, svg and report, each true or false; got {key!r}: {value!r}")
+        outputs[key] = value
+    return outputs
+
+
 def _scenario_from(cfg: dict, raw: str, args) -> Scenario:
     name = str(cfg.get("name", "scenario"))
     params = _params_from(cfg)
-    data = _riemann_from(cfg) if "riemann" in cfg else None
+    data = _riemann_from(cfg)
     domain = _domain(cfg, [-1.0, 2.0])
     n_cells = _count(cfg, "n_cells", 3000)
-    if getattr(args, "cells", None):
-        n_cells = int(args.cells)
+    if getattr(args, "cells", None) is not None:
+        n_cells = args.cells
     if n_cells < 16:
         raise ConfigError(f"n_cells must be at least 16, got {n_cells}")
     snaps = cfg.get("t_snapshots", [])
@@ -149,8 +156,6 @@ def _scenario_from(cfg: dict, raw: str, args) -> Scenario:
     if getattr(args, "fixed_dt", None) is not None:
         fixed_dt = args.fixed_dt
     fixed_dt = None if fixed_dt is None else _finite(fixed_dt, "fixed_dt")
-    outputs = {"csv": True, "svg": False, "report": True}
-    outputs.update(cfg.get("outputs", {}))
     excl = _number(cfg, "exclusion_half_width", 0.05)
     return Scenario(
         name=name,
@@ -161,7 +166,7 @@ def _scenario_from(cfg: dict, raw: str, args) -> Scenario:
         t_snapshots=snaps,
         cfl=cfl,
         fixed_dt=fixed_dt,
-        outputs=outputs,
+        outputs=_outputs_from(cfg),
         exclusion_half_width=excl,
         raw=raw,
     )
@@ -184,19 +189,8 @@ def _write_report(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _out_dir(args) -> str:
-    out = getattr(args, "out", ".") or "."
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
-def cmd_exact(args, cfg=None, raw=None, out=None) -> int:
-    if cfg is None:
-        cfg, raw = _load_config(args.config)
+def cmd_exact(args, cfg: dict, raw: str, out: str) -> int:
     sc = _scenario_from(cfg, raw, args)
-    if sc.data is None:
-        raise ConfigError("`exact` needs Riemann data; smooth profiles go through `blowup`")
-    out = out or _out_dir(args)
     solution = solve(sc.data, sc.params)
     x = Grid1D(sc.domain[0], sc.domain[1], sc.n_cells).centers()
     rows = []
@@ -225,13 +219,8 @@ def _run_snapshots(sc: Scenario):
         yield t, state
 
 
-def cmd_simulate(args, cfg=None, raw=None, out=None) -> int:
-    if cfg is None:
-        cfg, raw = _load_config(args.config)
+def cmd_simulate(args, cfg: dict, raw: str, out: str) -> int:
     sc = _scenario_from(cfg, raw, args)
-    if sc.data is None:
-        raise ConfigError("`simulate` needs Riemann data")
-    out = out or _out_dir(args)
     files = []
     for t, state in _run_snapshots(sc):
         u = reconstruct_velocity(state, sc.params)
@@ -247,15 +236,10 @@ def cmd_simulate(args, cfg=None, raw=None, out=None) -> int:
     return 0
 
 
-def cmd_compare(args, cfg=None, raw=None, out=None) -> int:
-    if cfg is None:
-        cfg, raw = _load_config(args.config)
+def cmd_compare(args, cfg: dict, raw: str, out: str) -> int:
     sc = _scenario_from(cfg, raw, args)
-    if sc.data is None:
-        raise ConfigError("`compare` needs Riemann data")
-    out = out or _out_dir(args)
     solution = solve(sc.data, sc.params)
-    rescale = bool(getattr(args, "rescale_alpha", False))
+    scale, suffix = (100.0, " (x100)") if getattr(args, "rescale_alpha", False) else (1.0, "")
     reports: List[ErrorReport] = []
     exact_rows = []
     for t, state in _run_snapshots(sc):
@@ -268,8 +252,6 @@ def cmd_compare(args, cfg=None, raw=None, out=None) -> int:
         reports.append(compare(state, solution, sc.exclusion_half_width, label=f"{sc.name}_t{t:g}"))
         exact_rows.append(_exact_snapshot_row(solution, t))
         if sc.outputs["svg"]:
-            scale = 100.0 if rescale else 1.0
-            suffix = " (x100)" if rescale else ""
             line_plot(
                 os.path.join(out, f"{sc.name}_overlay_alpha_t{t:g}.svg"),
                 x,
@@ -302,7 +284,7 @@ def cmd_compare(args, cfg=None, raw=None, out=None) -> int:
 
 
 def _profile_from(cfg: dict) -> SmoothProfile:
-    p = _require(cfg, "profile")
+    p = _object(_require(cfg, "profile"), "profile")
     kind = _require(p, "kind", "profile")
     center = _number(p, "center", 0.0, "profile")
     offset = _number(p, "offset", 0.0, "profile")
@@ -323,24 +305,18 @@ def _profile_from(cfg: dict) -> SmoothProfile:
         u0p = lambda x: c1 + 3.0 * c3 * (np.asarray(x) - center) ** 2
     else:
         raise ConfigError(f"unknown profile kind {kind!r} (expected 'tanh' or 'cubic')")
-    try:
-        return SmoothProfile(
-            u0=u0,
-            u0_prime=u0p,
-            alpha0=lambda x: alpha0 + 0.0 * np.asarray(x, dtype=float),
-            domain=domain,
-            sample_count=count,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad profile: {exc}") from exc
+    return SmoothProfile(
+        u0=u0,
+        u0_prime=u0p,
+        alpha0=lambda x: alpha0 + 0.0 * np.asarray(x, dtype=float),
+        domain=domain,
+        sample_count=count,
+    )
 
 
-def cmd_blowup(args, cfg=None, raw=None, out=None) -> int:
-    if cfg is None:
-        cfg, raw = _load_config(args.config)
+def cmd_blowup(args, cfg: dict, raw: str, out: str) -> int:
     params = _params_from(cfg)
     profile = _profile_from(cfg)
-    out = out or _out_dir(args)
     t_max = _number(cfg, "t_max", 50.0)
     n_feet = _count(cfg, "n_feet", 4001)
     report = blowup(profile, params)
@@ -359,12 +335,9 @@ def cmd_blowup(args, cfg=None, raw=None, out=None) -> int:
     return 0
 
 
-def cmd_grh(args, cfg=None, raw=None, out=None) -> int:
-    if cfg is None:
-        cfg, raw = _load_config(args.config)
+def cmd_grh(args, cfg: dict, raw: str, out: str) -> int:
     params = _params_from(cfg)
     data = _riemann_from(cfg)
-    out = out or _out_dir(args)
     name = str(cfg.get("name", "grh"))
     t_end = _number(cfg, "t_end", 1.0)
     dt = _number(cfg, "dt", 1e-4)
@@ -373,19 +346,16 @@ def cmd_grh(args, cfg=None, raw=None, out=None) -> int:
     if t_end <= 0 or dt <= 0:
         raise ConfigError("t_end and dt must be positive")
     states = grh.LimitStates.from_riemann(data, params)
-    try:
-        if sigma0 is None and data.omega0 > 0.0:
-            sigma0 = initial_shock_speed(data.alpha_l, data.u_l, data.alpha_r, data.u_r)
-        traj = grh.integrate(
-            grh.GrhState(mass=data.omega0, momentum=data.omega0 * (sigma0 if sigma0 else 0.0)),
-            sigma0,
-            t_end,
-            dt,
-            states,
-            params,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    if sigma0 is None and data.omega0 > 0.0:
+        sigma0 = initial_shock_speed(data.alpha_l, data.u_l, data.alpha_r, data.u_r)
+    traj = grh.integrate(
+        grh.GrhState(mass=data.omega0, momentum=data.omega0 * (sigma0 if sigma0 else 0.0)),
+        sigma0,
+        t_end,
+        dt,
+        states,
+        params,
+    )
     u_l = np.asarray(states.u_l(traj.t), dtype=float)
     u_r = np.asarray(states.u_r(traj.t), dtype=float)
     entropy_ok = ((u_r < traj.speed) & (traj.speed < u_l)).astype(float)
@@ -409,33 +379,40 @@ def cmd_grh(args, cfg=None, raw=None, out=None) -> int:
     return 0
 
 
-_COMMANDS = {
-    "exact": cmd_exact,
-    "simulate": cmd_simulate,
-    "compare": cmd_compare,
-    "blowup": cmd_blowup,
-    "grh": cmd_grh,
-}
-
-
-def cmd_batch(args) -> int:
-    cfg, _ = _load_config(args.config)
+def cmd_batch(args, cfg: dict, raw: str, out: str) -> int:
     runs = cfg.get("runs")
     if not isinstance(runs, list) or not runs:
         raise ConfigError("batch config needs a nonempty 'runs' list")
-    base = _out_dir(args)
     for k, run in enumerate(runs):
-        command = run.get("command")
-        if command not in _COMMANDS:
+        command = _object(run, f"runs[{k}]").get("command")
+        if not isinstance(command, str) or command not in _COMMANDS or command == "batch":
             raise ConfigError(f"runs[{k}] has unknown command {command!r}")
-        scenario = run.get("scenario")
-        if not isinstance(scenario, dict):
-            raise ConfigError(f"runs[{k}] needs an inline 'scenario' object")
-        sub_raw = json.dumps(scenario, indent=2)
-        sub_out = os.path.join(base, str(scenario.get("name", f"run{k}")))
+        scenario = _object(run.get("scenario"), f"runs[{k}] scenario")
+        sub_out = os.path.join(out, str(scenario.get("name", f"run{k}")))
         os.makedirs(sub_out, exist_ok=True)
-        _COMMANDS[command](args, cfg=scenario, raw=sub_raw, out=sub_out)
+        _COMMANDS[command][0](args, scenario, json.dumps(scenario, indent=2), sub_out)
     return 0
+
+
+_FLAGS = {
+    "--cells": dict(type=int, help="override n_cells"),
+    "--fixed-dt": dict(type=float, help="fixed time step (replaces the CFL-adaptive step)"),
+    "--rescale-alpha": dict(action="store_true", help="multiply plotted volume fraction by 100"),
+}
+
+# name -> (function, help, extra flags); drives both the parser and `batch`
+_COMMANDS = {
+    "exact": (cmd_exact, "dump the exact solution at the snapshot times", ("--cells",)),
+    "simulate": (cmd_simulate, "run the finite-volume solver", ("--cells", "--fixed-dt")),
+    "compare": (
+        cmd_compare,
+        "run the solver and compare with the exact solution",
+        ("--cells", "--fixed-dt", "--rescale-alpha"),
+    ),
+    "blowup": (cmd_blowup, "blowup prediction for a smooth profile", ()),
+    "grh": (cmd_grh, "integrate the point-mass balance ODEs", ()),
+    "batch": (cmd_batch, "run a list of scenarios", ()),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -444,55 +421,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact and finite-volume Riemann solutions for the droplet flow model",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, cells=True, fixed_dt=False, rescale=False):
+    for name, (func, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="scenario JSON file")
         p.add_argument("--out", default=".", help="output directory")
-        if cells:
-            p.add_argument("--cells", type=int, default=None, help="override n_cells")
-        if fixed_dt:
-            p.add_argument("--fixed-dt", dest="fixed_dt", type=float, default=None,
-                           help="fixed time step (replaces the CFL-adaptive step)")
-        if rescale:
-            p.add_argument("--rescale-alpha", dest="rescale_alpha", action="store_true",
-                           help="multiply plotted volume fraction by 100")
-
-    p = sub.add_parser("exact", help="dump the exact solution at the snapshot times")
-    add_common(p)
-    p.set_defaults(func=cmd_exact)
-
-    p = sub.add_parser("simulate", help="run the finite-volume solver")
-    add_common(p, fixed_dt=True)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("compare", help="run the solver and compare with the exact solution")
-    add_common(p, fixed_dt=True, rescale=True)
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("blowup", help="blowup prediction for a smooth profile")
-    add_common(p, cells=False)
-    p.set_defaults(func=cmd_blowup)
-
-    p = sub.add_parser("grh", help="integrate the point-mass balance ODEs")
-    add_common(p, cells=False)
-    p.set_defaults(func=cmd_grh)
-
-    p = sub.add_parser("batch", help="run a list of scenarios")
-    add_common(p, cells=False)
-    p.set_defaults(func=cmd_batch)
-
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+        cfg, raw = _load_config(args.config)
+        out = args.out or "."
+        os.makedirs(out, exist_ok=True)
+        return args.func(args, cfg, raw, out)
+    except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (SolverAbort, GrhMonitorError, BlowupError) as exc:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import dropshock as ds
-from dropshock.cli import main
+from dropshock.cli import main, write_csv
 
 from helpers import LN2, OMEGA1_FULL, PARAMS_02, SIGMA1_FULL
 
@@ -244,6 +244,23 @@ def run_as(command, **fields):
         pytest.param(run_as("blowup", profile=TANH, domain=[1]), id="blowup-domain-short"),
         pytest.param(run_as("blowup", profile=TANH, t_max=float("inf")), id="blowup-t_max-inf"),
         pytest.param(run_as("blowup", profile=dict(TANH, width=None)), id="blowup-width-null"),
+        *[
+            pytest.param(run_as(command, **{block: value}), id=f"{block}-{json.dumps(value)}")
+            for command, block in (("exact", "params"), ("exact", "riemann"), ("blowup", "profile"))
+            for value in (None, True, 5)
+        ],
+        *[pytest.param(run_as("exact", outputs=value), id=f"outputs-{json.dumps(value)}") for value in (None, True, [1])],
+        pytest.param(run_as("exact", outputs={"csv": "no"}), id="outputs-csv-text"),
+        pytest.param(run_as("exact", outputs={"cvs": False}), id="outputs-misspelt-key"),
+        pytest.param(run_as("simulate", fixed_dt=True), id="fixed_dt-true"),
+        pytest.param(run_as("simulate", t_snapshots=[True]), id="t_snapshots-true"),
+        pytest.param(run_as("exact", n_cells=True), id="n_cells-true"),
+        pytest.param(run_as("exact", cfl="0.15"), id="cfl-numeric-text"),
+        pytest.param(run_as("exact", n_cells=10**400), id="n_cells-huge-int"),
+        pytest.param(run_as("batch", runs=[1]), id="batch-run-not-object"),
+        pytest.param(run_as("batch", runs=[{"command": "exact", "scenario": 5}]), id="batch-scenario-not-object"),
+        pytest.param(run_as("batch", runs=[{"command": [], "scenario": {}}]), id="batch-command-list"),
+        pytest.param(run_as("batch", runs=[{"command": "batch", "scenario": {"runs": []}}]), id="batch-nested"),
     ],
 )
 def test_config_errors_exit_2(tmp_path, mutate, capsys):
@@ -251,7 +268,7 @@ def test_config_errors_exit_2(tmp_path, mutate, capsys):
     command = mutate(scenario)
     cfg = tmp_path / "bad.json"
     write_config(cfg, scenario)
-    command = command if command in ("exact", "simulate", "compare", "grh", "blowup") else "exact"
+    command = command if command in ("exact", "simulate", "compare", "grh", "blowup", "batch") else "exact"
     assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert not list(tmp_path.glob("*.csv"))
@@ -312,3 +329,73 @@ def test_numerical_abort_exit_3(tmp_path):
     assert main([
         "simulate", "--config", str(cfg), "--out", str(tmp_path), "--fixed-dt", "0.1",
     ]) == 3
+
+
+def test_cells_zero_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "s.json"
+    write_config(cfg, DELTA_SCENARIO)
+    assert main(["exact", "--config", str(cfg), "--out", str(tmp_path), "--cells", "0"]) == 2
+    assert capsys.readouterr().err.startswith("config error: n_cells must be at least 16")
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_write_csv_special_values(tmp_path):
+    values = [1e-300, 1e300, 0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1.0 / 3.0]
+    path = tmp_path / "v.csv"
+    write_csv(str(path), ("a", "b"), (np.array(values), -np.array(values)))
+    expected = ["a,b"] + [f"{v:.17g},{-v:.17g}" for v in values]
+    assert path.read_text() == "\n".join(expected) + "\n"
+
+
+# every field the Riemann commands read, and every field `blowup` reads
+RIEMANN_FULL = dict(
+    DELTA_SCENARIO,
+    riemann=dict(DELTA_SCENARIO["riemann"], omega0=0.01),
+    n_cells=64,
+    t_snapshots=[0.1],
+    fixed_dt=1e-3,
+    exclusion_half_width=0.05,
+    outputs={"csv": True, "svg": True, "report": True},
+    t_end=0.05,
+    dt=1e-3,
+    sigma0=1.0,
+)
+PROFILE_FULL = {
+    "name": "tanh",
+    "params": {"mu": 1.0, "ua": 0.2},
+    "profile": {"kind": "tanh", "amplitude": -2.0, "width": 1.0, "center": 0.1, "offset": 0.2, "alpha0": 0.5},
+    "domain": [-3.0, 3.0],
+    "sample_count": 201,
+    "t_max": 50.0,
+    "n_feet": 201,
+}
+WRONG_TYPES = (None, "x", [], [1], {}, True)
+
+
+def _key_paths(scenario):
+    for key, value in scenario.items():
+        yield (key,)
+        if isinstance(value, dict):
+            yield from ((key, sub) for sub in value)
+
+
+def test_wrong_typed_field_never_raises(tmp_path, capsys):
+    cfg = tmp_path / "s.json"
+    cases = 0
+    for command, base in [("blowup", PROFILE_FULL)] + [(c, RIEMANN_FULL) for c in ("exact", "simulate", "compare", "grh")]:
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+        write_config(cfg, base)
+        assert main(argv) == 0, f"{command} fails on the unchanged scenario"
+        for path in _key_paths(base):
+            for value in WRONG_TYPES:
+                scenario = json.loads(json.dumps(base))
+                block = scenario if len(path) == 1 else scenario[path[0]]
+                block[path[-1]] = value
+                write_config(cfg, scenario)
+                case = f"{command} {'.'.join(path)}={json.dumps(value)}"
+                rc = main(argv)
+                err = capsys.readouterr().err
+                assert rc in (0, 2), case
+                assert rc == 0 or err.startswith("config error:"), case
+                cases += 1
+    assert cases == 642
