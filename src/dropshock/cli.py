@@ -111,6 +111,14 @@ def _riemann_from(cfg: dict) -> RiemannData:
     return RiemannData(*sides, omega0=_number(r, "omega0", 0.0, "riemann"))
 
 
+def _name_from(cfg: dict, default: str) -> str:
+    """The scenario name, which prefixes every output file: one plain path component."""
+    name = str(cfg.get("name", default))
+    if name in ("", ".", "..") or os.sep in name or (os.altsep and os.altsep in name):
+        raise ConfigError(f"name must be one plain file-name component, got {name!r}")
+    return name
+
+
 @dataclass
 class Scenario:
     name: str
@@ -136,7 +144,7 @@ def _outputs_from(cfg: dict) -> dict:
 
 
 def _scenario_from(cfg: dict, raw: str, args) -> Scenario:
-    name = str(cfg.get("name", "scenario"))
+    name = _name_from(cfg, "scenario")
     params = _params_from(cfg)
     data = _riemann_from(cfg)
     domain = _domain(cfg, [-1.0, 2.0])
@@ -187,6 +195,14 @@ def _write_report(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
+
+
+def _output_dir(path: str) -> str:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:  # e.g. the path names an existing file
+        raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
+    return path
 
 
 def cmd_exact(args, cfg: dict, raw: str, out: str) -> int:
@@ -315,30 +331,33 @@ def _profile_from(cfg: dict) -> SmoothProfile:
 
 
 def cmd_blowup(args, cfg: dict, raw: str, out: str) -> int:
+    name = _name_from(cfg, "profile")
     params = _params_from(cfg)
     profile = _profile_from(cfg)
     t_max = _number(cfg, "t_max", 50.0)
     n_feet = _count(cfg, "n_feet", 4001)
+    outputs = _outputs_from(cfg)
     report = blowup(profile, params)
     oracle = first_crossing_time(profile, params, t_max, n_feet)
-    name = str(cfg.get("name", "profile"))
-    _write_report(
-        os.path.join(out, f"{name}_blowup_report.json"),
-        {
-            "scenario": raw,
-            "blows_up": report.blows_up,
-            "t_star_formula": report.t_star,
-            "x0_star": report.x0_star,
-            "t_star_oracle": oracle,
-        },
-    )
+    if outputs["report"]:
+        _write_report(
+            os.path.join(out, f"{name}_blowup_report.json"),
+            {
+                "scenario": raw,
+                "blows_up": report.blows_up,
+                "t_star_formula": report.t_star,
+                "x0_star": report.x0_star,
+                "t_star_oracle": oracle,
+            },
+        )
     return 0
 
 
 def cmd_grh(args, cfg: dict, raw: str, out: str) -> int:
+    name = _name_from(cfg, "grh")
     params = _params_from(cfg)
     data = _riemann_from(cfg)
-    name = str(cfg.get("name", "grh"))
+    outputs = _outputs_from(cfg)
     t_end = _number(cfg, "t_end", 1.0)
     dt = _number(cfg, "dt", 1e-4)
     sigma0 = cfg.get("sigma0")
@@ -359,23 +378,25 @@ def cmd_grh(args, cfg: dict, raw: str, out: str) -> int:
     u_l = np.asarray(states.u_l(traj.t), dtype=float)
     u_r = np.asarray(states.u_r(traj.t), dtype=float)
     entropy_ok = ((u_r < traj.speed) & (traj.speed < u_l)).astype(float)
-    write_csv(
-        os.path.join(out, f"{name}_grh.csv"),
-        ("t", "omega", "sigma", "u_l", "u_r", "entropy_ok"),
-        (traj.t, traj.mass, traj.speed, u_l, u_r, entropy_ok),
-    )
-    _write_report(
-        os.path.join(out, f"{name}_grh_report.json"),
-        {
-            "scenario": raw,
-            "final": {
-                "t": float(traj.t[-1]),
-                "omega": float(traj.mass[-1]),
-                "sigma": float(traj.speed[-1]),
-                "xi": float(traj.position[-1]),
+    if outputs["csv"]:
+        write_csv(
+            os.path.join(out, f"{name}_grh.csv"),
+            ("t", "omega", "sigma", "u_l", "u_r", "entropy_ok"),
+            (traj.t, traj.mass, traj.speed, u_l, u_r, entropy_ok),
+        )
+    if outputs["report"]:
+        _write_report(
+            os.path.join(out, f"{name}_grh_report.json"),
+            {
+                "scenario": raw,
+                "final": {
+                    "t": float(traj.t[-1]),
+                    "omega": float(traj.mass[-1]),
+                    "sigma": float(traj.speed[-1]),
+                    "xi": float(traj.position[-1]),
+                },
             },
-        },
-    )
+        )
     return 0
 
 
@@ -388,8 +409,7 @@ def cmd_batch(args, cfg: dict, raw: str, out: str) -> int:
         if not isinstance(command, str) or command not in _COMMANDS or command == "batch":
             raise ConfigError(f"runs[{k}] has unknown command {command!r}")
         scenario = _object(run.get("scenario"), f"runs[{k}] scenario")
-        sub_out = os.path.join(out, str(scenario.get("name", f"run{k}")))
-        os.makedirs(sub_out, exist_ok=True)
+        sub_out = _output_dir(os.path.join(out, _name_from(scenario, f"run{k}")))
         _COMMANDS[command][0](args, scenario, json.dumps(scenario, indent=2), sub_out)
     return 0
 
@@ -435,8 +455,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg, raw = _load_config(args.config)
-        out = args.out or "."
-        os.makedirs(out, exist_ok=True)
+        out = _output_dir(args.out or ".")
         return args.func(args, cfg, raw, out)
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

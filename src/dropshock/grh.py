@@ -117,15 +117,6 @@ class GrhTrajectory:
     speed: np.ndarray
     position: np.ndarray
 
-    def interp_mass(self, t):
-        return np.interp(t, self.t, self.mass)
-
-    def interp_speed(self, t):
-        return np.interp(t, self.t, self.speed)
-
-    def interp_position(self, t):
-        return np.interp(t, self.t, self.position)
-
 
 def _default_seed(states: LimitStates) -> float:
     du = float(states.u_l(0.0)) - float(states.u_r(0.0))

@@ -164,6 +164,39 @@ def test_grh_with_initial_point_mass(tmp_path):
     assert report["final"]["omega"] == pytest.approx(exact.weight(1.0), abs=1e-8)
 
 
+GRH_SCENARIO = {
+    "name": "run",
+    "params": {"mu": 0.2, "ua": 1.0},
+    "riemann": {"alpha_l": 0.008, "u_l": 1.5, "alpha_r": 0.003, "u_r": 0.5},
+    "t_end": 0.1,
+    "dt": 1e-3,
+}
+BLOWUP_SCENARIO = {
+    "name": "tanh",
+    "params": {"mu": 1.0, "ua": 0.2},
+    "profile": {"kind": "tanh", "amplitude": -2.0},
+    "sample_count": 201,
+    "n_feet": 201,
+}
+
+
+@pytest.mark.parametrize(
+    "command, scenario, files",
+    [
+        ("grh", GRH_SCENARIO, {"csv": "run_grh.csv", "report": "run_grh_report.json"}),
+        ("blowup", BLOWUP_SCENARIO, {"report": "tanh_blowup_report.json"}),
+    ],
+)
+def test_grh_and_blowup_honour_outputs(tmp_path, command, scenario, files):
+    cfg = tmp_path / "s.json"
+    for switched_off in [(), ("csv",), ("report",), ("csv", "report")]:
+        out = tmp_path / "-".join(("out",) + switched_off)
+        write_config(cfg, dict(scenario, outputs={key: False for key in switched_off}))
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        expected = {name for key, name in files.items() if key not in switched_off}
+        assert {p.name for p in out.iterdir()} == expected
+
+
 def test_batch_runs(tmp_path):
     cfg = tmp_path / "batch.json"
     write_config(
@@ -214,6 +247,11 @@ def run_as(command, **fields):
     return mutate
 
 
+def out_is_file(command):
+    """A mutation that keeps the scenario and points --out at an existing file."""
+    return lambda s: (command, "afile")
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -261,15 +299,36 @@ def run_as(command, **fields):
         pytest.param(run_as("batch", runs=[{"command": "exact", "scenario": 5}]), id="batch-scenario-not-object"),
         pytest.param(run_as("batch", runs=[{"command": [], "scenario": {}}]), id="batch-command-list"),
         pytest.param(run_as("batch", runs=[{"command": "batch", "scenario": {"runs": []}}]), id="batch-nested"),
+        *[
+            pytest.param(run_as(command, name=name, profile=TANH), id=f"{command}-name-{name!r}")
+            for command in ("exact", "grh", "blowup")
+            for name in ("a/b", "../x", "", ".", "..")
+        ],
+        *[
+            pytest.param(run_as("batch", runs=[{"command": "exact", "scenario": dict(DELTA_SCENARIO, name=name)}]),
+                         id=f"batch-run-name-{name!r}")
+            for name in ("../x", "..", "")
+        ],
+        pytest.param(out_is_file("exact"), id="out-is-file"),
+        pytest.param(out_is_file("batch"), id="batch-out-is-file"),
+        pytest.param(run_as("grh", outputs={"csv": "no"}), id="grh-outputs-csv-text"),
+        pytest.param(run_as("grh", outputs=None), id="grh-outputs-null"),
+        pytest.param(run_as("blowup", profile=TANH, outputs={"report": 0}), id="blowup-outputs-report-number"),
+        pytest.param(run_as("blowup", profile=TANH, outputs=[1]), id="blowup-outputs-list"),
     ],
 )
 def test_config_errors_exit_2(tmp_path, mutate, capsys):
     scenario = json.loads(json.dumps(DELTA_SCENARIO))
     command = mutate(scenario)
+    command, out_file = command if isinstance(command, tuple) else (command, None)
     cfg = tmp_path / "bad.json"
     write_config(cfg, scenario)
+    out = tmp_path
+    if out_file:
+        out = tmp_path / out_file
+        out.write_text("")
     command = command if command in ("exact", "simulate", "compare", "grh", "blowup", "batch") else "exact"
-    assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert not list(tmp_path.glob("*.csv"))
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dropshock as ds
+from dropshock import fv
 from dropshock.fv import (
     FieldState,
     Grid1D,
@@ -190,6 +192,87 @@ def test_advance_aborts_on_nonfinite():
     st = FieldState(g, np.full(32, 0.01), q, 0.0)
     with pytest.raises(SolverAbort):
         advance(st, PARAMS_02, 0.5, cfl=0.5)
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    # a NaN cell counts as vacuum for the velocity, then poisons its fluxes
+    [(-1.0, "in cell 5 at step 1"), (np.nan, "non-finite state at step 1")],
+    ids=["negative", "nan"],
+)
+def test_advance_aborts_on_bad_density(value, message):
+    g = Grid1D(0.0, 1.0, 32)
+    alpha = np.full(32, 0.01)
+    alpha[5] = value
+    st = FieldState(g, alpha, np.full(32, 0.01), 0.0)
+    with pytest.raises(SolverAbort, match=message):
+        advance(st, PARAMS_02, 0.5, cfl=0.5)
+
+
+@pytest.mark.parametrize("mode", [{"cfl": 0.5}, {"fixed_dt": 1e-3}], ids=["cfl", "fixed_dt"])
+def test_advance_leaves_input_untouched(mode):
+    g = Grid1D(-1.0, 2.0, 200)
+    st = FieldState.from_riemann(g, VACUUM_DATA)
+    alpha0, q0 = st.alpha.copy(), st.q.copy()
+    out = advance(st, PARAMS_02, 0.1, **mode)
+    assert np.array_equal(st.alpha, alpha0) and np.array_equal(st.q, q0)
+    for a in (out.alpha, out.q):
+        for b in (st.alpha, st.q):
+            assert not np.shares_memory(a, b)
+    assert not np.array_equal(out.alpha, alpha0)
+
+
+@pytest.mark.parametrize(
+    "mode, t_end, steps",
+    # u = 1 everywhere: fixed dt 1e-3 gives 10 full steps and a partial one,
+    # cfl 0.5 gives dt = 0.5 * dx = 5e-3, so 20 full steps and a partial one
+    [({"fixed_dt": 1e-3}, 0.0105, 11), ({"cfl": 0.5}, 0.1025, 21)],
+    ids=["fixed_dt", "cfl"],
+)
+def test_advance_calls_kinetic_flux_once_per_step(monkeypatch, mode, t_end, steps):
+    # the benchmark's fv.steps and fv.cell_steps counters wrap the module
+    # global, so each step must make exactly one call on the n + 1 interfaces
+    n = 100
+    calls = []
+    original = fv.kinetic_flux
+
+    def counting(*args):
+        calls.append([len(a) for a in args])
+        return original(*args)
+
+    monkeypatch.setattr(fv, "kinetic_flux", counting)
+    st = FieldState(Grid1D(0.0, 1.0, n), np.full(n, 0.01), np.full(n, 0.01), 0.0)
+    advance(st, ds.ModelParams(0.3, 1.0), t_end, **mode)
+    assert calls == [[n + 1] * 4] * steps
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(16, 64),
+    mu=st.one_of(st.just(0.0), st.floats(0.01, 3.0)),
+    ua=st.floats(-2.0, 2.0),
+    fixed=st.booleans(),
+    courant=st.floats(0.1, 1.0),
+    t_end=st.floats(0.0, 0.5),
+)
+def test_advance_mirror_symmetry_exact(seed, n, mu, ua, fixed, courant, t_end):
+    # x -> -x maps (alpha, q, ua) to (reversed alpha, -reversed q, -ua); the
+    # kinetic flux and the flux difference are symmetric in floating point,
+    # so the mirrored run must reproduce the mirrored result bit for bit
+    rng = np.random.default_rng(seed)
+    x_min = rng.uniform(-2.0, 0.0)
+    x_max = x_min + rng.uniform(0.5, 3.0)
+    alpha = rng.uniform(0.0, 0.05, n) * (rng.uniform(size=n) > 0.2)  # some exact vacuum cells
+    alpha[rng.uniform(size=n) < 0.1] = 1e-13  # and some below the vacuum threshold
+    u = rng.uniform(-2.0, 2.0, n)
+    params, mirrored = ds.ModelParams(mu, ua), ds.ModelParams(mu, -ua)
+    grid, grid_m = Grid1D(x_min, x_max, n), Grid1D(-x_max, -x_min, n)
+    kw = {"fixed_dt": courant * grid.dx / max(np.max(np.abs(u)), abs(ua))} if fixed else {"cfl": courant}
+    out = advance(FieldState(grid, alpha, alpha * u, 0.0), params, t_end, **kw)
+    out_m = advance(FieldState(grid_m, alpha[::-1], -(alpha * u)[::-1], 0.0), mirrored, t_end, **kw)
+    assert np.array_equal(out_m.alpha, out.alpha[::-1])
+    assert np.array_equal(out_m.q, -out.q[::-1])
 
 
 def test_advance_fixed_dt_cfl_violation_aborts():
