@@ -36,6 +36,9 @@ __all__ = [
 ]
 
 
+MAX_STEPS = 10**7  # largest RK4 step count integrate accepts: four float64 arrays per step
+
+
 class GrhMonitorError(RuntimeError):
     """An invariant (entropy interval or mass growth) failed during integration."""
 
@@ -147,10 +150,14 @@ def integrate(
     Riemann states both properties are guaranteed and a failure means bad
     inputs or a too-coarse dt.
     """
+    if not (math.isfinite(t_end) and math.isfinite(dt)):
+        raise ValueError(f"t_end and dt must be finite, got t_end={t_end!r}, dt={dt!r}")
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
     if dt <= 0.0:
         raise ValueError("dt must be positive")
+    if not t_end / dt <= MAX_STEPS:  # an infinite ratio (a subnormal dt) fails here too
+        raise ValueError(f"t_end/dt = {t_end / dt:g} steps exceeds the limit of {MAX_STEPS}")
     if params.mu > 0.0 and dt > 0.1 / params.mu:
         raise ValueError(
             f"dt={dt:g} is too large to resolve the relaxation scale; need dt <= {0.1 / params.mu:g}"

@@ -5,6 +5,11 @@ characteristic-crossing search (the reference for the blowup predictor),
 distributional-identity residuals evaluated by quadrature (the reference
 for the exact wave solutions), and L1/position/mass error reports
 comparing finite-volume output against the exact solutions.
+
+The quadrature evaluates a solution once per time node: its regular part
+becomes strips (x_a(t), x_b(t), alpha, u(t)) of constant state between
+the discontinuity curves, its point mass a one-node strip on the shock
+curve, and each test function is evaluated once per strip.
 """
 
 from __future__ import annotations
@@ -30,6 +35,9 @@ __all__ = [
 ]
 
 
+MAX_FEET = 10**7  # largest n_feet accepted: a few float64 arrays per foot
+
+
 def first_crossing_time(
     profile: SmoothProfile,
     params: ModelParams,
@@ -45,6 +53,8 @@ def first_crossing_time(
     """
     if n_feet < 3:
         raise ValueError("n_feet must be at least 3")
+    if n_feet > MAX_FEET:
+        raise ValueError(f"n_feet={n_feet} exceeds the limit of {MAX_FEET}")
     feet = np.linspace(profile.domain[0], profile.domain[1], n_feet)
     x1, x2 = feet[:-1], feet[1:]
     v1 = np.asarray(profile.u0(x1), dtype=float)
@@ -58,34 +68,26 @@ def first_crossing_time(
     crossing = gap(t_max) < 0.0
     if not np.any(crossing):
         return None
-    x1c, v1c, x2c, v2c = x1[crossing], v1[crossing], x2[crossing], v2[crossing]
+    # gap reads these names at call time: bisect only the crossing pairs
+    x1, v1, x2, v2 = x1[crossing], v1[crossing], x2[crossing], v2[crossing]
 
-    lo = np.zeros(x1c.shape)
-    hi = np.full(x1c.shape, float(t_max))
+    lo = np.zeros(x1.shape)
+    hi = np.full(x1.shape, float(t_max))
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        g = characteristic_position(x2c, v2c, params, mid) - characteristic_position(
-            x1c, v1c, params, mid
-        )
-        still_open = g > 0.0
+        still_open = gap(mid) > 0.0
         lo = np.where(still_open, mid, lo)
         hi = np.where(still_open, hi, mid)
     return float(np.min(0.5 * (lo + hi)))
 
 
-def _bump(s: np.ndarray) -> np.ndarray:
-    inside = np.abs(s) < 1.0
-    safe = np.where(inside, s, 0.0)
-    out = np.where(inside, np.exp(-1.0 / (1.0 - safe * safe)), 0.0)
-    return out
-
-
-def _bump_prime(s: np.ndarray) -> np.ndarray:
+def _bump(s: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """exp(-1/(1 - s^2)) on |s| < 1 and its derivative in s; both 0 outside."""
     inside = np.abs(s) < 1.0
     safe = np.where(inside, s, 0.0)
     one_m = 1.0 - safe * safe
-    out = np.where(inside, np.exp(-1.0 / one_m) * (-2.0 * safe) / (one_m * one_m), 0.0)
-    return out
+    b = np.where(inside, np.exp(-1.0 / one_m), 0.0)
+    return b, b * (-2.0 * safe) / (one_m * one_m)
 
 
 @dataclass(frozen=True)
@@ -111,41 +113,34 @@ class BumpTestFunction:
     def support_t(self) -> Tuple[float, float]:
         return self.t_center - self.t_halfwidth, self.t_center + self.t_halfwidth
 
-    def _parts(self, x, t):
-        sx = (np.asarray(x, dtype=float) - self.x_center) / self.x_halfwidth
-        st = (np.asarray(t, dtype=float) - self.t_center) / self.t_halfwidth
-        return sx, st
-
-    def _poly(self, x, t):
+    def value_and_partials(self, x, t):
+        """(psi, psi_x, psi_t) at the broadcast of x and t; each bump is
+        evaluated on its own argument's shape, the polynomial once."""
         x = np.asarray(x, dtype=float)
         t = np.asarray(t, dtype=float)
-        p = np.zeros(np.broadcast(x, t).shape)
-        px_sum = np.zeros_like(p)
-        pt_sum = np.zeros_like(p)
+        bx, bx_s = _bump((x - self.x_center) / self.x_halfwidth)
+        bt, bt_s = _bump((t - self.t_center) / self.t_halfwidth)
+        p = p_x = p_t = 0.0
         for c, ix, it in self.poly:
             p = p + c * x**ix * t**it
             if ix > 0:
-                px_sum = px_sum + c * ix * x ** (ix - 1) * t**it
+                p_x = p_x + c * ix * x ** (ix - 1) * t**it
             if it > 0:
-                pt_sum = pt_sum + c * it * x**ix * t ** (it - 1)
-        return p, px_sum, pt_sum
+                p_t = p_t + c * it * x**ix * t ** (it - 1)
+        return (
+            bx * bt * p,
+            (bx_s / self.x_halfwidth * p + bx * p_x) * bt,
+            (bt_s / self.t_halfwidth * p + bt * p_t) * bx,
+        )
 
     def value(self, x, t):
-        sx, st = self._parts(x, t)
-        p, _, _ = self._poly(x, t)
-        return _bump(sx) * _bump(st) * p
+        return self.value_and_partials(x, t)[0]
 
     def dx(self, x, t):
-        sx, st = self._parts(x, t)
-        p, px, _ = self._poly(x, t)
-        bt = _bump(st)
-        return (_bump_prime(sx) / self.x_halfwidth * p + _bump(sx) * px) * bt
+        return self.value_and_partials(x, t)[1]
 
     def dt(self, x, t):
-        sx, st = self._parts(x, t)
-        p, _, pt = self._poly(x, t)
-        bx = _bump(sx)
-        return (_bump_prime(st) / self.t_halfwidth * p + _bump(st) * pt) * bx
+        return self.value_and_partials(x, t)[2]
 
 
 def _simpson_weights(n: int) -> np.ndarray:
@@ -155,18 +150,6 @@ def _simpson_weights(n: int) -> np.ndarray:
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     return w / 3.0
-
-
-def _segments_at(solution, t: float, x_lo: float, x_hi: float):
-    """Piecewise-constant (xa, xb, alpha, u) segments of the regular part.
-
-    Between the wave bounds lies either nothing (a front) or a vacuum,
-    whose zero density never contributes.
-    """
-    x1, x2 = solution.bounds(t)
-    al, ul = solution.left_state(t)
-    ar, ur = solution.right_state(t)
-    return [(x_lo, float(x1), al, ul), (float(x2), x_hi, ar, ur)]
 
 
 def weak_residual(
@@ -191,92 +174,59 @@ def weak_residual(
     must vanish; point masses pair with psi through a line integral along
     the shock curve.  Returns an array of shape (len(test_functions), 2).
 
-    The space integral is split at the discontinuity curves for every
-    time node, so composite Simpson keeps its full order; butting the
-    support of psi against the quadrature box is rejected.
+    The integrals are split into strips at the discontinuity curves (see
+    the module docstring), so composite Simpson keeps its full order;
+    butting the support of psi against the quadrature box is rejected.
     """
     n = int(quad_resolution)
     if n % 2 == 1:
         n += 1
     x_lo, x_hi = x_span
     data: RiemannData = solution.data
-    params: ModelParams = solution.params
-    mu, ua = params.mu, params.ua
+    mu, ua = solution.params.mu, solution.params.ua
 
     for psi in test_functions:
-        sx = psi.support_x
-        st = psi.support_t
-        if sx[0] <= x_lo or sx[1] >= x_hi:
+        if psi.support_x[0] <= x_lo or psi.support_x[1] >= x_hi:
             raise ValueError("test function support escapes the quadrature box in x")
-        if st[1] >= t_max:
+        if psi.support_t[1] >= t_max:
             raise ValueError("test function support escapes the quadrature box in t")
 
-    t_nodes = np.linspace(0.0, t_max, n + 1)
-    ht = t_max / n
-    wt = _simpson_weights(n)
-    wx = _simpson_weights(n)
+    t = np.linspace(0.0, t_max, n + 1)
+    w = _simpson_weights(n)
+    row_weight = t_max / n * w
     frac = np.arange(n + 1) / n
 
-    # per time node, the segment bounds (piecewise constant fields in x)
-    seg_rows = [_segments_at(solution, float(tk), x_lo, x_hi) for tk in t_nodes]
-    n_seg = len(seg_rows[0])
-    # the point mass rides the front; a contact's weight is omega0, so its
-    # line terms add exactly zero unless the run starts from a point mass
-    has_front = solution.kind != "vacuum"
+    x1, x2 = solution.bounds(t)
+    strips = [
+        (np.full(t.shape, float(x_lo)), x1, *solution.left_state(t)),
+        (x2, np.full(t.shape, float(x_hi)), *solution.right_state(t)),
+    ]
+    # a piece: x nodes (a row per time node), their weights, and per row the
+    # mass weight and the velocity (a contact's point mass is omega0, so it
+    # adds exactly zero unless the run starts from one); the initial data,
+    # split at the jump, are pieces at t = 0 alone
+    pieces = [
+        (xa[:, None] + (xb - xa)[:, None] * frac, w, row_weight * (xb - xa) / n * alpha, u)
+        for xa, xb, alpha, u in strips
+    ]
+    initial = [
+        (np.linspace(x_lo, 0.0, n + 1), w, data.alpha_l * (0.0 - x_lo) / n, data.u_l),
+        (np.linspace(0.0, x_hi, n + 1), w, data.alpha_r * (x_hi - 0.0) / n, data.u_r),
+    ]
+    if solution.kind != "vacuum":
+        one = np.ones(1)
+        pieces.append((solution.position(t)[:, None], one, row_weight * solution.weight(t), solution.speed(t)))
+        initial.append((np.zeros(1), one, data.omega0, float(solution.speed(0.0))))
 
     out = np.zeros((len(test_functions), 2))
-    for p_idx, psi in enumerate(test_functions):
-        r1 = 0.0
-        r2 = 0.0
-        for s_idx in range(n_seg):
-            xa = np.array([row[s_idx][0] for row in seg_rows])
-            xb = np.array([row[s_idx][1] for row in seg_rows])
-            a_seg = np.array([row[s_idx][2] for row in seg_rows])
-            u_seg = np.array([row[s_idx][3] for row in seg_rows])
-            hx = (xb - xa) / n
-            X = xa[:, None] + (xb - xa)[:, None] * frac[None, :]
-            T = np.broadcast_to(t_nodes[:, None], X.shape)
-            pt = psi.dt(X, T)
-            px = psi.dx(X, T)
-            pv = psi.value(X, T)
-            g1 = a_seg[:, None] * (pt + u_seg[:, None] * px)
-            g2 = a_seg[:, None] * (
-                u_seg[:, None] * pt
-                + (u_seg**2)[:, None] * px
-                + mu * (ua - u_seg)[:, None] * pv
-            )
-            inner1 = hx * np.sum(wx[None, :] * g1, axis=1)
-            inner2 = hx * np.sum(wx[None, :] * g2, axis=1)
-            r1 += ht * np.sum(wt * inner1)
-            r2 += ht * np.sum(wt * inner2)
-
-        if has_front:
-            w_line = np.asarray(solution.weight(t_nodes), dtype=float)
-            s_line = np.asarray(solution.speed(t_nodes), dtype=float)
-            xi_line = np.asarray(solution.position(t_nodes), dtype=float)
-            pt = psi.dt(xi_line, t_nodes)
-            px = psi.dx(xi_line, t_nodes)
-            pv = psi.value(xi_line, t_nodes)
-            r1 += ht * np.sum(wt * w_line * (pt + s_line * px))
-            r2 += ht * np.sum(
-                wt * w_line * (s_line * pt + s_line**2 * px + mu * (ua - s_line) * pv)
-            )
-
-        # initial-time terms, split at the jump
-        for xa0, xb0, a0, u0 in ((x_lo, 0.0, data.alpha_l, data.u_l), (0.0, x_hi, data.alpha_r, data.u_r)):
-            xs = np.linspace(xa0, xb0, n + 1)
-            h0 = (xb0 - xa0) / n
-            pv0 = psi.value(xs, np.zeros_like(xs))
-            r1 += a0 * h0 * np.sum(wx * pv0)
-            r2 += a0 * u0 * h0 * np.sum(wx * pv0)
-        if has_front:
-            p00 = float(psi.value(0.0, 0.0))
-            s0 = float(solution.speed(0.0))
-            r1 += data.omega0 * p00
-            r2 += s0 * data.omega0 * p00
-
-        out[p_idx, 0] = r1
-        out[p_idx, 1] = r2
+    for r, psi in zip(out, test_functions):
+        for x_nodes, wx, rho, u in pieces:
+            v, v_x, v_t = (f @ wx for f in psi.value_and_partials(x_nodes, t[:, None]))
+            r[0] += rho @ (v_t + u * v_x)
+            r[1] += rho @ (u * v_t + u * u * v_x + mu * (ua - u) * v)
+        for x_nodes, wx, mass, u in initial:
+            v = psi.value(x_nodes, 0.0) @ wx
+            r += mass * v, mass * u * v
     return out
 
 

@@ -276,8 +276,10 @@ def out_is_file(command):
         pytest.param(run_as("grh", t_end=float("inf")), id="grh-t_end-inf"),
         pytest.param(run_as("grh", t_end=None), id="grh-t_end-null"),
         pytest.param(run_as("grh", dt="a"), id="grh-dt-text"),
+        pytest.param(run_as("grh", dt=1e-320), id="grh-dt-subnormal"),
         pytest.param(run_as("blowup", profile=TANH, n_feet=None), id="blowup-n_feet-null"),
         pytest.param(run_as("blowup", profile=TANH, n_feet=4000.5), id="blowup-n_feet-fraction"),
+        pytest.param(run_as("blowup", profile=TANH, n_feet=10**9), id="blowup-n_feet-huge"),
         pytest.param(run_as("blowup", profile=TANH, sample_count=None), id="blowup-sample_count-null"),
         pytest.param(run_as("blowup", profile=TANH, domain=[1]), id="blowup-domain-short"),
         pytest.param(run_as("blowup", profile=TANH, t_max=float("inf")), id="blowup-t_max-inf"),

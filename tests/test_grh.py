@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,10 @@ def test_integrate_validates_inputs():
     # initial speed outside the limit-state interval
     with pytest.raises(ValueError, match="interval"):
         integrate(GrhState(0.0, 0.0), 2.0, 1.0, 1e-3, STATES, PARAMS_02)
+    # non-finite times and unbounded step counts fail before anything is allocated
+    for t_end, dt in ((1.0, 1e-320), (math.nan, 1e-3), (1.0, math.nan), (math.inf, 1e-3), (2.0, 1e-7)):
+        with pytest.raises(ValueError, match="finite|exceeds the limit"):
+            integrate(GrhState(0.0, 0.0), None, t_end, dt, STATES, PARAMS_02)
 
 
 def test_monitor_aborts_when_states_cross():

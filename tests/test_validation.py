@@ -3,6 +3,7 @@ import pytest
 
 import dropshock as ds
 from dropshock.validation import (
+    MAX_FEET,
     BumpTestFunction,
     compare,
     convergence_study,
@@ -50,6 +51,9 @@ def test_crossing_oracle_discontinuous_data_immediate():
 def test_crossing_oracle_requires_three_feet():
     with pytest.raises(ValueError):
         first_crossing_time(make_tanh_profile(-2.0), PARAMS_02, 1.0, n_feet=2)
+    # the upper limit is checked before any foot is allocated
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        first_crossing_time(make_tanh_profile(-2.0), PARAMS_02, 1.0, n_feet=MAX_FEET + 1)
 
 
 def test_bump_function_support_and_smoothness():
@@ -64,6 +68,26 @@ def test_bump_function_support_and_smoothness():
         fd_t = (psi.value(x, t + h) - psi.value(x, t - h)) / (2 * h)
         assert psi.dx(x, t) == pytest.approx(fd_x, abs=1e-7)
         assert psi.dt(x, t) == pytest.approx(fd_t, abs=1e-7)
+    # value_and_partials on an x row against a t column (the poly term is in
+    # both x and t): (value, dx, dt), pointwise equal to scalar evaluation,
+    # zero outside the support and agreeing with central differences
+    xs = np.array([0.4, 0.9, 0.1, 1.4, -2.0])
+    ts = np.array([0.7, 1.1, 0.5, 1.5])[:, None]
+    v, v_x, v_t = psi.value_and_partials(xs, ts)
+    assert v.shape == v_x.shape == v_t.shape == (4, 5)
+    assert np.array_equal(v, psi.value(xs, ts))
+    assert np.array_equal(v_x, psi.dx(xs, ts))
+    assert np.array_equal(v_t, psi.dt(xs, ts))
+    for i, t in enumerate(ts[:, 0]):
+        for j, x in enumerate(xs):
+            assert (v[i, j], v_x[i, j], v_t[i, j]) == tuple(psi.value_and_partials(x, t))
+    assert not np.any(v[:, 3:]) and not np.any(v_x[:, 3:]) and not np.any(v_t[:, 3:])
+    assert not np.any(v[3]) and not np.any(v_x[3]) and not np.any(v_t[3])
+    fd_x = (psi.value(xs + h, ts) - psi.value(xs - h, ts)) / (2 * h)
+    fd_t = (psi.value(xs, ts + h) - psi.value(xs, ts - h)) / (2 * h)
+    assert np.max(np.abs(v_x - fd_x)) <= 1e-7
+    assert np.max(np.abs(v_t - fd_t)) <= 1e-7
+    assert np.any(v_x) and np.any(v_t)
 
 
 def test_weak_residual_zero_test_function():
@@ -84,6 +108,15 @@ def test_weak_residual_contact_family():
     sol = ds.solve(ds.RiemannData(0.008, 0.7, 0.003, 0.7), PARAMS_02)
     r = weak_residual(sol, PSIS, quad_resolution=400)
     assert np.max(np.abs(r)) <= 1e-6
+
+
+def test_weak_residual_rejects_subsystem_shock():
+    # the subsystem's arithmetic-mean shock conserves mass but not the
+    # full system's momentum: the oracle must see that
+    sol = ds.DeltaShockSolution(DELTA_DATA, PARAMS_02, ds.DeltaVariant.SUBSYSTEM)
+    r = weak_residual(sol, PSIS, quad_resolution=400)
+    assert np.max(np.abs(r[:, 0])) <= 1e-9
+    assert np.max(np.abs(r[:, 1])) > 1e-5
 
 
 def test_weak_residual_initial_point_mass():
