@@ -21,7 +21,7 @@ import numpy as np
 from . import grh
 from .burgers import blowup
 from .core import BlowupError, ModelParams, RiemannData, SmoothProfile
-from .droplet import initial_shock_speed, solve
+from .droplet import RiemannSolution, initial_shock_speed, solve
 from .fv import FieldState, Grid1D, SolverAbort, advance, reconstruct_velocity
 from .svgplot import line_plot
 from .validation import ErrorReport, compare, first_crossing_time
@@ -124,6 +124,7 @@ class Scenario:
     name: str
     params: ModelParams
     data: RiemannData
+    solution: RiemannSolution
     domain: tuple
     n_cells: int
     t_snapshots: List[float]
@@ -147,6 +148,7 @@ def _scenario_from(cfg: dict, raw: str, args) -> Scenario:
     name = _name_from(cfg, "scenario")
     params = _params_from(cfg)
     data = _riemann_from(cfg)
+    solution = solve(data, params)  # rejects data with no exact solution, so `simulate` does too
     domain = _domain(cfg, [-1.0, 2.0])
     n_cells = _count(cfg, "n_cells", 3000)
     if getattr(args, "cells", None) is not None:
@@ -169,6 +171,7 @@ def _scenario_from(cfg: dict, raw: str, args) -> Scenario:
         name=name,
         params=params,
         data=data,
+        solution=solution,
         domain=domain,
         n_cells=n_cells,
         t_snapshots=snaps,
@@ -207,7 +210,7 @@ def _output_dir(path: str) -> str:
 
 def cmd_exact(args, cfg: dict, raw: str, out: str) -> int:
     sc = _scenario_from(cfg, raw, args)
-    solution = solve(sc.data, sc.params)
+    solution = sc.solution
     x = Grid1D(sc.domain[0], sc.domain[1], sc.n_cells).centers()
     rows = []
     for t in sc.t_snapshots:
@@ -254,7 +257,7 @@ def cmd_simulate(args, cfg: dict, raw: str, out: str) -> int:
 
 def cmd_compare(args, cfg: dict, raw: str, out: str) -> int:
     sc = _scenario_from(cfg, raw, args)
-    solution = solve(sc.data, sc.params)
+    solution = sc.solution
     scale, suffix = (100.0, " (x100)") if getattr(args, "rescale_alpha", False) else (1.0, "")
     reports: List[ErrorReport] = []
     exact_rows = []

@@ -235,6 +235,8 @@ class VacuumSolution(_Solution):
     def __post_init__(self) -> None:
         if not self.data.u_l < self.data.u_r:
             raise ValueError("a vacuum solution requires u_l < u_r")
+        if self.data.omega0 > 0.0:
+            raise ValueError("a vacuum solution carries no point mass: omega0 must be 0 when u_l < u_r")
 
     def bounds(self, t):
         """Contact locations (X1(t), X2(t)) delimiting the vacuum."""
@@ -291,7 +293,7 @@ def solve(data: RiemannData, params: ModelParams) -> RiemannSolution:
 
     u_l > u_r: delta shock (closed form; one zero side density sets its
     ``warning``, both zero is rejected); u_l < u_r: vacuum two-contact
-    solution; equal velocities: contact.
+    solution (a point mass omega0 > 0 is rejected); equal velocities: contact.
     """
     if data.u_l > data.u_r:
         return DeltaShockSolution(data, params, DeltaVariant.FULL_SYSTEM)

@@ -317,6 +317,11 @@ def out_is_file(command):
         pytest.param(run_as("grh", outputs=None), id="grh-outputs-null"),
         pytest.param(run_as("blowup", profile=TANH, outputs={"report": 0}), id="blowup-outputs-report-number"),
         pytest.param(run_as("blowup", profile=TANH, outputs=[1]), id="blowup-outputs-list"),
+        *[
+            pytest.param(run_as(command, riemann={"alpha_l": 0.008, "u_l": 0.5, "alpha_r": 0.003, "u_r": 1.5,
+                                                  "omega0": 0.02}), id=f"{command}-vacuum-omega0")
+            for command in ("exact", "simulate", "compare")
+        ],
     ],
 )
 def test_config_errors_exit_2(tmp_path, mutate, capsys):

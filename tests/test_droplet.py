@@ -299,6 +299,16 @@ def test_vacuum_velocity_continuity():
         assert abs(VAC.fan_velocity(x2, t) - VAC.right_state(t)[1]) <= 1e-12
 
 
+def test_vacuum_rejects_point_mass():
+    # an opening jump leaves no front to carry omega0; solving such data used
+    # to return a vacuum whose fields silently dropped the point mass
+    d = ds.RiemannData(VACUUM_DATA.alpha_l, VACUUM_DATA.u_l, VACUUM_DATA.alpha_r, VACUUM_DATA.u_r, omega0=0.02)
+    with pytest.raises(ValueError, match="omega0"):
+        solve(d, PARAMS_02)
+    with pytest.raises(ValueError, match="omega0"):
+        VacuumSolution(d, PARAMS_02)
+
+
 def test_degenerate_density_routes_to_numeric():
     d = ds.RiemannData(0.008, 1.5, 0.0, 0.5)
     sol = solve(d, PARAMS_02)

@@ -34,10 +34,15 @@ def drag(draw):
 
 @st.composite
 def riemann(draw, order):
-    """Riemann data with u_l > u_r (order 1), u_l < u_r (-1) or u_l == u_r (0)."""
+    """Riemann data with u_l > u_r (order 1), u_l < u_r (-1) or u_l == u_r (0).
+
+    Only a closing jump or a contact carries a point mass; an opening jump has
+    none to carry, and its solution rejects omega0 > 0.
+    """
     u_l = draw(velocity)
     u_r = u_l - order * draw(st.floats(0.05, 2.0))
-    return ds.RiemannData(draw(density), u_l, draw(density), u_r, draw(st.floats(0.0, 0.01)))
+    omega0 = draw(st.floats(0.0, 0.01)) if order >= 0 else 0.0
+    return ds.RiemannData(draw(density), u_l, draw(density), u_r, omega0)
 
 
 def free_frame(data, params, t):

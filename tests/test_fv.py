@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import dropshock as ds
 from dropshock import fv
@@ -15,7 +15,7 @@ from dropshock.fv import (
     source_step,
 )
 
-from helpers import DELTA_DATA, PARAMS_02, RELAX_15, VACUUM_DATA
+from helpers import DELTA_DATA, PARAMS_02, RELAX_15, VACUUM_DATA, reference_advance
 
 
 def test_grid_geometry():
@@ -273,6 +273,134 @@ def test_advance_mirror_symmetry_exact(seed, n, mu, ua, fixed, courant, t_end):
     out_m = advance(FieldState(grid_m, alpha[::-1], -(alpha * u)[::-1], 0.0), mirrored, t_end, **kw)
     assert np.array_equal(out_m.alpha, out.alpha[::-1])
     assert np.array_equal(out_m.q, -out.q[::-1])
+
+
+@pytest.mark.parametrize(
+    "data, ua, l1_max",
+    # ua lies outside the hull of the initial velocities in every case, so
+    # drag leaves that hull; clipping u to it measured 0.26, 0.19 and 0.071
+    [
+        (ds.RiemannData(0.008, 1.0, 0.003, 1.0), 5.0, 1e-12),
+        (DELTA_DATA, 3.0, 0.03),
+        (VACUUM_DATA, -1.0, 0.02),
+    ],
+    ids=["contact", "delta", "vacuum"],
+)
+def test_drag_toward_ua_outside_velocity_hull(data, ua, l1_max):
+    params = ds.ModelParams(1.0, ua)
+    st = advance(FieldState.from_riemann(Grid1D(-2.0, 4.0, 600), data), params, 0.5)
+    rep = ds.compare(st, ds.solve(data, params))
+    assert rep.l1_u <= l1_max
+
+
+def _outcome(run, *args, **kw):
+    """The final (alpha, q) bytes of a run, or its abort message."""
+    try:
+        out = run(*args, **kw)
+    except SolverAbort as exc:
+        return str(exc)
+    return out.alpha.tobytes(), out.q.tobytes()
+
+
+STATE = st.tuples(st.sampled_from([0.0, 1e-13, 0.002, 0.01, 0.03]), st.floats(-2.0, 2.0))
+POISON = st.none() | st.tuples(
+    st.sampled_from(["first", "last", "interior"]),
+    st.sampled_from(["alpha", "q"]),
+    st.sampled_from([np.nan, np.inf, -np.inf, -1.0]),
+)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value", "ignore:overflow")
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(2, 48),
+    cuts=st.lists(st.integers(0, 48), max_size=4),
+    states=st.lists(STATE, min_size=5, max_size=5),
+    poison=POISON,
+    mu=st.one_of(st.just(0.0), st.floats(0.01, 3.0)),
+    ua=st.floats(-2.0, 2.0),
+    fixed=st.booleans(),
+    courant=st.floats(0.1, 1.2),
+    t_end=st.floats(0.0, 0.4),
+)
+# multi-piece data with jumps next to both ends, end states at alpha = 0 or
+# 1e-13 with -0.0 momenta, bad values in an end cell and in an interior cell
+@example(n=20, cuts=[1, 10, 19], states=[(0.01, 1.0), (0.002, -0.5), (0.03, 0.7), (0.01, 1.2), (0, 0)],
+         poison=None, mu=0.5, ua=0.3, fixed=False, courant=0.5, t_end=0.3)
+@example(n=24, cuts=[1, 23], states=[(0.0, -1.0), (0.01, 0.5), (1e-13, -0.3), (0, 0), (0, 0)],
+         poison=None, mu=0.0, ua=-0.4, fixed=True, courant=0.9, t_end=0.3)
+@example(n=24, cuts=[12], states=[(1e-13, -1.5), (0.0, -0.2), (0, 0), (0, 0), (0, 0)],
+         poison=None, mu=1.0, ua=1.0, fixed=False, courant=0.3, t_end=0.2)
+@example(n=16, cuts=[8], states=[(0.01, 1.0), (0.02, -1.0), (0, 0), (0, 0), (0, 0)],
+         poison=("first", "alpha", np.nan), mu=0.2, ua=1.0, fixed=False, courant=0.5, t_end=0.2)
+@example(n=16, cuts=[8], states=[(0.01, 1.0), (0.02, -1.0), (0, 0), (0, 0), (0, 0)],
+         poison=("last", "q", np.inf), mu=0.2, ua=1.0, fixed=True, courant=0.5, t_end=0.2)
+@example(n=16, cuts=[8], states=[(0.01, 1.0), (0.02, -1.0), (0, 0), (0, 0), (0, 0)],
+         poison=("interior", "alpha", -1.0), mu=0.2, ua=1.0, fixed=False, courant=0.5, t_end=0.2)
+@example(n=16, cuts=[8], states=[(0.01, 1.0), (0.02, -1.0), (0, 0), (0, 0), (0, 0)],
+         poison=("last", "alpha", -1.0), mu=0.0, ua=1.0, fixed=True, courant=0.5, t_end=0.2)
+@example(n=16, cuts=[], states=[(0.01, 1.0), (0, 0), (0, 0), (0, 0), (0, 0)],
+         poison=("interior", "q", -np.inf), mu=0.0, ua=1.0, fixed=False, courant=0.5, t_end=0.2)
+@example(n=16, cuts=[4], states=[(0.01, 2.0), (0.02, -1.0), (0, 0), (0, 0), (0, 0)],
+         poison=None, mu=0.0, ua=1.0, fixed=True, courant=1.2, t_end=0.2)
+@example(n=16, cuts=[6], states=[(-1e-3, 0.5), (0.01, -1.0), (0, 0), (0, 0), (0, 0)],
+         poison=None, mu=0.5, ua=1.0, fixed=False, courant=0.5, t_end=0.2)
+def test_advance_equals_full_grid_reference(n, cuts, states, poison, mu, ua, fixed, courant, t_end):
+    # the windowed kernel must return the full-grid loop's bytes, or abort
+    # with its message (same step, same argmin cell and value)
+    piece = np.searchsorted(sorted({c % (n + 1) for c in cuts}), np.arange(n), side="right")
+    alpha = np.array([states[k][0] for k in piece])
+    q = alpha * np.array([states[k][1] for k in piece])
+    if poison is not None:
+        where, field, value = poison
+        (alpha if field == "alpha" else q)[{"first": 0, "last": n - 1, "interior": n // 2}[where]] = value
+    grid = Grid1D(-1.0, 1.0, n)
+    kw = {"fixed_dt": courant * grid.dx / 2.0} if fixed else {"cfl": min(courant, 1.0)}
+    state, params = FieldState(grid, alpha, q, 0.0), ds.ModelParams(mu, ua)
+    assert _outcome(advance, state, params, t_end, **kw) == _outcome(reference_advance, state, params, t_end, **kw)
+
+
+def test_advance_window_grows_one_cell_per_side(monkeypatch):
+    # one jump: the first step covers the two jump cells and one cell on
+    # each side, and each later step adds at most one cell per side
+    n = 200
+    sizes = []
+    original = fv.kinetic_flux
+
+    def counting(*args):
+        sizes.append(len(args[0]))
+        return original(*args)
+
+    monkeypatch.setattr(fv, "kinetic_flux", counting)
+    st = FieldState.from_riemann(Grid1D(-1.0, 2.0, n), DELTA_DATA)
+    advance(st, PARAMS_02, 0.3, cfl=0.15)
+    assert sizes[0] == 5
+    steps = np.diff(sizes)
+    assert np.all(steps >= 0) and np.all(steps <= 2)
+    assert max(sizes) <= n + 1
+    assert sizes[-1] < n + 1  # the far field was never stepped
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    alpha_l=st.one_of(st.just(0.0), st.floats(1e-4, 0.05)),
+    alpha_r=st.one_of(st.just(0.0), st.floats(1e-4, 0.05)),
+    u_l=st.floats(-2.0, 2.0),
+    u_r=st.floats(-2.0, 2.0),
+    mu=st.one_of(st.just(0.0), st.floats(0.01, 4.0)),
+    ua=st.floats(-3.0, 3.0),
+    t_end=st.floats(0.0, 0.6),
+)
+def test_advance_positivity_and_velocity_hull_property(alpha_l, alpha_r, u_l, u_r, mu, ua, t_end):
+    # the kinetic flux keeps alpha >= 0 and, with drag toward ua, every
+    # velocity inside the hull of the data and ua
+    params = ds.ModelParams(mu, ua)
+    st = FieldState.from_riemann(Grid1D(-1.0, 2.0, 120), ds.RiemannData(alpha_l, u_l, alpha_r, u_r))
+    out = advance(st, params, t_end, cfl=0.5)
+    assert np.min(out.alpha) >= 0.0
+    u = reconstruct_velocity(out, params)
+    assert np.min(u) >= min(u_l, u_r, ua) - 1e-9
+    assert np.max(u) <= max(u_l, u_r, ua) + 1e-9
 
 
 def test_advance_fixed_dt_cfl_violation_aborts():
