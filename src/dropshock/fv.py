@@ -48,7 +48,8 @@ __all__ = [
 ]
 
 # cells at or below this volume fraction are treated as vacuum: their
-# velocity is reported as the carrier velocity and their momentum zeroed
+# velocity is reported as the carrier velocity ua and their momentum set
+# to alpha*ua
 VACUUM_ALPHA = 1e-12
 
 
@@ -96,6 +97,9 @@ class FieldState:
 
     @classmethod
     def from_riemann(cls, grid: Grid1D, data: RiemannData) -> "FieldState":
+        """Cell averages of the two constant states; a point mass omega0 > 0 is rejected."""
+        if data.omega0 > 0.0:
+            raise ValueError(f"the FV state carries no point mass: omega0 must be 0, got {data.omega0!r}")
         x = grid.centers()
         alpha = np.where(x <= 0.0, data.alpha_l, data.alpha_r)
         u = np.where(x <= 0.0, data.u_l, data.u_r)
@@ -267,7 +271,9 @@ def advance(
         any_vacuum = not a_lo > VACUUM_ALPHA
         u_lo, u_hi = _velocity(aw, qw, ua, bounds, uw, vw, any_vacuum)
         if any_vacuum:
-            np.copyto(qw, 0.0, where=vw)
+            # zeroing q instead would leave q/alpha outside the velocity hull
+            # once mass flows into the cell
+            np.multiply(aw, ua, out=qw, where=vw)
         umax = max(-u_lo, u_hi, 1e-300)
         remaining = t_end - t
         if fixed_dt is not None:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -322,6 +326,12 @@ def out_is_file(command):
                                                   "omega0": 0.02}), id=f"{command}-vacuum-omega0")
             for command in ("exact", "simulate", "compare")
         ],
+        # the FV state carries no point mass, so the FV commands reject one
+        *[
+            pytest.param(run_as(command, riemann={"alpha_l": 0.008, "u_l": 1.5, "alpha_r": 0.003, "u_r": 0.5,
+                                                  "omega0": 0.02}), id=f"{command}-delta-omega0")
+            for command in ("simulate", "compare")
+        ],
     ],
 )
 def test_config_errors_exit_2(tmp_path, mutate, capsys):
@@ -426,6 +436,8 @@ RIEMANN_FULL = dict(
     dt=1e-3,
     sigma0=1.0,
 )
+# the FV commands reject a point mass, so their base scenario keeps omega0 = 0
+RIEMANN_FV = dict(RIEMANN_FULL, riemann=dict(RIEMANN_FULL["riemann"], omega0=0.0))
 PROFILE_FULL = {
     "name": "tanh",
     "params": {"mu": 1.0, "ua": 0.2},
@@ -448,7 +460,8 @@ def _key_paths(scenario):
 def test_wrong_typed_field_never_raises(tmp_path, capsys):
     cfg = tmp_path / "s.json"
     cases = 0
-    for command, base in [("blowup", PROFILE_FULL)] + [(c, RIEMANN_FULL) for c in ("exact", "simulate", "compare", "grh")]:
+    riemann = [("exact", RIEMANN_FULL), ("simulate", RIEMANN_FV), ("compare", RIEMANN_FV), ("grh", RIEMANN_FULL)]
+    for command, base in [("blowup", PROFILE_FULL)] + riemann:
         argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
         write_config(cfg, base)
         assert main(argv) == 0, f"{command} fails on the unchanged scenario"
@@ -465,3 +478,14 @@ def test_wrong_typed_field_never_raises(tmp_path, capsys):
                 assert rc == 0 or err.startswith("config error:"), case
                 cases += 1
     assert cases == 642
+
+
+def test_python_m_dropshock_help(tmp_path):
+    # `python -m dropshock` runs the CLI from a checkout with PYTHONPATH=src
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "dropshock", "--help"], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: dropshock")

@@ -91,6 +91,13 @@ def test_advance_uniform_equilibrium_state_is_invariant():
     assert np.max(np.abs(out.q - 0.01)) <= 1e-15
 
 
+def test_from_riemann_rejects_point_mass():
+    # the FV state has no point mass, so an omega0 > 0 start is refused
+    # rather than silently dropped
+    with pytest.raises(ValueError, match="no point mass"):
+        FieldState.from_riemann(Grid1D(-1.0, 2.0, 64), ds.RiemannData(0.008, 1.5, 0.003, 0.5, omega0=0.02))
+
+
 def test_advance_single_step_conservation():
     g = Grid1D(-1.0, 2.0, 600)
     st = FieldState.from_riemann(g, DELTA_DATA)
@@ -391,6 +398,8 @@ def test_advance_window_grows_one_cell_per_side(monkeypatch):
     ua=st.floats(-3.0, 3.0),
     t_end=st.floats(0.0, 0.6),
 )
+# mass flowing into cells that were vacuum: they must not keep a zeroed momentum
+@example(alpha_l=0.0, alpha_r=0.03125, u_l=-1.0, u_r=-1.0, mu=0.0, ua=-1.0, t_end=0.5)
 def test_advance_positivity_and_velocity_hull_property(alpha_l, alpha_r, u_l, u_r, mu, ua, t_end):
     # the kinetic flux keeps alpha >= 0 and, with drag toward ua, every
     # velocity inside the hull of the data and ua

@@ -2,11 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dropshock as ds
 from dropshock.grh import GrhMonitorError, GrhState, LimitStates, integrate, rhs
 
-from helpers import DELTA_DATA, OMEGA1_FULL, PARAMS_02, SIGBAR0, SIGMA1_FULL, random_admissible
+from helpers import (
+    DELTA_DATA,
+    OMEGA1_FULL,
+    PARAMS_02,
+    SIGBAR0,
+    SIGMA1_FULL,
+    random_admissible,
+    reference_integrate,
+)
 
 STATES = LimitStates.from_riemann(DELTA_DATA, PARAMS_02)
 FULL = ds.DeltaShockSolution(DELTA_DATA, PARAMS_02)
@@ -113,19 +122,36 @@ def test_integrate_validates_inputs():
     for t_end, dt in ((1.0, 1e-320), (math.nan, 1e-3), (1.0, math.nan), (math.inf, 1e-3), (2.0, 1e-7)):
         with pytest.raises(ValueError, match="finite|exceeds the limit"):
             integrate(GrhState(0.0, 0.0), None, t_end, dt, STATES, PARAMS_02)
+    # non-finite starting states and seeds are named, not left to the monitor
+    for z0, eps, field in (
+        (GrhState(0.0, 0.0), math.nan, "eps_seed"),
+        (GrhState(0.0, 0.0), math.inf, "eps_seed"),
+        (GrhState(math.inf, 1.0), None, "z0.mass"),
+        (GrhState(math.nan, 0.0), None, "z0.mass"),
+        (GrhState(1e-3, math.inf), None, "z0.momentum"),
+        (GrhState(1e-3, -math.nan), None, "z0.momentum"),
+    ):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            integrate(z0, None, 1.0, 1e-3, STATES, PARAMS_02, eps_seed=eps)
+
+
+def _const(value):
+    return lambda t: value + 0.0 * np.asarray(t, float)
+
+
+# limit states that collapse and cross in finite time (inadmissible)
+CROSSING = LimitStates(
+    alpha_l=_const(1.0), u_l=lambda t: 1.0 - np.asarray(t, float), alpha_r=_const(1.0), u_r=_const(0.0)
+)
+# a negative right density: the mass shrinks while the speed stays inside (u_r, u_l)
+NEGATIVE = LimitStates(alpha_l=_const(0.0), u_l=_const(1.0), alpha_r=_const(-1.0), u_r=_const(0.0))
+FREE = ds.ModelParams(0.0, 0.0)
 
 
 def test_monitor_aborts_when_states_cross():
-    # limit states that collapse and cross in finite time are inadmissible;
-    # the monitor must flag the run rather than return a trajectory
-    st = LimitStates(
-        alpha_l=lambda t: 1.0 + 0.0 * np.asarray(t, float),
-        u_l=lambda t: 1.0 - np.asarray(t, float),
-        alpha_r=lambda t: 1.0 + 0.0 * np.asarray(t, float),
-        u_r=lambda t: 0.0 * np.asarray(t, float),
-    )
+    # the monitor must flag an inadmissible run rather than return a trajectory
     with pytest.raises(GrhMonitorError):
-        integrate(GrhState(0.0, 0.0), 0.5, 3.0, 1e-2, st, ds.ModelParams(0.0, 0.0))
+        integrate(GrhState(0.0, 0.0), 0.5, 3.0, 1e-2, CROSSING, FREE)
 
 
 def test_monotone_mass_and_entropy_randomized():
@@ -140,3 +166,78 @@ def test_monotone_mass_and_entropy_randomized():
         assert np.all(traj.speed < u_l) and np.all(traj.speed > u_r)
         bound = ds.weight_lower_bound(traj.t, data, params)
         assert np.all(traj.mass >= bound - 1e-8)
+
+
+def _assert_agrees_with_reference(z0, sigma0, t_end, dt, states, params, eps_seed=None):
+    # node times bit for bit, the states to 1e-12 relative; an abort must be
+    # the same exception with the same message (step, stage time and values:
+    # the abort examples use states without exp, which both paths evaluate alike)
+    args = (z0, sigma0, t_end, dt, states, params, eps_seed)
+    try:
+        want = reference_integrate(*args)
+    except GrhMonitorError as exc:
+        with pytest.raises(GrhMonitorError) as got:
+            integrate(*args)
+        assert str(got.value) == str(exc)
+        return
+    got = integrate(*args)
+    assert got.t.tobytes() == want.t.tobytes()
+    for name in ("mass", "momentum", "speed", "position"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert np.all(np.abs(g - w) <= 1e-12 * np.maximum(1.0, np.abs(w))), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), t_end=st.floats(0.05, 3.0), dt=st.floats(1e-3, 0.05))
+def test_integrate_agrees_with_stage_by_stage_loop(seed, t_end, dt):
+    data, params = random_admissible(np.random.default_rng(seed))
+    if params.mu > 0.0:
+        dt = min(dt, 0.1 / params.mu)
+    states = LimitStates.from_riemann(data, params)
+    _assert_agrees_with_reference(GrhState(0.0, 0.0), None, t_end, dt, states, params)
+
+
+OMEGA0_DATA = ds.RiemannData(0.008, 1.5, 0.003, 0.5, omega0=0.01)
+
+
+@pytest.mark.parametrize(
+    "z0, sigma0, t_end, dt, states, params, eps_seed",
+    [
+        pytest.param(GrhState(0.0, 0.0), None, 1.0, 1e-3, LimitStates.from_riemann(DELTA_DATA, FREE), FREE, None,
+                     id="mu-0"),
+        pytest.param(GrhState(0.01, 0.01 * 1.1), 1.1, 1.0, 1e-3, LimitStates.from_riemann(OMEGA0_DATA, PARAMS_02),
+                     PARAMS_02, None, id="omega0-sigma0"),
+        pytest.param(GrhState(0.0, 0.0), None, 1.0, 3e-3, STATES, PARAMS_02, None, id="short-last-step"),
+        # ten steps of 0.1 sum to 0.9999999999999999: the last node is set to t_end
+        pytest.param(GrhState(0.0, 0.0), None, 1.0, 0.1, STATES, PARAMS_02, None, id="last-node-is-t_end"),
+        pytest.param(GrhState(0.0, 0.0), None, 1.0, 3e-4, STATES, PARAMS_02, None, id="many-blocks"),
+        pytest.param(GrhState(0.0, 0.0), 0.5, 3.0, 1e-2, CROSSING, FREE, None, id="entropy-abort"),
+        pytest.param(GrhState(0.0, 0.0), 0.5, 3.0, 1e-4, CROSSING, FREE, None, id="entropy-abort-late-block"),
+        pytest.param(GrhState(1.0, 0.5), None, 1.0, 1e-2, NEGATIVE, FREE, None, id="mass-decrease-abort"),
+        pytest.param(GrhState(0.0, 0.0), 0.5, 1.0, 1e-2, NEGATIVE, FREE, 1e-3, id="nonpositive-stage-abort"),
+    ],
+)
+def test_integrate_agrees_with_stage_by_stage_loop_examples(z0, sigma0, t_end, dt, states, params, eps_seed):
+    _assert_agrees_with_reference(z0, sigma0, t_end, dt, states, params, eps_seed)
+
+
+def test_limit_states_evaluated_per_block_not_per_step():
+    calls = {name: [] for name in ("alpha_l", "u_l", "alpha_r", "u_r")}
+
+    def counted(name):
+        f = getattr(STATES, name)
+
+        def g(t):
+            calls[name].append(t)
+            return f(t)
+
+        return g
+
+    counted_states = LimitStates(**{name: counted(name) for name in calls})
+    steps = len(integrate(GrhState(0.0, 0.0), None, 1.0, 1e-4, counted_states, PARAMS_02).t) - 1
+    assert steps == 10_000
+    for name, args in calls.items():
+        assert len(args) <= 0.01 * steps, (name, len(args))
+        for t in args:
+            # arrays of stage times, apart from the scalar probes at t = 0
+            assert isinstance(t, np.ndarray) or t == 0.0, (name, t)
