@@ -16,7 +16,10 @@ the inverse images of a constant velocity, a straight line and the fan
 v = y/tau.
 
 All operations are pure functions of immutable values and accept scalars
-or numpy arrays in their time/space arguments.
+or numpy arrays in their time/space arguments.  Each closed form is one
+numpy expression: it returns a Python float when every such argument is a
+scalar and an array otherwise, and a scalar call gives the same bits as
+the matching element of an array call.
 """
 
 from __future__ import annotations
@@ -43,11 +46,26 @@ class BlowupError(ArithmeticError):
     """A smooth-solution formula was evaluated at or past its blowup time."""
 
 
-def _match(template, value):
-    """Return ``value`` as a float when ``template`` is scalar, else as an array."""
-    if np.ndim(template) == 0:
-        return float(value)
-    return np.asarray(value, dtype=float)
+# largest SmoothProfile.sample_count accepted: a few float64 arrays per sample
+MAX_SAMPLES = 10**7
+
+
+def _times(t) -> np.ndarray:
+    """``t`` as a float array, checked finite and nonnegative."""
+    tt = np.asarray(t, dtype=float)
+    # one pass: NaN fails both comparisons, -inf the first and +inf the second
+    if not ((tt >= 0.0) & (tt < np.inf)).all():
+        raise ValueError("t must be finite and nonnegative")
+    return tt
+
+
+def _scalar_or_array(out):
+    """A formula's result as a Python float when every argument was a scalar.
+
+    The result broadcasts its arguments, so it has no dimension exactly
+    when none of them has one.
+    """
+    return float(out) if np.ndim(out) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -99,8 +117,7 @@ class SmoothProfile:
 
     ``u0``, ``u0_prime`` and ``alpha0`` must accept numpy arrays.
     ``u0_prime`` is checked against central differences at the sample
-    points on construction (tolerance 1e-6 relative to max(1, |u0'|));
-    pass ``check_derivative=False`` for deliberately non-smooth data.
+    points on construction (tolerance 1e-6 relative to max(1, |u0'|)).
     """
 
     u0: Callable
@@ -108,7 +125,6 @@ class SmoothProfile:
     alpha0: Callable
     domain: Tuple[float, float]
     sample_count: int = 2001
-    check_derivative: bool = True
 
     def __post_init__(self) -> None:
         lo, hi = self.domain
@@ -116,8 +132,9 @@ class SmoothProfile:
             raise ValueError(f"domain must be a nonempty interval, got {self.domain!r}")
         if self.sample_count < 2:
             raise ValueError("sample_count must be at least 2")
-        if self.check_derivative:
-            self._verify_derivative()
+        if self.sample_count > MAX_SAMPLES:
+            raise ValueError(f"sample_count={self.sample_count} exceeds the limit of {MAX_SAMPLES}")
+        self._verify_derivative()
 
     def samples(self) -> np.ndarray:
         return np.linspace(self.domain[0], self.domain[1], self.sample_count)
@@ -144,17 +161,8 @@ def decay_integral(mu: float, t):
     """
     if not (mu >= 0.0 and math.isfinite(mu)):
         raise ValueError(f"mu must be finite and nonnegative, got {mu!r}")
-    if isinstance(t, float) or isinstance(t, int):
-        t = float(t)
-        if not (t >= 0.0 and math.isfinite(t)):
-            raise ValueError("t must be finite and nonnegative")
-        return t if mu == 0.0 else -math.expm1(-mu * t) / mu
-    tt = np.asarray(t, dtype=float)
-    if np.any(tt < 0.0) or not np.all(np.isfinite(tt)):
-        raise ValueError("t must be finite and nonnegative")
-    if mu == 0.0:
-        return _match(t, tt.copy())
-    return _match(t, -np.expm1(-mu * tt) / mu)
+    tt = _times(t)
+    return _scalar_or_array(tt.copy() if mu == 0.0 else -np.expm1(-mu * tt) / mu)
 
 
 def relax_velocity(u0, params: ModelParams, t):
@@ -162,18 +170,8 @@ def relax_velocity(u0, params: ModelParams, t):
 
     Monotone in t toward ``ua``; the identity for mu = 0.
     """
-    if isinstance(t, (float, int)) and isinstance(u0, (float, int)):
-        t = float(t)
-        if not (t >= 0.0 and math.isfinite(t)):
-            raise ValueError("t must be finite and nonnegative")
-        return params.ua + (float(u0) - params.ua) * math.exp(-params.mu * t)
-    tt = np.asarray(t, dtype=float)
-    if np.any(tt < 0.0) or not np.all(np.isfinite(tt)):
-        raise ValueError("t must be finite and nonnegative")
-    out = params.ua + (np.asarray(u0, dtype=float) - params.ua) * np.exp(-params.mu * tt)
-    if np.ndim(t) == 0 and np.ndim(u0) == 0:
-        return float(out)
-    return out
+    out = params.ua + (np.asarray(u0, dtype=float) - params.ua) * np.exp(-params.mu * _times(t))
+    return _scalar_or_array(out)
 
 
 def characteristic_position(x0, u0_at_x0, params: ModelParams, t):
@@ -181,18 +179,13 @@ def characteristic_position(x0, u0_at_x0, params: ModelParams, t):
 
     x0 + ua*t + (u0 - ua) * decay_integral(mu, t); a straight line for mu = 0.
     """
-    if isinstance(t, (float, int)) and isinstance(u0_at_x0, (float, int)) and isinstance(x0, (float, int)):
-        return float(x0) + params.ua * float(t) + (float(u0_at_x0) - params.ua) * decay_integral(
-            params.mu, float(t)
-        )
+    tau = decay_integral(params.mu, t)
     out = (
         np.asarray(x0, dtype=float)
         + params.ua * np.asarray(t, dtype=float)
-        + (np.asarray(u0_at_x0, dtype=float) - params.ua) * decay_integral(params.mu, t)
+        + (np.asarray(u0_at_x0, dtype=float) - params.ua) * tau
     )
-    if np.ndim(x0) == 0 and np.ndim(u0_at_x0) == 0 and np.ndim(t) == 0:
-        return float(out)
-    return out
+    return _scalar_or_array(out)
 
 
 def fan_velocity(x, t: float, params: ModelParams):
@@ -206,4 +199,4 @@ def fan_velocity(x, t: float, params: ModelParams):
         raise ValueError("fan velocity is undefined at t <= 0 (removable singularity)")
     mu, ua = params.mu, params.ua
     out = ua + (np.asarray(x, dtype=float) - ua * t) * math.exp(-mu * t) / decay_integral(mu, t)
-    return float(out) if np.ndim(x) == 0 else out
+    return _scalar_or_array(out)

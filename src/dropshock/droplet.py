@@ -128,6 +128,8 @@ class _Solution:
 class _Front(_Solution):
     """A single discontinuity leaving x = 0 with ``initial_speed``.
 
+    It carries a point mass omega0 + ``_weight_rate`` * decay_integral(mu, t).
+
     The side states hold on either side of the curve; exactly on it the
     velocity is the front speed and the regular density is reported as
     the mean of the one-sided limits (a measure-zero convention).
@@ -145,6 +147,10 @@ class _Front(_Solution):
         """The wave's extent (xi(t), xi(t)): a front has zero width."""
         xi = self.position(t)
         return xi, xi
+
+    def weight(self, t):
+        """Point mass at time t, starting from omega0."""
+        return self.data.omega0 + self._weight_rate * decay_integral(self.params.mu, t)
 
     def regular_fields(self, x, t):
         """Regular (alpha, u) arrays at time t; a Dirac mass is not included."""
@@ -205,10 +211,6 @@ class DeltaShockSolution(_Front):
         if self.variant is DeltaVariant.FULL_SYSTEM:
             return math.sqrt(d.alpha_l * d.alpha_r) * (d.u_l - d.u_r)
         return 0.5 * (d.alpha_l + d.alpha_r) * (d.u_l - d.u_r)
-
-    def weight(self, t):
-        """Point mass at time t, starting from omega0."""
-        return self.data.omega0 + self._weight_rate * decay_integral(self.params.mu, t)
 
     def entropy_gaps(self, t):
         """(u_l - sigma, sigma - u_r); nonnegative and decaying to zero.
@@ -271,6 +273,8 @@ class ContactSolution(_Front):
     """Equal side velocities: a single contact moving with the relaxed velocity."""
 
     kind = "contact"
+    # the point mass never grows across a contact
+    _weight_rate = 0.0
 
     def __post_init__(self) -> None:
         if self.data.u_l != self.data.u_r:
@@ -279,10 +283,6 @@ class ContactSolution(_Front):
     @property
     def initial_speed(self) -> float:
         return self.data.u_l
-
-    def weight(self, t):
-        """The point mass never grows across a contact."""
-        return self.data.omega0 + 0.0 * np.asarray(t, dtype=float) if np.ndim(t) else self.data.omega0
 
 
 RiemannSolution = Union[DeltaShockSolution, VacuumSolution, ContactSolution]

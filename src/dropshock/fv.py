@@ -52,6 +52,9 @@ __all__ = [
 # to alpha*ua
 VACUUM_ALPHA = 1e-12
 
+# largest n_cells accepted: advance keeps a few float64 arrays per cell
+MAX_CELLS = 10**7
+
 
 class SolverAbort(RuntimeError):
     """The time loop hit NaN/negative density or a CFL violation."""
@@ -66,6 +69,8 @@ class Grid1D:
     def __post_init__(self) -> None:
         if self.n_cells < 1:
             raise ValueError("n_cells must be positive")
+        if self.n_cells > MAX_CELLS:
+            raise ValueError(f"n_cells={self.n_cells} exceeds the limit of {MAX_CELLS}")
         if not self.x_max > self.x_min:
             raise ValueError("x_max must exceed x_min")
 

@@ -65,9 +65,9 @@ class LimitStates:
     """One-sided limit states as functions of time, continuous and bounded.
 
     Each callable takes a float time or a numpy array of times and returns
-    a value of the same shape (a constant is broadcast), as the callables of
-    ``SmoothProfile`` do.  ``integrate`` calls each once per block of steps
-    on an array of stage times, and at t = 0 with a float.
+    a value of the same shape or a constant, which is broadcast.
+    ``integrate`` calls each once per block of steps on an array of stage
+    times, and at t = 0 with a float.
     """
 
     alpha_l: Callable
@@ -78,19 +78,10 @@ class LimitStates:
     @classmethod
     def from_riemann(cls, data: RiemannData, params: ModelParams) -> "LimitStates":
         """Riemann limit states: constant densities, relaxing velocities."""
-
-        def const(value):
-            def f(t):
-                if isinstance(t, (float, int)):
-                    return value
-                return value + 0.0 * np.asarray(t, dtype=float)
-
-            return f
-
         return cls(
-            alpha_l=const(data.alpha_l),
+            alpha_l=lambda t: data.alpha_l,
             u_l=lambda t: relax_velocity(data.u_l, params, t),
-            alpha_r=const(data.alpha_r),
+            alpha_r=lambda t: data.alpha_r,
             u_r=lambda t: relax_velocity(data.u_r, params, t),
         )
 
@@ -162,11 +153,9 @@ def integrate(
     end-stage times are accumulated as the steps advance t, each limit-state
     callable is called once on an array of all of them, and the RK4 stages
     are float arithmetic on the results.  Node times are therefore those of
-    a step-by-step loop bit for bit.  The states come from the callables'
-    array path (``np.exp`` rather than ``math.exp`` in ``relax_velocity``,
-    1 ulp apart on a few percent of arguments), so mass, momentum, speed and
-    position agree with evaluating ``LimitStates.coefficients`` at every
-    stage to within 1e-12 * max(1, |value|).
+    a step-by-step loop bit for bit, and so are mass, momentum, speed and
+    position whenever the callables give the same bits for a float time as
+    for that time in an array, as those of ``from_riemann`` do.
     """
     if not (math.isfinite(t_end) and math.isfinite(dt)):
         raise ValueError(f"t_end and dt must be finite, got t_end={t_end!r}, dt={dt!r}")

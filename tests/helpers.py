@@ -182,9 +182,8 @@ def reference_advance(
 
 # The stage-by-stage RK4 loop of ``grh.integrate`` before it evaluated the
 # limit states once per block of steps, kept as the oracle it must agree
-# with: node times bit for bit, the rest to 1e-12 relative (the block path
-# evaluates ``relax_velocity`` through ``np.exp``, the scalar one through
-# ``math.exp``).
+# with bit for bit (a closed form gives the same bits for a float time as
+# for that time in an array).
 def _default_seed(states: LimitStates) -> float:
     du = float(states.u_l(0.0)) - float(states.u_r(0.0))
     amax = max(float(states.alpha_l(0.0)), float(states.alpha_r(0.0)))

@@ -253,7 +253,12 @@ def run_as(command, **fields):
 
 def out_is_file(command):
     """A mutation that keeps the scenario and points --out at an existing file."""
-    return lambda s: (command, "afile")
+    return lambda s: (command, "afile", [])
+
+
+def with_flags(command, *flags):
+    """A mutation that keeps the scenario and runs ``command`` with extra flags."""
+    return lambda s: (command, None, list(flags))
 
 
 @pytest.mark.parametrize(
@@ -301,6 +306,12 @@ def out_is_file(command):
         pytest.param(run_as("exact", n_cells=True), id="n_cells-true"),
         pytest.param(run_as("exact", cfl="0.15"), id="cfl-numeric-text"),
         pytest.param(run_as("exact", n_cells=10**400), id="n_cells-huge-int"),
+        # counts past the allocation caps: config error, not a MemoryError traceback
+        *[pytest.param(run_as(command, n_cells=1e13), id=f"{command}-n_cells-1e13")
+          for command in ("exact", "simulate", "compare")],
+        *[pytest.param(with_flags(command, "--cells", "20000000000000"), id=f"{command}-cells-flag-2e13")
+          for command in ("exact", "simulate", "compare")],
+        pytest.param(run_as("blowup", profile=TANH, sample_count=1e13), id="blowup-sample_count-1e13"),
         pytest.param(run_as("batch", runs=[1]), id="batch-run-not-object"),
         pytest.param(run_as("batch", runs=[{"command": "exact", "scenario": 5}]), id="batch-scenario-not-object"),
         pytest.param(run_as("batch", runs=[{"command": [], "scenario": {}}]), id="batch-command-list"),
@@ -337,7 +348,7 @@ def out_is_file(command):
 def test_config_errors_exit_2(tmp_path, mutate, capsys):
     scenario = json.loads(json.dumps(DELTA_SCENARIO))
     command = mutate(scenario)
-    command, out_file = command if isinstance(command, tuple) else (command, None)
+    command, out_file, flags = command if isinstance(command, tuple) else (command, None, [])
     cfg = tmp_path / "bad.json"
     write_config(cfg, scenario)
     out = tmp_path
@@ -345,7 +356,7 @@ def test_config_errors_exit_2(tmp_path, mutate, capsys):
         out = tmp_path / out_file
         out.write_text("")
     command = command if command in ("exact", "simulate", "compare", "grh", "blowup", "batch") else "exact"
-    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert main([command, "--config", str(cfg), "--out", str(out), *flags]) == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert not list(tmp_path.glob("*.csv"))
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import dropshock as ds
-from dropshock.core import decay_integral, relax_velocity, characteristic_position
+from dropshock.core import decay_integral, relax_velocity, characteristic_position, fan_velocity
 
 from helpers import PHI_1_1, PHI_02_1, RELAX_15, CHARPOS
 
@@ -56,7 +56,10 @@ def test_decay_integral_continuous_at_mu_zero():
             assert abs(decay_integral(mu, t) - t) <= mu * t * t / 2 + 4 * EPS
 
 
-@pytest.mark.parametrize("bad", [(-1.0, 1.0), (1.0, -0.5)])
+@pytest.mark.parametrize(
+    "bad",
+    [(-1.0, 1.0), (1.0, -0.5), (1.0, np.inf), (1.0, -np.inf), (1.0, np.nan), (0.0, np.inf), (1.0, np.array([0.5, np.inf]))],
+)
 def test_decay_integral_domain_errors(bad):
     with pytest.raises(ValueError):
         decay_integral(*bad)
@@ -67,6 +70,42 @@ def test_decay_integral_vectorized():
     out = decay_integral(0.2, t)
     assert out.shape == t.shape
     assert out[2] == pytest.approx(PHI_02_1, rel=4 * EPS)
+
+
+@pytest.mark.parametrize("mu,ua", [(0.37, 0.3), (0.0, -0.5)])
+def test_scalar_calls_equal_array_calls_bit_for_bit(mu, ua):
+    # one numpy expression per closed form: a scalar call returns a float
+    # with the bits of the matching element of the array call
+    p = ds.ModelParams(mu, ua)
+    rng = np.random.default_rng(37)
+    t = rng.uniform(0.0, 20.0, 2000)
+    x0 = rng.uniform(-1.0, 1.0, t.size)
+    u0 = rng.uniform(-2.0, 2.0, t.size)
+    t[0] = 0.0
+    ts, xs, us = t.tolist(), x0.tolist(), u0.tolist()
+    forms = {
+        "decay_integral": ([decay_integral(mu, ti) for ti in ts], decay_integral(mu, t)),
+        "relax_velocity": ([relax_velocity(ui, p, ti) for ui, ti in zip(us, ts)], relax_velocity(u0, p, t)),
+        "characteristic_position": (
+            [characteristic_position(xi, ui, p, ti) for xi, ui, ti in zip(xs, us, ts)],
+            characteristic_position(x0, u0, p, t),
+        ),
+        "fan_velocity": (
+            [fan_velocity(xi, ti, p) for xi, ti in zip(xs[1:], ts[1:])],
+            np.array([fan_velocity(x0, ti, p)[i + 1] for i, ti in enumerate(ts[1:])]),
+        ),
+    }
+    for name, (scalar, array) in forms.items():
+        assert all(type(v) is float for v in scalar), name
+        assert np.array(scalar).tobytes() == array.tobytes(), name
+    # Python ints count as scalars too
+    for scalar, array in (
+        (decay_integral(1, 3), decay_integral(1, np.array([3.0]))),
+        (relax_velocity(2, p, 3), relax_velocity(np.array([2.0]), p, 3)),
+        (characteristic_position(-1, 2, p, 3), characteristic_position(np.array([-1.0]), 2, p, 3)),
+        (fan_velocity(1, 3, p), fan_velocity(np.array([1.0]), 3, p)),
+    ):
+        assert type(scalar) is float and np.float64(scalar).tobytes() == array[0].tobytes()
 
 
 def test_relax_velocity_identity_at_t0():

@@ -41,6 +41,11 @@ def test_solve_dispatch():
     assert isinstance(contact, ContactSolution)
     assert contact.speed(2.0) == pytest.approx(ds.relax_velocity(0.7, PARAMS_02, 2.0))
     assert contact.weight(2.0) == 0.0
+    # one weight formula for every front, so one check of t
+    for front in (contact, delta):
+        for bad in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="t must be finite and nonnegative"):
+                front.weight(bad)
 
 
 def test_solutions_describe_themselves():
