@@ -34,8 +34,18 @@ class ConfigError(Exception):
     """The scenario file is missing, malformed, or inconsistent."""
 
 
+_CSV_CHUNK_ROWS = 1024  # rows formatted per % operation: bounds the transient string and tuple
+
+
 def write_csv(path: str, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
-    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",", header=",".join(header), comments="")
+    """The columns as CSV under a header row, each value as %.17g (np.savetxt's bytes)."""
+    table = np.column_stack(columns)
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for k in range(0, len(table), _CSV_CHUNK_ROWS):
+            chunk = table[k : k + _CSV_CHUNK_ROWS]
+            fh.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def _load_config(path: str):
@@ -285,10 +295,11 @@ def cmd_compare(args, cfg: dict, raw: str, out: str) -> int:
                 title=f"velocity at t={t:g}",
                 ylabel="u",
             )
-    with open(os.path.join(out, f"{sc.name}_errors.csv"), "w", encoding="utf-8") as fh:
-        fh.write(ErrorReport.CSV_HEADER + "\n")
-        for rep in reports:
-            fh.write(rep.csv_row() + "\n")
+    if sc.outputs["csv"]:
+        with open(os.path.join(out, f"{sc.name}_errors.csv"), "w", encoding="utf-8") as fh:
+            fh.write(ErrorReport.CSV_HEADER + "\n")
+            for rep in reports:
+                fh.write(rep.csv_row() + "\n")
     if sc.outputs["report"]:
         _write_report(
             os.path.join(out, f"{sc.name}_compare_report.json"),

@@ -88,9 +88,10 @@ def line_plot(
             f'transform="rotate(-90 18 {mt + ph / 2:.1f})">{ylabel}</text>'
         )
 
-    for k, (label, y) in enumerate(series):
+    px = sx(x)
+    for k, ((label, _), y) in enumerate(zip(series, ys)):
         color = _COLORS[k % len(_COLORS)]
-        pts = " ".join(f"{sx(xv):.2f},{sy(yv):.2f}" for xv, yv in zip(x, np.asarray(y, float)))
+        pts = " ".join(["%.2f,%.2f"] * len(x)) % tuple(np.column_stack((px, sy(y))).ravel().tolist())
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.3"/>')
         ly = mt + 16 + 16 * k
         parts.append(f'<line x1="{ml + pw - 120}" y1="{ly}" x2="{ml + pw - 95}" y2="{ly}" stroke="{color}" stroke-width="2"/>')

@@ -17,7 +17,7 @@ from dropshock.core import ModelParams
 from dropshock.droplet import initial_shock_speed
 from dropshock.fv import VACUUM_ALPHA, FieldState, SolverAbort, _drag, _hull_bounds, _velocity
 from dropshock.grh import MAX_STEPS, GrhMonitorError, GrhState, GrhTrajectory, LimitStates
-from dropshock.validation import BumpTestFunction
+from dropshock.validation import BumpTestFunction, _bump, _simpson_weights
 
 # decay_integral and relaxation values
 PHI_1_1 = 0.6321205588285577          # (1 - e^-1)
@@ -296,3 +296,70 @@ def reference_integrate(
         ts[k + 1], ws[k + 1], ms[k + 1], xs[k + 1] = t, w, m, x
 
     return GrhTrajectory(t=ts, mass=ws, momentum=ms, speed=ms / ws, position=xs)
+
+
+# ``weak_residual`` and ``BumpTestFunction.value_and_partials`` before the
+# quadrature evaluated psi only on the time rows of its support and left out
+# zeroth powers, kept as the oracle they must equal bit for bit.
+def _reference_value_and_partials(psi: BumpTestFunction, x, t):
+    x = np.asarray(x, dtype=float)
+    t = np.asarray(t, dtype=float)
+    bx, bx_s = _bump((x - psi.x_center) / psi.x_halfwidth)
+    bt, bt_s = _bump((t - psi.t_center) / psi.t_halfwidth)
+    p = p_x = p_t = 0.0
+    for c, ix, it in psi.poly:
+        p = p + c * x**ix * t**it
+        if ix > 0:
+            p_x = p_x + c * ix * x ** (ix - 1) * t**it
+        if it > 0:
+            p_t = p_t + c * it * x**ix * t ** (it - 1)
+    return (
+        bx * bt * p,
+        (bx_s / psi.x_halfwidth * p + bx * p_x) * bt,
+        (bt_s / psi.t_halfwidth * p + bt * p_t) * bx,
+    )
+
+
+def reference_weak_residual(solution, test_functions, quad_resolution=400, x_span=(-1.0, 2.0), t_max=2.0):
+    """Residuals of the mass and momentum identities with psi evaluated on
+    the full (n + 1) x (n + 1) node grid of every piece."""
+    n = int(quad_resolution)
+    if n % 2 == 1:
+        n += 1
+    x_lo, x_hi = x_span
+    data = solution.data
+    mu, ua = solution.params.mu, solution.params.ua
+
+    t = np.linspace(0.0, t_max, n + 1)
+    w = _simpson_weights(n)
+    row_weight = t_max / n * w
+    frac = np.arange(n + 1) / n
+
+    x1, x2 = solution.bounds(t)
+    strips = [
+        (np.full(t.shape, float(x_lo)), x1, *solution.left_state(t)),
+        (x2, np.full(t.shape, float(x_hi)), *solution.right_state(t)),
+    ]
+    pieces = [
+        (xa[:, None] + (xb - xa)[:, None] * frac, w, row_weight * (xb - xa) / n * alpha, u)
+        for xa, xb, alpha, u in strips
+    ]
+    initial = [
+        (np.linspace(x_lo, 0.0, n + 1), w, data.alpha_l * (0.0 - x_lo) / n, data.u_l),
+        (np.linspace(0.0, x_hi, n + 1), w, data.alpha_r * (x_hi - 0.0) / n, data.u_r),
+    ]
+    if solution.kind != "vacuum":
+        one = np.ones(1)
+        pieces.append((solution.position(t)[:, None], one, row_weight * solution.weight(t), solution.speed(t)))
+        initial.append((np.zeros(1), one, data.omega0, float(solution.speed(0.0))))
+
+    out = np.zeros((len(test_functions), 2))
+    for r, psi in zip(out, test_functions):
+        for x_nodes, wx, rho, u in pieces:
+            v, v_x, v_t = (f @ wx for f in _reference_value_and_partials(psi, x_nodes, t[:, None]))
+            r[0] += rho @ (v_t + u * v_x)
+            r[1] += rho @ (u * v_t + u * u * v_x + mu * (ua - u) * v)
+        for x_nodes, wx, mass, u in initial:
+            v = _reference_value_and_partials(psi, x_nodes, 0.0)[0] @ wx
+            r += mass * v, mass * u * v
+    return out

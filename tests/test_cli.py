@@ -96,6 +96,11 @@ def test_compare_outputs(tmp_path):
     assert (tmp_path / "delta_overlay_u_t0.4.svg").exists()
     report = json.loads((tmp_path / "delta_compare_report.json").read_text())
     assert len(report["errors"]) == 2
+    # every output switched off: no file at all, errors CSV included
+    out = tmp_path / "none"
+    write_config(cfg, dict(scenario, outputs={"csv": False, "svg": False, "report": False}))
+    assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 0
+    assert list(out.iterdir()) == []
 
 
 def test_cells_override(tmp_path):
@@ -426,12 +431,30 @@ def test_cells_zero_exit_2(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def _savetxt_bytes(path, header, columns):
+    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",", header=",".join(header), comments="")
+    return path.read_bytes()
+
+
 def test_write_csv_special_values(tmp_path):
     values = [1e-300, 1e300, 0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1.0 / 3.0]
     path = tmp_path / "v.csv"
-    write_csv(str(path), ("a", "b"), (np.array(values), -np.array(values)))
+    columns = (np.array(values), -np.array(values))
+    write_csv(str(path), ("a", "b"), columns)
     expected = ["a,b"] + [f"{v:.17g},{-v:.17g}" for v in values]
     assert path.read_text() == "\n".join(expected) + "\n"
+    assert path.read_bytes() == _savetxt_bytes(tmp_path / "ref.csv", ("a", "b"), columns)
+
+
+# 1025 rows: one full chunk of formatted rows and one more
+@pytest.mark.parametrize("n_rows", [1, 1025])
+@pytest.mark.parametrize("n_cols", [1, 3, 6])
+def test_write_csv_equals_savetxt(tmp_path, n_cols, n_rows):
+    rng = np.random.default_rng(100 * n_cols + n_rows)
+    columns = [rng.standard_normal(n_rows) * 10.0 ** rng.integers(-320, 300, n_rows) for _ in range(n_cols)]
+    header = [f"c{k}" for k in range(n_cols)]
+    write_csv(str(tmp_path / "a.csv"), header, columns)
+    assert (tmp_path / "a.csv").read_bytes() == _savetxt_bytes(tmp_path / "ref.csv", header, columns)
 
 
 # every field the Riemann commands read, and every field `blowup` reads

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import dropshock as ds
 from dropshock.validation import (
@@ -14,7 +15,7 @@ from dropshock.validation import (
 )
 
 from helpers import CRITERION9_PSIS as PSIS
-from helpers import DELTA_DATA, LN2, PARAMS_02, VACUUM_DATA, make_tanh_profile
+from helpers import DELTA_DATA, LN2, PARAMS_02, VACUUM_DATA, make_tanh_profile, reference_weak_residual
 
 
 def test_crossing_oracle_increasing_profile_none():
@@ -144,6 +145,47 @@ def test_weak_residual_rejects_escaping_support():
         weak_residual(sol, [BumpTestFunction(0.5, 0.9, 1.9, 0.5)], quad_resolution=40, t_max=2.0)
 
 
+RESIDUAL_SOLUTIONS = {
+    "delta": ds.solve(DELTA_DATA, PARAMS_02),
+    "vacuum": ds.solve(VACUUM_DATA, PARAMS_02),
+    "contact-omega0": ds.solve(ds.RiemannData(0.01, 0.5, 0.02, 0.5, omega0=0.3), PARAMS_02),
+    "one-zero-density": ds.solve(ds.RiemannData(0.008, 1.5, 0.0, 0.5, omega0=0.01), PARAMS_02),
+}
+# supports inside the box (-1, 2) x [0, 2); a t-support may start below t = 0
+# or, when narrower than the node spacing, hold no node at all
+RANDOM_PSI = st.builds(
+    BumpTestFunction,
+    x_center=st.floats(-0.1, 1.1),
+    x_halfwidth=st.floats(0.01, 0.85),
+    t_center=st.floats(-0.6, 1.1),
+    t_halfwidth=st.floats(1e-3, 0.85),
+    poly=st.lists(st.tuples(st.floats(-2.0, 2.0), st.integers(0, 2), st.integers(0, 2)), min_size=1, max_size=3).map(
+        tuple
+    ),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(sorted(RESIDUAL_SOLUTIONS)), psis=st.lists(RANDOM_PSI, min_size=1, max_size=3), n=st.integers(2, 160))
+@example(name="contact-omega0", psis=PSIS, n=400)
+# t-support from below 0; none below 0; none between nodes 0.2 and 0.4;
+# ends exactly on the nodes 0.2 and 0.6
+@example(
+    name="delta",
+    psis=[
+        BumpTestFunction(0.5, 0.6, 0.1, 0.5, ((-1.5, 1, 2),)),
+        BumpTestFunction(0.5, 0.6, -0.5, 0.3),
+        BumpTestFunction(0.5, 0.6, 0.3, 0.05),
+        BumpTestFunction(0.5, 0.6, 0.4, 0.2, ((1.0, 0, 0), (-0.5, 2, 1))),
+    ],
+    n=10,
+)
+def test_weak_residual_equals_full_grid_reference(name, psis, n):
+    sol = RESIDUAL_SOLUTIONS[name]
+    r = weak_residual(sol, psis, quad_resolution=n)
+    assert np.array_equal(r, reference_weak_residual(sol, psis, quad_resolution=n))
+
+
 def test_compare_self_comparison_is_zero():
     sol = ds.solve(DELTA_DATA, PARAMS_02)
     grid = ds.Grid1D(-1.0, 2.0, 600)
@@ -225,3 +267,8 @@ def test_vacuum_extent():
     st = ds.FieldState(g, alpha, alpha, 0.0)
     assert vacuum_extent(st, 0.5) == pytest.approx(0.3)
     assert vacuum_extent(st, 1e-9) == 0.0
+    # runs touching either end, the whole grid, and a single cell
+    for below, cells in [([0, 1, 2], 3), ([6, 7, 8, 9], 4), (range(10), 10), ([9], 1), ([0, 9], 1)]:
+        alpha = np.ones(10)
+        alpha[list(below)] = 1e-6
+        assert vacuum_extent(ds.FieldState(g, alpha, alpha, 0.0), 0.5) == cells * g.dx
