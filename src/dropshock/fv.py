@@ -8,9 +8,12 @@ reconstructed velocity inside the convex hull of the data under CFL <= 1.
 
 ``advance`` is one in-place kernel.  It allocates its ghost-extended alpha
 and u buffers, the momentum and one scratch array once per call; each step
-refreshes the two ghost values, writes every update into those buffers
+refreshes the ghost values it reads, writes every update into those buffers
 with ``out=`` and in-place operators, and allocates only the flux arrays
-``kinetic_flux`` returns.
+``kinetic_flux`` returns.  When no cell is vacuum and every velocity has
+one strict sign, the step passes ``kinetic_flux`` the upwind states only
+and gets their physical flux (alpha*u, alpha*u^2) in two array operations;
+the flux differences, and so the output, are those of the two-sided flux.
 
 The kernel steps only a window [lo, hi) of cells.  Cells 0..lo hold the
 bits of cell lo and cells hi-1..n-1 those of cell hi-1; the ghosts copy
@@ -20,10 +23,11 @@ window grows by one cell on a side whose edge cell differs from its inner
 neighbour (a three-point scheme moves information one cell per step), and
 the far field is filled from the edge cells on return (and before the
 negative-density abort names its cell), so the output is byte for byte
-that of stepping every cell.  On a 2-vCPU Intel
-Xeon VM (CPython 3.11, numpy 2.4, best of 5 runs) a step costs ~23 us on
+that of stepping every cell.  On a loaded 2-vCPU Intel
+Xeon VM (CPython 3.11, numpy 2.4, best of 25 runs) a step costs ~37 us on
 the README delta data at 3000 cells (a window of 603 cells on average) and
-~27 us on the vacuum data at 12 000 cells (1231 cells).
+~37 us on the vacuum data at 12 000 cells (1231 cells); both take the
+one-sided flux at every step, and the two-sided flux cost ~43 us on each.
 """
 
 from __future__ import annotations
@@ -148,13 +152,23 @@ def reconstruct_velocity(state: FieldState, params: ModelParams, bounds=None) ->
     return u
 
 
-def kinetic_flux(alpha_l, u_l, alpha_r, u_r):
+def kinetic_flux(alpha_l, u_l, alpha_r=None, u_r=None):
     """Upwind kinetic interface flux (f_mass, f_momentum).
 
     Left cells contribute their rightward-moving content, right cells
     their leftward-moving content; consistent with (alpha*u, alpha*u^2)
     for equal states and positivity-preserving under CFL <= 1.
+
+    Called with one side only, it returns the physical flux (alpha*u,
+    alpha*u^2) of those upwind states.  That is the four-argument flux
+    whenever every density is positive and every velocity has one strict
+    sign: the left states alone for u > 0, the right states alone for
+    u < 0.  The other side then adds only zeros, which can flip the sign
+    of a zero flux but not the flux differences ``advance`` applies.
     """
+    if alpha_r is None:
+        f_mass = np.multiply(u_l, alpha_l)
+        return f_mass, f_mass * u_l
     fl = np.maximum(u_l, 0.0, dtype=float)
     fl *= alpha_l
     fr = np.minimum(u_r, 0.0, dtype=float)
@@ -291,9 +305,18 @@ def advance(
         else:
             dt = min(cfl * dx / umax, remaining)
 
-        a_ext[lo], a_ext[hi + 1] = aw[0], aw[-1]
-        u_ext[lo], u_ext[hi + 1] = uw[0], uw[-1]
-        f_mass, f_mom = kinetic_flux(a_left, u_left, a_right, u_right)
+        # with every density positive and every velocity of one strict sign,
+        # the flux is the physical flux of the upwind side: refresh its ghost only
+        if not any_vacuum and u_lo > 0.0:
+            a_ext[lo], u_ext[lo] = aw[0], uw[0]
+            f_mass, f_mom = kinetic_flux(a_left, u_left)
+        elif not any_vacuum and u_hi < 0.0:
+            a_ext[hi + 1], u_ext[hi + 1] = aw[-1], uw[-1]
+            f_mass, f_mom = kinetic_flux(a_right, u_right)
+        else:
+            a_ext[lo], a_ext[hi + 1] = aw[0], aw[-1]
+            u_ext[lo], u_ext[hi + 1] = uw[0], uw[-1]
+            f_mass, f_mom = kinetic_flux(a_left, u_left, a_right, u_right)
         lam = dt / dx
         aw -= np.multiply(np.subtract(f_mass[1:], f_mass[:-1], out=dw), lam, out=dw)
         qw -= np.multiply(np.subtract(f_mom[1:], f_mom[:-1], out=dw), lam, out=dw)

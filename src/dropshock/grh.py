@@ -94,15 +94,10 @@ class LimitStates:
 
 @dataclass(frozen=True)
 class GrhState:
-    """Point mass and its momentum; the speed is momentum/mass for mass > 0."""
+    """Point mass and its momentum."""
 
     mass: float
     momentum: float
-
-    def speed(self) -> float:
-        if self.mass <= 0.0:
-            raise ValueError("speed is undefined for a nonpositive point mass")
-        return self.momentum / self.mass
 
 
 def rhs(z: GrhState, t: float, states: LimitStates, params: ModelParams):

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -37,6 +39,19 @@ def test_kinetic_flux_consistency():
     fm, fq = kinetic_flux(a, u, a, u)
     assert fm == pytest.approx(a * u, rel=1e-15)
     assert fq == pytest.approx(a * u * u, rel=1e-15)
+    # positive densities, one strict sign: the upwind side alone gives the same bits
+    rng = np.random.default_rng(7)
+    a_l, a_r = rng.uniform(1e-6, 0.05, (2, 500))
+    speed_l, speed_r = rng.uniform(1e-3, 2.0, (2, 500))
+    for sign in (1.0, -1.0):
+        u_l, u_r = sign * speed_l, sign * speed_r
+        upwind = (a_l, u_l) if sign > 0 else (a_r, u_r)
+        one_sided, full = kinetic_flux(*upwind), kinetic_flux(a_l, u_l, a_r, u_r)
+        for f1, f4 in zip(one_sided, full):
+            assert f1.tobytes() == f4.tobytes()
+    # an underflowing flux is zero in both forms, only the sign of the zero may differ
+    f1, f4 = kinetic_flux(2e-12, -1e-320)[0], kinetic_flux(0.01, -0.5, 2e-12, -1e-320)[0]
+    assert f1 == f4 == 0.0
 
 
 def test_kinetic_flux_compressive_against_particle_oracle():
@@ -231,26 +246,46 @@ def test_advance_leaves_input_untouched(mode):
 
 @pytest.mark.parametrize(
     "mode, t_end, steps",
-    # u = 1 everywhere: fixed dt 1e-3 gives 10 full steps and a partial one,
+    # |u| = 1 everywhere: fixed dt 1e-3 gives 10 full steps and a partial one,
     # cfl 0.5 gives dt = 0.5 * dx = 5e-3, so 20 full steps and a partial one
     [({"fixed_dt": 1e-3}, 0.0105, 11), ({"cfl": 0.5}, 0.1025, 21)],
     ids=["fixed_dt", "cfl"],
 )
-def test_advance_calls_kinetic_flux_once_per_step(monkeypatch, mode, t_end, steps):
+@pytest.mark.parametrize(
+    "case, n_args",
+    # a density ramp keeps the window on the whole grid: u = +1 takes the
+    # left states, u = -1 (drag toward ua = -1) the right states; an empty
+    # first cell (a lasting vacuum) or velocities of both signs take both
+    [("left", 2), ("right", 2), ("vacuum", 4), ("both_signs", 4)],
+    ids=["left", "right", "vacuum", "both_signs"],
+)
+def test_advance_calls_kinetic_flux_once_per_step(monkeypatch, mode, t_end, steps, case, n_args):
     # the benchmark's fv.steps and fv.cell_steps counters wrap the module
     # global, so each step must make exactly one call on the n + 1 interfaces
     n = 100
-    calls = []
+    calls, ghosts = [], []
     original = fv.kinetic_flux
 
     def counting(*args):
         calls.append([len(a) for a in args])
+        # the left states' densities open with the left ghost, the right
+        # states' close with the right one; a one-sided call passes one of them
+        a_left, a_right = args[0], args[-2]
+        ghosts.append((a_left[0] == a_left[1], a_right[-1] == a_right[-2]))
         return original(*args)
 
     monkeypatch.setattr(fv, "kinetic_flux", counting)
-    st = FieldState(Grid1D(0.0, 1.0, n), np.full(n, 0.01), np.full(n, 0.01), 0.0)
-    advance(st, ds.ModelParams(0.3, 1.0), t_end, **mode)
-    assert calls == [[n + 1] * 4] * steps
+    alpha = np.linspace(0.01, 0.02, n)
+    u = np.full(n, -1.0 if case == "right" else 1.0)
+    if case == "vacuum":
+        alpha[0] = 0.0
+    if case == "both_signs":
+        u[n // 2 :] = -1.0
+    st = FieldState(Grid1D(0.0, 1.0, n), alpha, alpha * u, 0.0)
+    advance(st, ds.ModelParams(0.3, u[0]), t_end, **mode)
+    assert calls == [[n + 1] * n_args] * steps
+    expected = {"left": (True, False), "right": (False, True)}.get(case, (True, True))
+    assert ghosts == [expected] * steps
 
 
 @settings(max_examples=200, deadline=None)
@@ -280,6 +315,34 @@ def test_advance_mirror_symmetry_exact(seed, n, mu, ua, fixed, courant, t_end):
     out_m = advance(FieldState(grid_m, alpha[::-1], -(alpha * u)[::-1], 0.0), mirrored, t_end, **kw)
     assert np.array_equal(out_m.alpha, out.alpha[::-1])
     assert np.array_equal(out_m.q, -out.q[::-1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 64),
+    mu=st.one_of(st.just(0.0), st.floats(0.01, 3.0)),
+    ua=st.floats(0.01, 2.0),
+    fixed=st.booleans(),
+    courant=st.floats(0.1, 1.0),
+    t_end=st.floats(0.0, 0.5),
+)
+def test_advance_mirror_symmetry_one_sided(seed, n, mu, ua, fixed, courant, t_end):
+    # vacuum-free data with every velocity and ua positive take the left
+    # states' flux on every step, and the mirrored run the right states'
+    # flux; the two one-sided branches must agree bit for bit
+    rng = np.random.default_rng(seed)
+    alpha = rng.uniform(1e-4, 0.05, n)
+    u = rng.uniform(0.05, 2.0, n)
+    params, mirrored = ds.ModelParams(mu, ua), ds.ModelParams(mu, -ua)
+    grid = Grid1D(-1.0, 1.0, n)
+    kw = {"fixed_dt": courant * grid.dx / max(np.max(u), ua)} if fixed else {"cfl": courant}
+    with mock.patch.object(fv, "kinetic_flux", wraps=fv.kinetic_flux) as spy:
+        out = advance(FieldState(grid, alpha, alpha * u, 0.0), params, t_end, **kw)
+        out_m = advance(FieldState(grid, alpha[::-1], -(alpha * u)[::-1], 0.0), mirrored, t_end, **kw)
+    assert all(len(call.args) == 2 for call in spy.call_args_list)
+    assert out_m.alpha.tobytes() == out.alpha[::-1].tobytes()
+    assert out_m.q.tobytes() == (-out.q[::-1]).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -352,6 +415,19 @@ POISON = st.none() | st.tuples(
          poison=None, mu=0.0, ua=1.0, fixed=True, courant=1.2, t_end=0.2)
 @example(n=16, cuts=[6], states=[(-1e-3, 0.5), (0.01, -1.0), (0, 0), (0, 0), (0, 0)],
          poison=None, mu=0.5, ua=1.0, fixed=False, courant=0.5, t_end=0.2)
+# one-sided fluxes: negative velocities with underflowing products (alpha*u
+# is -0 in the first piece until drag toward ua < 0 moves it, and the second
+# piece holds the smallest denormal momentum), alpha one ulp above
+# VACUUM_ALPHA, drag turning every velocity negative (left states, both, then
+# right states) and an empty cell filling up (both states, then left states)
+@example(n=24, cuts=[8, 16], states=[(2e-12, -1e-320), (2e-12, -2.5e-312), (0.01, -0.5), (0, 0), (0, 0)],
+         poison=None, mu=1.0, ua=-1.0, fixed=False, courant=0.5, t_end=0.2)
+@example(n=24, cuts=[12], states=[(1.0000000000000002e-12, 0.7), (0.01, 1.2), (0, 0), (0, 0), (0, 0)],
+         poison=None, mu=0.5, ua=1.0, fixed=True, courant=0.9, t_end=0.3)
+@example(n=32, cuts=[16], states=[(0.01, 1.0), (0.02, 0.5), (0, 0), (0, 0), (0, 0)],
+         poison=None, mu=3.0, ua=-1.0, fixed=False, courant=0.5, t_end=0.6)
+@example(n=16, cuts=[7, 8], states=[(0.01, 1.0), (0.0, 0.0), (0.01, 1.0), (0, 0), (0, 0)],
+         poison=None, mu=0.0, ua=1.0, fixed=True, courant=0.5, t_end=0.1)
 def test_advance_equals_full_grid_reference(n, cuts, states, poison, mu, ua, fixed, courant, t_end):
     # the windowed kernel must return the full-grid loop's bytes, or abort
     # with its message (same step, same argmin cell and value)
