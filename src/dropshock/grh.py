@@ -144,13 +144,19 @@ def integrate(
     Riemann states both properties are guaranteed and a failure means bad
     inputs or a too-coarse dt.
 
-    The steps run in blocks of ``_BLOCK``.  Each block's node, midpoint and
-    end-stage times are accumulated as the steps advance t, each limit-state
-    callable is called once on an array of all of them, and the RK4 stages
-    are float arithmetic on the results.  Node times are therefore those of
-    a step-by-step loop bit for bit, and so are mass, momentum, speed and
-    position whenever the callables give the same bits for a float time as
-    for that time in an array, as those of ``from_riemann`` do.
+    The node times come first.  While h = dt, ``np.add.accumulate`` forms
+    the running sum 0 + dt + dt + ... in the order a step-by-step loop adds
+    it; the steps from the first with t_end - t < dt on (normally the last
+    one alone) take the loop's scalar rule h = min(dt, t_end - t), and the
+    last step ends on t_end.  The trajectory ends at the first node equal
+    to t_end, so no step has h = 0.  The steps then run in blocks of
+    ``_BLOCK``: each limit-state callable is called once on an array of the
+    block's node, midpoint and end-stage times, the monitor's speed bounds
+    are formed from the results as arrays, and the RK4 stages are float
+    arithmetic on them.  Node times are therefore those of a step-by-step
+    loop bit for bit, and so are mass, momentum, speed and position
+    whenever the callables give the same bits for a float time as for that
+    time in an array, as those of ``from_riemann`` do.
     """
     if not (math.isfinite(t_end) and math.isfinite(dt)):
         raise ValueError(f"t_end and dt must be finite, got t_end={t_end!r}, dt={dt!r}")
@@ -170,7 +176,8 @@ def integrate(
     if z0.mass < 0.0:
         raise ValueError("initial point mass must be nonnegative")
 
-    al0, ul0, ar0, ur0 = (float(f(0.0)) for f in (states.alpha_l, states.u_l, states.alpha_r, states.u_r))
+    limits = (states.alpha_l, states.u_l, states.alpha_r, states.u_r)
+    al0, ul0, ar0, ur0 = (float(f(0.0)) for f in limits)
     if z0.mass == 0.0:
         if sigma0 is None:
             sigma0 = initial_shock_speed(al0, ul0, ar0, ur0)
@@ -189,91 +196,105 @@ def integrate(
         )
 
     n_steps = max(1, math.ceil(t_end / dt - 1e-12))
-    ts = np.empty(n_steps + 1)
+    ts = np.full(n_steps + 1, dt)
+    ts[0] = 0.0
+    np.add.accumulate(ts, out=ts)
+    # the sums increase, so the steps with t_end - t < dt are a suffix
+    tail = n_steps
+    while tail > 0 and t_end - ts[tail - 1] < dt:
+        tail -= 1
+    for k in range(tail, n_steps - 1):
+        t = float(ts[k])
+        ts[k + 1] = t + min(dt, t_end - t)
+    ts[n_steps] = t_end
+    # the trajectory ends at the first node on t_end, so no step has h = 0
+    n_steps = tail + int(np.argmax(ts[tail:] == t_end))
+    ts = ts[: n_steps + 1]
     ws = np.empty(n_steps + 1)
     ms = np.empty(n_steps + 1)
     xs = np.empty(n_steps + 1)
-    t = 0.0
     x = 0.0
-    ts[0], ws[0], ms[0], xs[0] = t, w, m, x
+    ws[0], ms[0], xs[0] = w, m, x
     mu, ua = params.mu, params.ua
 
     for k0 in range(0, n_steps, _BLOCK):
         nb = min(_BLOCK, n_steps - k0)
-        # node times of the block, accumulated as the steps advance t, then
-        # the midpoint and end-stage times t + h/2 and t + h of each step
-        nodes, hs = [t], []
-        for k in range(k0, k0 + nb):
-            h = min(dt, t_end - t)
-            hs.append(h)
-            t = t_end if k == n_steps - 1 else t + h
-            nodes.append(t)
-        starts, steps = np.array(nodes[:-1]), np.array(hs)
-        times = np.concatenate((nodes, starts + 0.5 * steps, starts + steps))
-        al, ul, ar, ur = (
-            np.broadcast_to(np.asarray(f(times), dtype=float), times.shape)
-            for f in (states.alpha_l, states.u_l, states.alpha_r, states.u_r)
-        )
+        # the block's node times, then the midpoint and end-stage times
+        # t + h/2 and t + h of each step
+        nodes = ts[k0 : k0 + nb + 1]
+        starts = nodes[:-1]
+        steps = np.minimum(t_end - starts, dt)
+        half = 0.5 * steps
+        times = np.concatenate((nodes, starts + half, starts + steps))
+        # each limit state on all of them; assignment broadcasts a constant
+        lim = np.empty((4, times.size))
+        for row, f in zip(lim, limits):
+            row[...] = f(times)
+        al, ul, ar, ur = lim
         a, b, c = _jump_coefficients(al, ul, ar, ur)
-        # (a, b, c) of stage 1 at the nodes, of stages 2-3 at the midpoints
-        # and of stage 4 at the ends, and the monitor's limit velocities
-        parts = (slice(0, nb + 1), slice(nb + 1, 2 * nb + 1), slice(2 * nb + 1, None))
-        (a1, a2, a4), (b1, b2, b4), (c1, c2, c4) = ([v[p].tolist() for p in parts] for v in (a, b, c))
-        uln, urn = ul[: nb + 1].tolist(), ur[: nb + 1].tolist()
+        # the monitor's speed bounds at the nodes that end the steps
+        ul, ur = ul[1 : nb + 1], ur[1 : nb + 1]
+        tol = 1e-9 * np.maximum(np.maximum(np.abs(ul), np.abs(ur)), 1.0)
+        # (a, b, c) of stage 1 at the starts, of stages 2-3 at the midpoints
+        # and of stage 4 at the ends
+        parts = (slice(0, nb), slice(nb + 1, 2 * nb + 1), slice(2 * nb + 1, None))
+        per_step = zip(
+            starts.tolist(), steps.tolist(), half.tolist(), (steps / 6.0).tolist(),
+            *(v[p].tolist() for p in parts for v in (a, b, c)),
+            (ur - tol).tolist(), (ul + tol).tolist(),
+        )
         out_w, out_m, out_x = [], [], []
 
-        for j in range(nb):
-            h = hs[j]
+        for t, h, h2, h6, a1, b1, c1, a2, b2, c2, a4, b4, c4, lo, hi in per_step:
             if w <= 0.0:
-                raise _nonpositive_mass(w, nodes[j])
+                raise _nonpositive_mass(w, t)
             s1 = m / w
-            k1w = a1[j] * s1 - b1[j]
-            k1m = b1[j] * s1 + mu * (ua * w - m) - c1[j]
-            w2 = w + 0.5 * h * k1w
-            m2 = m + 0.5 * h * k1m
+            k1w = a1 * s1 - b1
+            k1m = b1 * s1 + mu * (ua * w - m) - c1
+            w2 = w + h2 * k1w
+            m2 = m + h2 * k1m
             if w2 <= 0.0:
-                raise _nonpositive_mass(w2, nodes[j] + 0.5 * h)
+                raise _nonpositive_mass(w2, t + h2)
             s2 = m2 / w2
-            k2w = a2[j] * s2 - b2[j]
-            k2m = b2[j] * s2 + mu * (ua * w2 - m2) - c2[j]
-            w3 = w + 0.5 * h * k2w
-            m3 = m + 0.5 * h * k2m
+            k2w = a2 * s2 - b2
+            k2m = b2 * s2 + mu * (ua * w2 - m2) - c2
+            w3 = w + h2 * k2w
+            m3 = m + h2 * k2m
             if w3 <= 0.0:
-                raise _nonpositive_mass(w3, nodes[j] + 0.5 * h)
+                raise _nonpositive_mass(w3, t + h2)
             s3 = m3 / w3
-            k3w = a2[j] * s3 - b2[j]
-            k3m = b2[j] * s3 + mu * (ua * w3 - m3) - c2[j]
+            k3w = a2 * s3 - b2
+            k3m = b2 * s3 + mu * (ua * w3 - m3) - c2
             w4 = w + h * k3w
             m4 = m + h * k3m
             if w4 <= 0.0:
-                raise _nonpositive_mass(w4, nodes[j] + h)
+                raise _nonpositive_mass(w4, t + h)
             s4 = m4 / w4
-            k4w = a4[j] * s4 - b4[j]
-            k4m = b4[j] * s4 + mu * (ua * w4 - m4) - c4[j]
-            w_new = w + (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-            m_new = m + (h / 6.0) * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
-            x_new = x + (h / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
-            t_new = nodes[j + 1]
+            k4w = a4 * s4 - b4
+            k4m = b4 * s4 + mu * (ua * w4 - m4) - c4
+            w_new = w + h6 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+            m_new = m + h6 * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
+            x_new = x + h6 * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
 
-            if w_new < w - 1e-13 * max(1.0, w):
+            if w_new < w - 1e-13 * (w if w > 1.0 else 1.0):
+                j = len(out_w)  # the step's index in the block
                 raise GrhMonitorError(
                     f"point mass decreased from {w:.12g} to {w_new:.12g} at step {k0 + j + 1} "
-                    f"(t={t_new:g}); inputs are inadmissible or dt is too large"
+                    f"(t={float(nodes[j + 1]):g}); inputs are inadmissible or dt is too large"
                 )
-            ul_new, ur_new = uln[j + 1], urn[j + 1]
             s_new = m_new / w_new if w_new > 0.0 else math.nan
-            tol = 1e-9 * max(1.0, abs(ul_new), abs(ur_new))
-            if not (ur_new - tol <= s_new <= ul_new + tol):
+            if not (lo <= s_new <= hi):
+                j = len(out_w)
                 raise GrhMonitorError(
                     f"entropy monitor: speed {s_new:.12g} left the interval "
-                    f"({ur_new:.12g}, {ul_new:.12g}) at step {k0 + j + 1} (t={t_new:g})"
+                    f"({float(ur[j]):.12g}, {float(ul[j]):.12g}) at step {k0 + j + 1} "
+                    f"(t={float(nodes[j + 1]):g})"
                 )
             w, m, x = w_new, m_new, x_new
             out_w.append(w)
             out_m.append(m)
             out_x.append(x)
 
-        ts[k0 + 1 : k0 + nb + 1] = nodes[1:]
         ws[k0 + 1 : k0 + nb + 1] = out_w
         ms[k0 + 1 : k0 + nb + 1] = out_m
         xs[k0 + 1 : k0 + nb + 1] = out_x

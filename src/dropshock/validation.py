@@ -10,9 +10,11 @@ The quadrature evaluates a solution once per time node: its regular part
 becomes strips (x_a(t), x_b(t), alpha, u(t)) of constant state between
 the discontinuity curves, its point mass a one-node strip on the shock
 curve, and each test function is evaluated once per strip, on the time
-rows of its support only: everywhere else bump(t) and with it psi is
-exactly 0.  The row sums still run over matrices of the full height, so
-the residuals are bit for bit those of evaluating psi on every node.
+rows of its support only, and in each block of rows only on the columns
+where some row lies inside its x-support: everywhere else bump(t) or
+bump(x), and with it psi, is exactly 0.  The row sums still run over
+matrices of the full height, so the residuals are bit for bit those of
+evaluating psi on every node.
 """
 
 from __future__ import annotations
@@ -52,7 +54,8 @@ def first_crossing_time(
 
     Brute force over ``n_feet`` equally spaced foot points: for each
     adjacent pair the gap between their characteristic positions is
-    monotone, so the crossing time is found by bisection.  This is the
+    monotone, so the crossing time is found by bisection; a pair drops out
+    as soon as it can no longer hold the earliest crossing.  This is the
     independent reference the blowup predictor is tested against.
     """
     if n_feet < 3:
@@ -82,6 +85,11 @@ def first_crossing_time(
         still_open = gap(mid) > 0.0
         lo = np.where(still_open, mid, lo)
         hi = np.where(still_open, hi, mid)
+        # a pair whose lo exceeds another pair's hi ends with a larger
+        # midpoint than that pair, so dropping it leaves the minimum as it is
+        keep = lo <= hi.min()
+        if not keep.all():
+            x1, v1, x2, v2, lo, hi = x1[keep], v1[keep], x2[keep], v2[keep], lo[keep], hi[keep]
     return float(np.min(0.5 * (lo + hi)))
 
 
@@ -148,12 +156,6 @@ class BumpTestFunction:
 
     def value(self, x, t):
         return self.value_and_partials(x, t)[0]
-
-    def dx(self, x, t):
-        return self.value_and_partials(x, t)[1]
-
-    def dt(self, x, t):
-        return self.value_and_partials(x, t)[2]
 
 
 def _simpson_weights(n: int) -> np.ndarray:
@@ -245,8 +247,14 @@ def weak_residual(
             f = grid[:, :, : x_nodes.shape[1]]
             for k in range(k0, k1, _ROW_BLOCK):
                 rows = slice(k, min(k + _ROW_BLOCK, k1))
-                for f_k, g in zip(f, psi.value_and_partials(x_nodes[rows], t[rows, None])):
-                    f_k[rows] = g
+                # and bump(x) is exactly 0 off the columns where some row has |x - x_c| < x_h
+                inside = np.abs((x_nodes[rows] - psi.x_center) / psi.x_halfwidth) < 1.0
+                cols = np.flatnonzero(inside.any(axis=0))
+                if not cols.size:
+                    continue
+                cols = slice(cols[0], cols[-1] + 1)
+                for f_k, g in zip(f, psi.value_and_partials(x_nodes[rows, cols], t[rows, None])):
+                    f_k[rows, cols] = g
             v, v_x, v_t = (f_k @ wx for f_k in f)
             f[:, k0:k1] = 0.0
             r[0] += rho @ (v_t + u * v_x)

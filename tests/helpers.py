@@ -13,7 +13,7 @@ import numpy as np
 
 import dropshock as ds
 from dropshock import fv
-from dropshock.core import ModelParams
+from dropshock.core import ModelParams, characteristic_position
 from dropshock.droplet import initial_shock_speed
 from dropshock.fv import VACUUM_ALPHA, FieldState, SolverAbort, _drag, _hull_bounds, _velocity
 from dropshock.grh import MAX_STEPS, GrhMonitorError, GrhState, GrhTrajectory, LimitStates
@@ -294,13 +294,43 @@ def reference_integrate(
             )
         t, w, m, x = t_new, w_new, m_new, x_new
         ts[k + 1], ws[k + 1], ms[k + 1], xs[k + 1] = t, w, m, x
+        if t == t_end:  # the trajectory ends at the first node on t_end
+            break
 
+    ts, ws, ms, xs = ts[: k + 2], ws[: k + 2], ms[: k + 2], xs[: k + 2]
     return GrhTrajectory(t=ts, mass=ws, momentum=ms, speed=ms / ws, position=xs)
 
 
+# ``first_crossing_time`` before its bisection dropped the pairs that can no
+# longer hold the minimum, kept as the oracle it must equal bit for bit.
+def reference_first_crossing_time(profile, params, t_max, n_feet=2001):
+    """Earliest crossing of adjacent characteristics, bisecting every pair
+    that crosses before t_max for all 80 steps; None if none crosses."""
+    feet = np.linspace(profile.domain[0], profile.domain[1], n_feet)
+    x1, x2 = feet[:-1], feet[1:]
+    v1 = np.asarray(profile.u0(x1), dtype=float)
+    v2 = np.asarray(profile.u0(x2), dtype=float)
+
+    def gap(s):
+        return characteristic_position(x2, v2, params, s) - characteristic_position(x1, v1, params, s)
+
+    crossing = gap(t_max) < 0.0
+    if not np.any(crossing):
+        return None
+    x1, v1, x2, v2 = x1[crossing], v1[crossing], x2[crossing], v2[crossing]
+    lo = np.zeros(x1.shape)
+    hi = np.full(x1.shape, float(t_max))
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        still_open = gap(mid) > 0.0
+        lo = np.where(still_open, mid, lo)
+        hi = np.where(still_open, hi, mid)
+    return float(np.min(0.5 * (lo + hi)))
+
+
 # ``weak_residual`` and ``BumpTestFunction.value_and_partials`` before the
-# quadrature evaluated psi only on the time rows of its support and left out
-# zeroth powers, kept as the oracle they must equal bit for bit.
+# quadrature evaluated psi only on the time rows and x columns of its support
+# and left out zeroth powers, kept as the oracle they must equal bit for bit.
 def _reference_value_and_partials(psi: BumpTestFunction, x, t):
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)

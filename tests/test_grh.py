@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import dropshock as ds
 from dropshock.grh import GrhMonitorError, GrhState, LimitStates, integrate, rhs
@@ -146,6 +146,9 @@ CROSSING = LimitStates(
 # a negative right density: the mass shrinks while the speed stays inside (u_r, u_l)
 NEGATIVE = LimitStates(alpha_l=_const(0.0), u_l=_const(1.0), alpha_r=_const(-1.0), u_r=_const(0.0))
 FREE = ds.ModelParams(0.0, 0.0)
+# equal constant states: the point mass keeps its speed, here 7e-10 above
+# u_l = 0.5, inside the monitor's tolerance 1e-9 * max(1, |u_l|, |u_r|)
+EQUAL = LimitStates(alpha_l=_const(0.01), u_l=_const(0.5), alpha_r=_const(0.01), u_r=_const(0.5))
 
 
 def test_monitor_aborts_when_states_cross():
@@ -187,6 +190,13 @@ def _assert_agrees_with_reference(z0, sigma0, t_end, dt, states, params, eps_see
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), t_end=st.floats(0.05, 3.0), dt=st.floats(1e-3, 0.05))
+# 255, 256, 257 and 513 steps: one block short of, at and past a block edge
+@example(seed=1, t_end=2.55, dt=0.01)
+@example(seed=2, t_end=2.56, dt=0.01)
+@example(seed=3, t_end=2.57, dt=0.01)
+@example(seed=4, t_end=2.565, dt=0.005)
+# node 1000 lands on t_end one step before ceil(t_end/dt) = 1001 steps
+@example(seed=5, t_end=0.100000000000001, dt=1e-4)
 def test_integrate_agrees_with_stage_by_stage_loop(seed, t_end, dt):
     data, params = random_admissible(np.random.default_rng(seed))
     if params.mu > 0.0:
@@ -210,13 +220,26 @@ OMEGA0_DATA = ds.RiemannData(0.008, 1.5, 0.003, 0.5, omega0=0.01)
         pytest.param(GrhState(0.0, 0.0), None, 1.0, 0.1, STATES, PARAMS_02, None, id="last-node-is-t_end"),
         pytest.param(GrhState(0.0, 0.0), None, 1.0, 3e-4, STATES, PARAMS_02, None, id="many-blocks"),
         pytest.param(GrhState(0.0, 0.0), 0.5, 3.0, 1e-2, CROSSING, FREE, None, id="entropy-abort"),
+        pytest.param(GrhState(0.0, 0.0), 0.5, 3.0, 2.5e-3, CROSSING, FREE, None, id="entropy-abort-second-block"),
         pytest.param(GrhState(0.0, 0.0), 0.5, 3.0, 1e-4, CROSSING, FREE, None, id="entropy-abort-late-block"),
+        pytest.param(GrhState(1.0, 0.5 + 7e-10), None, 1.0, 1e-2, EQUAL, FREE, None, id="speed-inside-tolerance"),
         pytest.param(GrhState(1.0, 0.5), None, 1.0, 1e-2, NEGATIVE, FREE, None, id="mass-decrease-abort"),
         pytest.param(GrhState(0.0, 0.0), 0.5, 1.0, 1e-2, NEGATIVE, FREE, 1e-3, id="nonpositive-stage-abort"),
     ],
 )
 def test_integrate_agrees_with_stage_by_stage_loop_examples(z0, sigma0, t_end, dt, states, params, eps_seed):
     _assert_agrees_with_reference(z0, sigma0, t_end, dt, states, params, eps_seed)
+
+
+def test_trajectory_ends_at_first_node_on_t_end():
+    # ceil(t_end/dt - 1e-12) = 1001, but the running sum of dt reaches t_end
+    # at node 1000: a further step would have h = 0 and repeat that node
+    t_end = 0.100000000000001
+    traj = integrate(GrhState(0.0, 0.0), None, t_end, 1e-4, STATES, PARAMS_02)
+    assert len(traj.t) == 1001
+    assert traj.t[-1] == t_end
+    assert np.all(np.diff(traj.t) > 0)
+    assert np.all(np.diff(traj.mass) > 0)
 
 
 def test_limit_states_evaluated_per_block_not_per_step():

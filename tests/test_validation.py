@@ -15,7 +15,16 @@ from dropshock.validation import (
 )
 
 from helpers import CRITERION9_PSIS as PSIS
-from helpers import DELTA_DATA, LN2, PARAMS_02, VACUUM_DATA, make_tanh_profile, reference_weak_residual
+from helpers import (
+    DELTA_DATA,
+    LN2,
+    PARAMS_02,
+    VACUUM_DATA,
+    make_cubic_profile,
+    make_tanh_profile,
+    reference_first_crossing_time,
+    reference_weak_residual,
+)
 
 
 def test_crossing_oracle_increasing_profile_none():
@@ -57,6 +66,31 @@ def test_crossing_oracle_requires_three_feet():
         first_crossing_time(make_tanh_profile(-2.0), PARAMS_02, 1.0, n_feet=MAX_FEET + 1)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    cubic=st.booleans(),
+    slope=st.floats(-3.0, 1.0),
+    shape=st.floats(0.2, 2.0),
+    center=st.floats(-0.5, 0.5),
+    mu=st.one_of(st.just(0.0), st.floats(0.01, 2.0)),
+    ua=st.floats(-1.0, 1.0),
+    t_max=st.floats(0.05, 50.0),
+    n_feet=st.integers(3, 3001),
+)
+# the tanh and cubic profiles of the benchmark at 8001 feet
+@example(cubic=False, slope=-2.0, shape=1.0, center=0.0, mu=0.5, ua=0.2, t_max=50.0, n_feet=8001)
+@example(cubic=True, slope=-1.5, shape=0.3, center=0.0, mu=0.4, ua=-0.3, t_max=50.0, n_feet=8001)
+def test_crossing_oracle_equals_unpruned_bisection(cubic, slope, shape, center, mu, ua, t_max, n_feet):
+    if cubic:
+        prof = make_cubic_profile(slope, shape, center=center)
+    else:
+        prof = make_tanh_profile(slope, width=shape, center=center)
+    p = ds.ModelParams(mu, ua)
+    got = first_crossing_time(prof, p, t_max, n_feet=n_feet)
+    want = reference_first_crossing_time(prof, p, t_max, n_feet=n_feet)
+    assert got == want
+
+
 def test_bump_function_support_and_smoothness():
     psi = BumpTestFunction(0.5, 0.9, 0.8, 0.7, ((1.0, 1, 1),))
     assert psi.value(0.5 + 0.9, 0.8) == 0.0
@@ -67,8 +101,9 @@ def test_bump_function_support_and_smoothness():
     for x, t in ((0.4, 0.7), (0.9, 1.1), (0.1, 0.5)):
         fd_x = (psi.value(x + h, t) - psi.value(x - h, t)) / (2 * h)
         fd_t = (psi.value(x, t + h) - psi.value(x, t - h)) / (2 * h)
-        assert psi.dx(x, t) == pytest.approx(fd_x, abs=1e-7)
-        assert psi.dt(x, t) == pytest.approx(fd_t, abs=1e-7)
+        _, v_x, v_t = psi.value_and_partials(x, t)
+        assert v_x == pytest.approx(fd_x, abs=1e-7)
+        assert v_t == pytest.approx(fd_t, abs=1e-7)
     # value_and_partials on an x row against a t column (the poly term is in
     # both x and t): (value, dx, dt), pointwise equal to scalar evaluation,
     # zero outside the support and agreeing with central differences
@@ -77,8 +112,6 @@ def test_bump_function_support_and_smoothness():
     v, v_x, v_t = psi.value_and_partials(xs, ts)
     assert v.shape == v_x.shape == v_t.shape == (4, 5)
     assert np.array_equal(v, psi.value(xs, ts))
-    assert np.array_equal(v_x, psi.dx(xs, ts))
-    assert np.array_equal(v_t, psi.dt(xs, ts))
     for i, t in enumerate(ts[:, 0]):
         for j, x in enumerate(xs):
             assert (v[i, j], v_x[i, j], v_t[i, j]) == tuple(psi.value_and_partials(x, t))
@@ -168,6 +201,8 @@ RANDOM_PSI = st.builds(
 @settings(max_examples=100, deadline=None)
 @given(name=st.sampled_from(sorted(RESIDUAL_SOLUTIONS)), psis=st.lists(RANDOM_PSI, min_size=1, max_size=3), n=st.integers(2, 160))
 @example(name="contact-omega0", psis=PSIS, n=400)
+# an x-support narrower than the node spacing
+@example(name="delta", psis=[BumpTestFunction(0.55, 0.01, 0.8, 0.7)], n=10)
 # t-support from below 0; none below 0; none between nodes 0.2 and 0.4;
 # ends exactly on the nodes 0.2 and 0.6
 @example(
