@@ -24,8 +24,6 @@ from .droplet import (
     ContactSolution,
     DeltaShockSolution,
     DeltaVariant,
-    PointValue,
-    SingularPart,
     VacuumSolution,
     initial_shock_speed,
     solve,

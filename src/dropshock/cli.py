@@ -37,15 +37,53 @@ class ConfigError(Exception):
 _CSV_CHUNK_ROWS = 1024  # rows formatted per % operation: bounds the transient string and tuple
 
 
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """The first index of each run of equal bit patterns, so 0.0 and -0.0 (and NaN payloads) differ."""
+    bits = values.view(np.int64)
+    return np.flatnonzero(np.r_[len(bits) > 0, bits[1:] != bits[:-1]])
+
+
+def _run_text(values, starts: Optional[np.ndarray] = None) -> np.ndarray:
+    """The %.17g text of each value as an object array, formatted once per run of equal bits."""
+    values = np.ascontiguousarray(values, dtype=float)
+    if len(values) == 0:
+        return np.empty(0, dtype=object)
+    if starts is None:
+        starts = _run_starts(values)
+    texts = (",".join(["%.17g"] * len(starts)) % tuple(values[starts].tolist())).split(",")
+    return np.repeat(np.array(texts, dtype=object), np.diff(starts, append=len(values)))
+
+
 def write_csv(path: str, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
-    """The columns as CSV under a header row, each value as %.17g (np.savetxt's bytes)."""
-    table = np.column_stack(columns)
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    """The columns as CSV under a header row, each value as %.17g: the bytes of np.savetxt.
+
+    A float column with equal neighbours is formatted once per run of equal
+    bit patterns and written as text; a column with none goes through the
+    %.17g row template.  A column may also be text that ``_run_text``
+    returned, so a command formats a shared x column once for all its files.
+    Floats become Python lists one chunk of rows at a time.
+    """
+    n = len(columns[0])
+    cells = []
+    for col in columns:
+        if not (isinstance(col, np.ndarray) and col.dtype == object):
+            col = np.ascontiguousarray(col, dtype=float)
+            starts = _run_starts(col)
+            if len(starts) < len(col):
+                col = _run_text(col, starts)
+        if len(col) != n:
+            raise ValueError(f"CSV columns differ in length: {len(col)} != {n}")
+        cells.append(col)
+    width = len(cells)
+    row = ",".join("%s" if col.dtype == object else "%.17g" for col in cells) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for k in range(0, len(table), _CSV_CHUNK_ROWS):
-            chunk = table[k : k + _CSV_CHUNK_ROWS]
-            fh.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
+        for k in range(0, n, _CSV_CHUNK_ROWS):
+            m = min(_CSV_CHUNK_ROWS, n - k)
+            flat = [None] * (m * width)
+            for j, col in enumerate(cells):
+                flat[j::width] = col[k : k + m].tolist()
+            fh.write(row * m % tuple(flat))
 
 
 def _load_config(path: str):
@@ -218,15 +256,21 @@ def _output_dir(path: str) -> str:
     return path
 
 
+def _x_text(sc: Scenario) -> Optional[np.ndarray]:
+    """The grid's x column as CSV text, formatted once for every file of a command (None without CSV)."""
+    return _run_text(Grid1D(sc.domain[0], sc.domain[1], sc.n_cells).centers()) if sc.outputs["csv"] else None
+
+
 def cmd_exact(args, cfg: dict, raw: str, out: str) -> int:
     sc = _scenario_from(cfg, raw, args)
     solution = sc.solution
     x = Grid1D(sc.domain[0], sc.domain[1], sc.n_cells).centers()
+    x_text = _x_text(sc)
     rows = []
     for t in sc.t_snapshots:
         alpha, u = solution.regular_fields(x, t)
         if sc.outputs["csv"]:
-            write_csv(os.path.join(out, f"{sc.name}_exact_t{t:g}.csv"), ("x", "alpha", "u"), (x, alpha, u))
+            write_csv(os.path.join(out, f"{sc.name}_exact_t{t:g}.csv"), ("x", "alpha", "u"), (x_text, alpha, u))
         rows.append(_exact_snapshot_row(solution, t))
     if sc.outputs["report"]:
         payload = {
@@ -251,11 +295,12 @@ def _run_snapshots(sc: Scenario):
 def cmd_simulate(args, cfg: dict, raw: str, out: str) -> int:
     sc = _scenario_from(cfg, raw, args)
     files = []
+    x_text = _x_text(sc)
     for t, state in _run_snapshots(sc):
         u = reconstruct_velocity(state, sc.params)
         fname = f"{sc.name}_num_t{t:g}.csv"
         if sc.outputs["csv"]:
-            write_csv(os.path.join(out, fname), ("x", "alpha", "u"), (state.grid.centers(), state.alpha, u))
+            write_csv(os.path.join(out, fname), ("x", "alpha", "u"), (x_text, state.alpha, u))
         files.append({"t": t, "file": fname})
     if sc.outputs["report"]:
         _write_report(
@@ -271,13 +316,14 @@ def cmd_compare(args, cfg: dict, raw: str, out: str) -> int:
     scale, suffix = (100.0, " (x100)") if getattr(args, "rescale_alpha", False) else (1.0, "")
     reports: List[ErrorReport] = []
     exact_rows = []
+    x_text = _x_text(sc)
     for t, state in _run_snapshots(sc):
         x = state.grid.centers()
         u_num = reconstruct_velocity(state, sc.params)
         alpha_ex, u_ex = solution.regular_fields(x, t)
         if sc.outputs["csv"]:
-            write_csv(os.path.join(out, f"{sc.name}_num_t{t:g}.csv"), ("x", "alpha", "u"), (x, state.alpha, u_num))
-            write_csv(os.path.join(out, f"{sc.name}_exact_t{t:g}.csv"), ("x", "alpha", "u"), (x, alpha_ex, u_ex))
+            write_csv(os.path.join(out, f"{sc.name}_num_t{t:g}.csv"), ("x", "alpha", "u"), (x_text, state.alpha, u_num))
+            write_csv(os.path.join(out, f"{sc.name}_exact_t{t:g}.csv"), ("x", "alpha", "u"), (x_text, alpha_ex, u_ex))
         reports.append(compare(state, solution, sc.exclusion_half_width, label=f"{sc.name}_t{t:g}"))
         exact_rows.append(_exact_snapshot_row(solution, t))
         if sc.outputs["svg"]:

@@ -11,8 +11,8 @@ densities differ.  The full-system closed form also covers data with one
 zero side density: no mass is swept in, so the weight stays omega0 and
 the front rides the relaxed velocity of the non-empty side.
 
-Point masses are carried symbolically as (weight, location) descriptors;
-``evaluate`` never folds a Dirac mass into a pointwise density value.
+Point masses are carried by ``weight`` and ``position``;
+``regular_fields`` never folds a Dirac mass into a pointwise density value.
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ from .core import (
 
 __all__ = [
     "DeltaVariant",
-    "SingularPart",
-    "PointValue",
     "DeltaShockSolution",
     "VacuumSolution",
     "ContactSolution",
@@ -50,27 +48,6 @@ __all__ = [
 class DeltaVariant(Enum):
     FULL_SYSTEM = "full-system"
     SUBSYSTEM = "subsystem"
-
-
-@dataclass(frozen=True)
-class SingularPart:
-    """Descriptor of a Dirac point mass at a sampling point."""
-
-    present: bool
-    weight: float = 0.0
-    location: float = math.nan
-
-
-@dataclass(frozen=True)
-class PointValue:
-    """Regular fields at a point plus the symbolic singular part."""
-
-    alpha: float
-    u: float
-    singular: SingularPart
-
-
-_ABSENT = SingularPart(present=False)
 
 
 def _sqrt_weighted_speed(alpha_l: float, u_l: float, alpha_r: float, u_r: float) -> float:
@@ -114,14 +91,6 @@ class _Solution:
 
     def right_state(self, t) -> Tuple[float, float]:
         return self.data.alpha_r, relax_velocity(self.data.u_r, self.params, t)
-
-    def _singular_at(self, x: float, t: float) -> SingularPart:
-        return _ABSENT
-
-    def evaluate(self, x: float, t: float) -> PointValue:
-        """Regular fields at (x, t) plus the point-mass descriptor."""
-        alpha, u = self.regular_fields(x, t)
-        return PointValue(alpha=float(alpha), u=float(u), singular=self._singular_at(x, t))
 
 
 @dataclass(frozen=True)
@@ -173,8 +142,8 @@ class DeltaShockSolution(_Front):
     s0 the square-root-weighted mean (full system) or the arithmetic mean
     (subsystem); the weights grow like decay_integral with prefactors
     sqrt(alpha_l*alpha_r) and (alpha_l+alpha_r)/2 respectively.  One zero
-    side density is allowed and flagged by ``warning``; exactly on the
-    shock curve ``evaluate`` reports the point mass as the singular part.
+    side density is allowed and flagged by ``warning``; the point mass is
+    ``weight`` at ``position``, never part of ``regular_fields``.
     Only the full system rejects two zero densities.
     """
 
@@ -220,12 +189,6 @@ class DeltaShockSolution(_Front):
         """
         s = self.speed(t)
         return self.left_state(t)[1] - s, s - self.right_state(t)[1]
-
-    def _singular_at(self, x: float, t: float) -> SingularPart:
-        xi = self.position(t)
-        if x == xi:
-            return SingularPart(present=True, weight=self.weight(t), location=xi)
-        return _ABSENT
 
 
 @dataclass(frozen=True)

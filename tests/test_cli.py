@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -6,9 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import dropshock as ds
-from dropshock.cli import main, write_csv
+from dropshock.cli import _run_text, main, write_csv
 
 from helpers import LN2, OMEGA1_FULL, PARAMS_02, SIGMA1_FULL
 
@@ -232,6 +235,46 @@ def test_determinism_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+VACUUM_RIEMANN = {"alpha_l": 0.008, "u_l": 0.5, "alpha_r": 0.003, "u_r": 1.5}
+
+
+# the vacuum fan gives u columns with a run-free stretch between their runs
+@pytest.mark.parametrize("riemann", [DELTA_SCENARIO["riemann"], VACUUM_RIEMANN], ids=["delta", "vacuum"])
+def test_snapshot_csvs_equal_savetxt_of_their_arrays(tmp_path, riemann):
+    cfg = tmp_path / "s.json"
+    write_config(cfg, dict(DELTA_SCENARIO, riemann=riemann, n_cells=200))
+    solution = ds.solve(ds.RiemannData(**riemann), PARAMS_02)
+    x = ds.Grid1D(-1.0, 2.0, 200).centers()
+    for command, kinds in (("exact", ["exact"]), ("simulate", ["num"]), ("compare", ["exact", "num"])):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        for kind in kinds:
+            for t in (0.4, 1.0):
+                path = out / f"delta_{kind}_t{t:g}.csv"
+                table = np.loadtxt(path, delimiter=",", skiprows=1)  # 17 digits read back exactly
+                assert np.array_equal(table[:, 0], x)  # the x text formatted once per command
+                if kind == "exact":
+                    assert np.array_equal(table[:, 1:].T, solution.regular_fields(x, t))
+                columns = (table[:, 0], table[:, 1], table[:, 2])
+                assert path.read_bytes() == _savetxt_bytes(tmp_path / "ref.csv", ("x", "alpha", "u"), columns)
+
+
+@pytest.mark.parametrize("name", ["a,b", 'q"x'])
+def test_errors_csv_quotes_scenario_name(tmp_path, name):
+    cfg = tmp_path / "s.json"
+    write_config(cfg, dict(DELTA_SCENARIO, name=name, n_cells=64))
+    assert main(["compare", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    text = (tmp_path / f"{name}_errors.csv").read_text(encoding="utf-8")
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    assert rows[0] == ds.ErrorReport.CSV_HEADER.split(",")
+    assert [len(row) for row in rows] == [7, 7, 7]
+    assert [row[0] for row in rows[1:]] == [f"{name}_t0.4", f"{name}_t1"]
+    # quoted as RFC 4180 asks, which csv.writer does too
+    canonical = io.StringIO()
+    csv.writer(canonical, lineterminator="\n").writerows(rows)
+    assert text == canonical.getvalue()
+
+
 def test_csv_17_digit_roundtrip(tmp_path):
     cfg = tmp_path / "s.json"
     write_config(cfg, dict(DELTA_SCENARIO, t_snapshots=[1.0], n_cells=64))
@@ -446,15 +489,69 @@ def test_write_csv_special_values(tmp_path):
     assert path.read_bytes() == _savetxt_bytes(tmp_path / "ref.csv", ("a", "b"), columns)
 
 
+def _run_columns(n_rows):
+    """Columns whose neighbours repeat: the run path of ``write_csv``."""
+    rows = np.arange(n_rows)
+    return [
+        np.array([0.008, 0.0, 0.003])[3 * rows // n_rows],  # piecewise constant
+        np.full(n_rows, 1.0 / 3.0),  # constant
+        np.where(rows % 4 < 2, 0.0, -0.0),  # 0.0 next to -0.0: equal values, different bits
+        np.array([np.nan, np.inf, -np.inf, np.nan])[4 * rows // n_rows],  # non-finite runs
+        np.where(rows >= 1000, 2.5, 0.1 * rows),  # with 1025 rows, a run across the row-1024 chunk edge
+    ]
+
+
 # 1025 rows: one full chunk of formatted rows and one more
 @pytest.mark.parametrize("n_rows", [1, 1025])
 @pytest.mark.parametrize("n_cols", [1, 3, 6])
 def test_write_csv_equals_savetxt(tmp_path, n_cols, n_rows):
     rng = np.random.default_rng(100 * n_cols + n_rows)
-    columns = [rng.standard_normal(n_rows) * 10.0 ** rng.integers(-320, 300, n_rows) for _ in range(n_cols)]
-    header = [f"c{k}" for k in range(n_cols)]
+    random = [rng.standard_normal(n_rows) * 10.0 ** rng.integers(-320, 300, n_rows) for _ in range(n_cols)]
+    for columns in (random, _run_columns(n_rows) + random):
+        header = [f"c{k}" for k in range(len(columns))]
+        expected = _savetxt_bytes(tmp_path / "ref.csv", header, columns)
+        write_csv(str(tmp_path / "a.csv"), header, columns)
+        assert (tmp_path / "a.csv").read_bytes() == expected
+        # the first column as the text a command formats once for all its files
+        write_csv(str(tmp_path / "b.csv"), header, [_run_text(columns[0])] + columns[1:])
+        assert (tmp_path / "b.csv").read_bytes() == expected
+
+
+_NAN_PAYLOAD = np.array([0x7FF8000000000001]).view(float)[0]
+POOL = [0.0, -0.0, np.nan, -np.nan, _NAN_PAYLOAD, np.inf, -np.inf, 5e-324, -1e-310, 1.0 / 3.0, -2.5, 1e300]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n_cols: st.integers(0, 40).flatmap(
+            lambda n_rows: st.lists(
+                st.lists(st.sampled_from(POOL), min_size=n_rows, max_size=n_rows), min_size=n_cols, max_size=n_cols
+            )
+        )
+    )
+)
+def test_write_csv_runs_equal_savetxt(tmp_path, table):
+    columns = [np.array(col, dtype=float) for col in table]
+    header = [f"c{k}" for k in range(len(columns))]
+    expected = _savetxt_bytes(tmp_path / "ref.csv", header, columns)
     write_csv(str(tmp_path / "a.csv"), header, columns)
-    assert (tmp_path / "a.csv").read_bytes() == _savetxt_bytes(tmp_path / "ref.csv", header, columns)
+    assert (tmp_path / "a.csv").read_bytes() == expected
+    write_csv(str(tmp_path / "b.csv"), header, [_run_text(columns[0])] + columns[1:])
+    assert (tmp_path / "b.csv").read_bytes() == expected
+
+
+def test_write_csv_empty_columns_write_header_only(tmp_path):
+    empty = np.empty(0)
+    write_csv(str(tmp_path / "e.csv"), ("a", "b", "c"), (empty, _run_text(empty), empty))
+    assert (tmp_path / "e.csv").read_bytes() == b"a,b,c\n"
+    assert _savetxt_bytes(tmp_path / "ref.csv", ("a", "b", "c"), (empty, empty, empty)) == b"a,b,c\n"
+
+
+def test_write_csv_rejects_columns_of_unequal_length(tmp_path):
+    for columns in ((np.zeros(3), np.ones(2)), (np.zeros(2), np.arange(3.0)), (_run_text(np.zeros(2)), np.zeros(3))):
+        with pytest.raises(ValueError, match="differ in length"):
+            write_csv(str(tmp_path / "a.csv"), ("a", "b"), columns)
 
 
 # every field the Riemann commands read, and every field `blowup` reads

@@ -273,28 +273,25 @@ def test_weight_strictly_increasing():
 
 def test_evaluate_regular_and_singular_parts():
     t = 1.0
-    far_left = FULL.evaluate(-10.0, t)
-    assert far_left.alpha == DELTA_DATA.alpha_l
-    assert far_left.u == pytest.approx(FULL.left_state(t)[1])
-    assert not far_left.singular.present
-
-    on_curve = FULL.evaluate(FULL.position(t), t)
-    assert on_curve.u == pytest.approx(FULL.speed(t))
-    assert on_curve.singular.present
-    assert on_curve.singular.weight == pytest.approx(FULL.weight(t), rel=1e-14)
-    assert on_curve.singular.location == pytest.approx(FULL.position(t), rel=1e-14)
+    xi = FULL.position(t)
+    alpha, u = FULL.regular_fields(np.array([-10.0, xi]), t)
+    assert alpha[0] == DELTA_DATA.alpha_l
+    assert u[0] == pytest.approx(FULL.left_state(t)[1])
+    # on the curve: the front speed and the mean density; the point mass is weight(t) at xi
+    assert u[1] == FULL.speed(t)
+    assert alpha[1] == 0.5 * (DELTA_DATA.alpha_l + DELTA_DATA.alpha_r)
+    assert FULL.weight(t) == pytest.approx(OMEGA1_FULL, rel=1e-14)
+    assert xi == pytest.approx(XI1_FULL, rel=1e-14)
 
 
 def test_vacuum_bounds_and_interior():
     assert VAC.bounds(0.0) == (0.0, 0.0)
     x1, x2 = VAC.bounds(1.0)
     assert x1 < x2
-    mid = VAC.evaluate(0.5 * (x1 + x2), 1.0)
-    assert mid.alpha == 0.0
-    assert not mid.singular.present
-    assert mid.u == pytest.approx(VAC.fan_velocity(0.5 * (x1 + x2), 1.0))
-    left = VAC.evaluate(x1 - 1.0, 1.0)
-    assert left.alpha == VACUUM_DATA.alpha_l
+    alpha, u = VAC.regular_fields(np.array([0.5 * (x1 + x2), x1 - 1.0]), 1.0)
+    assert alpha[0] == 0.0
+    assert u[0] == pytest.approx(VAC.fan_velocity(0.5 * (x1 + x2), 1.0))
+    assert alpha[1] == VACUUM_DATA.alpha_l
 
 
 def test_vacuum_velocity_continuity():
@@ -360,7 +357,7 @@ def test_one_zero_density_closed_form(case, mu, omega0):
     assert np.max(np.abs(weak_residual(sol, CRITERION9_PSIS, quad_resolution=400))) <= 1e-6
 
 
-def test_contact_regular_fields_and_evaluate():
+def test_contact_regular_fields_scalar_equals_array():
     d = ds.RiemannData(0.01, 0.7, 0.02, 0.7)
     sol = ContactSolution(d, PARAMS_02)
     t = 1.5
@@ -371,6 +368,5 @@ def test_contact_regular_fields_and_evaluate():
     assert list(alpha) == [0.01, 0.01, 0.5 * (0.01 + 0.02), 0.02, 0.02]
     assert np.all(u == speed)
     for xk, ak in zip(x, alpha):
-        pv = sol.evaluate(float(xk), t)
-        assert pv.alpha == ak and pv.u == speed
-        assert not pv.singular.present
+        assert sol.regular_fields(float(xk), t) == (ak, speed)
+    assert sol.weight(t) == 0.0  # no point mass rides a contact
