@@ -177,6 +177,9 @@ def reference_advance(
             _drag(q, alpha, ua, math.exp(-mu * dt), diff)
         t = t_end if remaining <= dt * (1.0 + 1e-12) else t + dt
 
+    # the last drag's momentum, which no step checks after it
+    if step and mu > 0.0 and not (math.isfinite(q.min()) and math.isfinite(q.max())):
+        raise SolverAbort(f"non-finite state at step {step} (t={t:.6g})")
     return FieldState(grid=grid, alpha=alpha, q=q, time=t_end)
 
 

@@ -474,6 +474,14 @@ def test_cells_zero_exit_2(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_blowup_negative_t_max_names_field(tmp_path, capsys):
+    cfg = tmp_path / "s.json"
+    write_config(cfg, dict(BLOWUP_SCENARIO, t_max=-1))
+    assert main(["blowup", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: t_max must be finite and nonnegative, got -1.0")
+    assert not (tmp_path / "tanh_blowup_report.json").exists()
+
+
 def _savetxt_bytes(path, header, columns):
     np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",", header=",".join(header), comments="")
     return path.read_bytes()

@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -206,13 +207,12 @@ def test_advance_rejects_bad_fixed_dt(fixed_dt):
         advance(st, PARAMS_02, 1.0, fixed_dt=fixed_dt)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value")
 def test_advance_aborts_on_nonfinite():
     g = Grid1D(0.0, 1.0, 32)
     q = np.full(32, 0.01)
     q[5] = np.inf
     st = FieldState(g, np.full(32, 0.01), q, 0.0)
-    with pytest.raises(SolverAbort):
+    with pytest.raises(SolverAbort, match=r"non-finite state at step 1 \("):
         advance(st, PARAMS_02, 0.5, cfl=0.5)
 
 
@@ -372,6 +372,16 @@ def _outcome(run, *args, **kw):
     return out.alpha.tobytes(), out.q.tobytes()
 
 
+def _reference_outcome(*args, **kw):
+    """``_outcome`` of ``reference_advance``, whose loop warns as it computes with bad values.
+
+    ``advance`` itself must not warn: the suite turns warnings into errors.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return _outcome(reference_advance, *args, **kw)
+
+
 STATE = st.tuples(st.sampled_from([0.0, 1e-13, 0.002, 0.01, 0.03]), st.floats(-2.0, 2.0))
 POISON = st.none() | st.tuples(
     st.sampled_from(["first", "last", "interior"]),
@@ -380,7 +390,6 @@ POISON = st.none() | st.tuples(
 )
 
 
-@pytest.mark.filterwarnings("ignore:invalid value", "ignore:overflow")
 @settings(max_examples=300, deadline=None)
 @given(
     n=st.integers(2, 48),
@@ -428,6 +437,12 @@ POISON = st.none() | st.tuples(
          poison=None, mu=3.0, ua=-1.0, fixed=False, courant=0.5, t_end=0.6)
 @example(n=16, cuts=[7, 8], states=[(0.01, 1.0), (0.0, 0.0), (0.01, 1.0), (0, 0), (0, 0)],
          poison=None, mu=0.0, ua=1.0, fixed=True, courant=0.5, t_end=0.1)
+# densities whose squares overflow: every value stays finite, but the
+# finiteness dot of alpha and q is inf and the extremes must clear it
+@example(n=16, cuts=[8], states=[(1e155, 1.0), (2e155, -0.5), (0, 0), (0, 0), (0, 0)],
+         poison=None, mu=0.5, ua=1.0, fixed=False, courant=0.5, t_end=0.2)
+@example(n=16, cuts=[8], states=[(1e200, 1.5), (3e200, 0.5), (0, 0), (0, 0), (0, 0)],
+         poison=None, mu=0.2, ua=1.0, fixed=True, courant=0.9, t_end=0.2)
 def test_advance_equals_full_grid_reference(n, cuts, states, poison, mu, ua, fixed, courant, t_end):
     # the windowed kernel must return the full-grid loop's bytes, or abort
     # with its message (same step, same argmin cell and value)
@@ -440,7 +455,47 @@ def test_advance_equals_full_grid_reference(n, cuts, states, poison, mu, ua, fix
     grid = Grid1D(-1.0, 1.0, n)
     kw = {"fixed_dt": courant * grid.dx / 2.0} if fixed else {"cfl": min(courant, 1.0)}
     state, params = FieldState(grid, alpha, q, 0.0), ds.ModelParams(mu, ua)
-    assert _outcome(advance, state, params, t_end, **kw) == _outcome(reference_advance, state, params, t_end, **kw)
+    assert _outcome(advance, state, params, t_end, **kw) == _reference_outcome(state, params, t_end, **kw)
+
+
+@pytest.mark.parametrize("field", ["alpha", "q"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_advance_nonfinite_interior_value_aborts_as_reference(field, value):
+    # the bad value makes the dot non-finite, and the extremes name the step
+    g = Grid1D(0.0, 1.0, 32)
+    alpha = np.full(32, 0.01)
+    q = np.full(32, 0.01)
+    (alpha if field == "alpha" else q)[16] = value
+    st = FieldState(g, alpha, q, 0.0)
+    message = _outcome(advance, st, PARAMS_02, 0.5, cfl=0.5)
+    assert message == _reference_outcome(st, PARAMS_02, 0.5, cfl=0.5)
+    assert message.startswith("non-finite state at step ")
+
+
+@pytest.mark.parametrize("t_end, step", [(0.01, 1), (0.05, 2)])
+def test_advance_aborts_on_nonfinite_last_drag(t_end, step):
+    # alpha*ua overflows in the drag, so every momentum turns NaN; the last
+    # step's drag has no step after it whose check would catch that
+    g = Grid1D(0.0, 1.0, 16)
+    alpha = np.full(16, 1e308)
+    st = FieldState(g, alpha, 0.5 * alpha, 0.0)
+    params = ds.ModelParams(1.0, 2.0)
+    message = _outcome(advance, st, params, t_end, fixed_dt=0.01)
+    assert message == _reference_outcome(st, params, t_end, fixed_dt=0.01)
+    assert message.startswith(f"non-finite state at step {step} (")
+
+
+def test_advance_aborts_when_density_overflows():
+    # colliding streams at alpha = 1.5e308 and CFL 1: the two cells at the
+    # jump overflow to alpha = +inf while min(alpha) and q stay finite, so
+    # only max(alpha) behind the non-finite dot catches the first step
+    g = Grid1D(-1.0, 1.0, 16)
+    alpha = np.full(16, 1.5e308)
+    st = FieldState(g, alpha, alpha * np.where(np.arange(16) < 8, 0.5, -0.5), 0.0)
+    params = ds.ModelParams(0.0, 1.0)
+    message = _outcome(advance, st, params, 0.5, cfl=1.0)
+    assert message == _reference_outcome(st, params, 0.5, cfl=1.0)
+    assert message.startswith("non-finite state at step 1 (")
 
 
 def test_advance_window_grows_one_cell_per_side(monkeypatch):

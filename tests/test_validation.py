@@ -66,6 +66,12 @@ def test_crossing_oracle_requires_three_feet():
         first_crossing_time(make_tanh_profile(-2.0), PARAMS_02, 1.0, n_feet=MAX_FEET + 1)
 
 
+@pytest.mark.parametrize("t_max", [-1.0, float("inf"), float("nan")])
+def test_crossing_oracle_rejects_bad_t_max(t_max):
+    with pytest.raises(ValueError, match="t_max must be finite and nonnegative"):
+        first_crossing_time(make_tanh_profile(-2.0), PARAMS_02, t_max)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     cubic=st.booleans(),
@@ -250,6 +256,24 @@ def test_compare_numeric_run_sane():
     assert rep.shock_position_error <= 3
     assert rep.excess_mass_rel_error <= 0.1
     assert rep.l1_u <= 5e-3
+
+
+@pytest.mark.parametrize(
+    "data, errors",
+    # README densities 0.008/0.003 and the mirrored 0.003/0.008; at
+    # t = 0.0005 and 0.001 the README spike is still below the alpha_l
+    # plateau, so the argmax of alpha alone lands 1000 cells off
+    [(DELTA_DATA, [0, 1, 0, 1, 2]), (ds.RiemannData(0.003, 1.5, 0.008, 0.5), [0, 1, 0, 0, 1])],
+    ids=["readme", "mirrored"],
+)
+def test_compare_locates_spike_above_background(data, errors):
+    sol = ds.solve(data, PARAMS_02)
+    st = ds.FieldState.from_riemann(ds.Grid1D(-1.0, 2.0, 3000), data)
+    got = []
+    for t in (0.0, 0.0005, 0.001, 0.4, 1.0):
+        st = ds.advance(st, PARAMS_02, t, fixed_dt=1e-4)
+        got.append(compare(st, sol, 0.05).shock_position_error)
+    assert got == errors  # t = 0 has no point mass, so no spike to miss
 
 
 def test_convergence_ladder():
