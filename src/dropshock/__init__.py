@@ -19,7 +19,7 @@ from .core import (
     fan_velocity,
     relax_velocity,
 )
-from .burgers import BlowupReport, BurgersWave, WaveKind, blowup, smooth_fields
+from .burgers import BlowupReport, blowup, smooth_fields
 from .droplet import (
     ContactSolution,
     DeltaShockSolution,
@@ -29,7 +29,7 @@ from .droplet import (
     solve,
     weight_lower_bound,
 )
-from .grh import GrhMonitorError, GrhState, GrhTrajectory, LimitStates, integrate, rhs
+from .grh import GrhMonitorError, GrhState, GrhTrajectory, LimitStates, integrate
 from .fv import (
     FieldState,
     Grid1D,

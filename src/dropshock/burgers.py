@@ -1,116 +1,30 @@
-"""Exact Riemann solution for the velocity equation with relaxation drag.
+"""Smooth solutions of the velocity equation with relaxation drag.
 
-The scalar equation u_t + (u^2/2)_x = mu*(ua - u) keeps the classical
-Riemann wave structure (shock for a decreasing jump, rarefaction for an
-increasing one) but the limit states, the shock speed and the fan edges
-all relax exponentially toward the carrier velocity.  The module also
-carries the smooth-solution machinery: the gradient/volume-fraction
+The scalar equation u_t + (u^2/2)_x = mu*(ua - u) is the first of the two
+simpler problems the droplet system is solved through.  This module
+carries its smooth-solution machinery: the gradient/volume-fraction
 transport along characteristics and the finite-time blowup predictor.
+Its Riemann solution is the velocity of the subsystem's droplet solution
+(``droplet.DeltaShockSolution`` with ``DeltaVariant.SUBSYSTEM`` for a
+shock, ``droplet.solve`` otherwise).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional
 
 import numpy as np
 
-from .core import BlowupError, ModelParams, RiemannData, SmoothProfile, decay_integral
-from .droplet import ContactSolution, DeltaShockSolution, DeltaVariant, VacuumSolution
+from .core import BlowupError, ModelParams, SmoothProfile, decay_integral
 
 __all__ = [
-    "WaveKind",
-    "BurgersWave",
     "BlowupReport",
     "blowup",
     "blowup_time_for_slope",
     "smooth_fields",
 ]
-
-
-class WaveKind(Enum):
-    SHOCK = "shock"
-    RAREFACTION = "rarefaction"
-    CONSTANT = "constant"
-
-
-@dataclass(frozen=True)
-class BurgersWave:
-    """Exact solution of the velocity Riemann problem (alpha fields unused).
-
-    The velocity is that of the decoupled subsystem's droplet solution:
-    the subsystem delta shock (arithmetic-mean speed) for a shock, the
-    vacuum fan for a rarefaction and a contact for a constant state.
-    """
-
-    data: RiemannData
-    params: ModelParams
-
-    @property
-    def kind(self) -> WaveKind:
-        if self.data.u_l > self.data.u_r:
-            return WaveKind.SHOCK
-        if self.data.u_l < self.data.u_r:
-            return WaveKind.RAREFACTION
-        return WaveKind.CONSTANT
-
-    @property
-    def _solution(self):
-        kind, d, p = self.kind, self.data, self.params
-        if kind is WaveKind.SHOCK:
-            return DeltaShockSolution(d, p, DeltaVariant.SUBSYSTEM)
-        return VacuumSolution(d, p) if kind is WaveKind.RAREFACTION else ContactSolution(d, p)
-
-    def _wave(self, kind: WaveKind, op: str):
-        """The droplet solution, once ``op`` is known to apply to this kind of wave."""
-        if self.kind is not kind:
-            raise ValueError(f"{op} is only defined for a {kind.value} wave, not {self.kind.value}")
-        return self._solution
-
-    def left_state(self, t):
-        """Left limit state u_l(t)."""
-        return self._solution.left_state(t)[1]
-
-    def right_state(self, t):
-        """Right limit state u_r(t)."""
-        return self._solution.right_state(t)[1]
-
-    def shock_speed(self, t):
-        """sigma(t) = (u_l(t) + u_r(t))/2, strictly between the limit states."""
-        return self._wave(WaveKind.SHOCK, "shock_speed").speed(t)
-
-    def shock_position(self, t):
-        """xi(t), the time integral of the shock speed, with xi(0) = 0."""
-        return self._wave(WaveKind.SHOCK, "shock_position").position(t)
-
-    def rarefaction_bounds(self, t):
-        """Fan edges (X1(t), X2(t)): integrals of the left/right limit states."""
-        return self._wave(WaveKind.RAREFACTION, "rarefaction_bounds").bounds(t)
-
-    def fan_velocity(self, x, t):
-        """Velocity inside the fan (``core.fan_velocity``); t = 0 is rejected."""
-        fan = self._wave(WaveKind.RAREFACTION, "fan_velocity")
-        if np.ndim(t) != 0:
-            raise ValueError("fan_velocity expects a scalar time")
-        return fan.fan_velocity(x, float(t))
-
-    def evaluate(self, x, t):
-        """Pointwise velocity at time t (vectorized over x).
-
-        Shock: u_l left of xi(t), sigma(t) on the curve, u_r right of it.
-        Rarefaction: u_l / fan / u_r by region.  Constant: the relaxed
-        initial velocity everywhere.  At t = 0 the measure-zero point
-        x = 0 gets the mean of the two initial states.
-        """
-        if np.ndim(t) != 0:
-            raise ValueError("evaluate expects a scalar time")
-        t = float(t)
-        if t < 0.0:
-            raise ValueError("t must be nonnegative")
-        u = self._solution.regular_fields(x, t)[1]
-        return float(u) if np.ndim(x) == 0 else u
 
 
 @dataclass(frozen=True)

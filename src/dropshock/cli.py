@@ -235,10 +235,11 @@ def _exact_snapshot_row(solution, t: float) -> dict:
     if solution.kind == "vacuum":
         x1, x2 = solution.bounds(t)
         return {"t": t, "X1": float(x1), "X2": float(x2)}
-    row = {"t": t, "xi": float(solution.position(t)), "sigma": float(solution.speed(t))}
+    row = {"t": t, "xi": float(solution.position(t)), "sigma": float(solution.speed(t)),
+           "omega": float(solution.weight(t))}
     if solution.kind == "delta-shock":
         gl, gr = solution.entropy_gaps(t)
-        row.update(omega=float(solution.weight(t)), gap_left=float(gl), gap_right=float(gr))
+        row.update(gap_left=float(gl), gap_right=float(gr))
     return row
 
 

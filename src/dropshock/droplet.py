@@ -11,6 +11,14 @@ densities differ.  The full-system closed form also covers data with one
 zero side density: no mass is swept in, so the weight stays omega0 and
 the front rides the relaxed velocity of the non-empty side.
 
+The velocity of the subsystem's solutions (the ``DeltaVariant.SUBSYSTEM``
+delta shock, the vacuum and the contact) is the exact Riemann solution of
+the velocity equation u_t + (u^2/2)_x = mu*(ua - u): its shock moves with
+``speed`` along ``position``, its fan has edges ``bounds`` and velocity
+``fan_velocity``, its limit states are the second components of
+``left_state`` and ``right_state``, and its pointwise value is
+``regular_fields(x, t)[1]``.
+
 Point masses are carried by ``weight`` and ``position``;
 ``regular_fields`` never folds a Dirac mass into a pointwise density value.
 """

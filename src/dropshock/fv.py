@@ -26,11 +26,11 @@ negative-density abort names its cell), so the output is byte for byte
 that of stepping every cell.
 
 After the transport update a step takes min(alpha), which the next step's
-vacuum test needs, and one dot product alpha.q.  A NaN or inf among them
-makes the IEEE sum non-finite, so a finite dot proves every value finite;
-only a non-finite dot (a bad value, or finite data that overflow it)
-takes max(alpha), min(q) and max(q) to decide the abort.  The last step's
-drag is checked the same way on return.  numpy's overflow and invalid
+vacuum test needs, and after the drag one dot product alpha.q.  A NaN or
+inf among them makes the IEEE sum non-finite, so a finite dot proves every
+value finite; only a non-finite dot (a bad value, or finite data that
+overflow it) takes max(alpha), min(q) and max(q) to decide the abort.
+There is one check per step, after the drag.  numpy's overflow and invalid
 warnings are off for the whole of each ``advance`` call (one ``errstate``
 per call): the checks, not warnings, report a bad state.
 
@@ -347,9 +347,9 @@ def advance(
         qw -= np.multiply(np.subtract(f_mom[1:], f_mom[:-1], out=dw), lam, out=dw)
 
         a_lo = float(aw.min())
-        if _nonfinite(aw, qw, a_lo):
-            raise SolverAbort(f"non-finite state at step {step} (t={t + dt:.6g})")
         if a_lo < -1e-13:
+            if _nonfinite(aw, qw, a_lo):  # a -inf or a bad q aborts as non-finite, not negative
+                raise SolverAbort(f"non-finite state at step {step} (t={t + dt:.6g})")
             _fill_far_field(alpha, q, lo, hi)  # the message names the first such cell of the grid
             j = int(np.argmin(alpha))
             raise SolverAbort(
@@ -360,11 +360,10 @@ def advance(
 
         if mu > 0.0:
             _drag(qw, aw, ua, math.exp(-mu * dt), dw)
+        # after the drag, so a step's own drag overflow is reported at that step
+        if _nonfinite(aw, qw, a_lo):
+            raise SolverAbort(f"non-finite state at step {step} (t={t + dt:.6g})")
         t = t_end if remaining <= dt * (1.0 + 1e-12) else t + dt
-
-    # the check above runs before the drag: check the last drag's momentum
-    if step and mu > 0.0 and _nonfinite(aw, qw, a_lo):
-        raise SolverAbort(f"non-finite state at step {step} (t={t:.6g})")
 
     _fill_far_field(alpha, q, lo, hi)
     return FieldState(grid=grid, alpha=alpha, q=q, time=t_end)

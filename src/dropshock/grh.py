@@ -8,7 +8,9 @@ point mass w and its momentum m = w*s (s the shock speed):
 
 with a = alpha_r - alpha_l, b = alpha_r*u_r - alpha_l*u_l and
 c = alpha_r*u_r^2 - alpha_l*u_l^2 built from the one-sided limit states.
-The integrator handles the singular w(0) = 0 start by seeding a tiny
+The right-hand side is evaluated only in the RK4 stages of ``integrate``;
+for Riemann limit states ``droplet.DeltaShockSolution`` is the closed-form
+solution of the same ODEs.  The integrator handles the singular w(0) = 0 start by seeding a tiny
 mass moving at the entropy-admissible initial speed, mirroring the
 vanishing-mass regularization that underlies the existence argument,
 and aborts if the monitored admissibility conditions (mass growth and
@@ -31,7 +33,6 @@ __all__ = [
     "GrhState",
     "GrhTrajectory",
     "LimitStates",
-    "rhs",
     "integrate",
 ]
 
@@ -85,12 +86,6 @@ class LimitStates:
             u_r=lambda t: relax_velocity(data.u_r, params, t),
         )
 
-    def coefficients(self, t):
-        """(a, b, c) jump coefficients at time t."""
-        return _jump_coefficients(
-            float(self.alpha_l(t)), float(self.u_l(t)), float(self.alpha_r(t)), float(self.u_r(t))
-        )
-
 
 @dataclass(frozen=True)
 class GrhState:
@@ -98,16 +93,6 @@ class GrhState:
 
     mass: float
     momentum: float
-
-
-def rhs(z: GrhState, t: float, states: LimitStates, params: ModelParams):
-    """Time derivative (dmass, dmomentum) of the point-mass pair."""
-    w, m = z.mass, z.momentum
-    if w <= 0.0:
-        raise ValueError(f"point mass must be positive to evaluate the rhs, got {w!r}")
-    a, b, c = states.coefficients(t)
-    s = m / w
-    return a * s - b, b * s + params.mu * (params.ua * w - m) - c
 
 
 @dataclass(frozen=True)

@@ -271,14 +271,16 @@ def weak_residual(
 def sample_exact(solution, grid: Grid1D, t: float, lump_delta: bool = False) -> FieldState:
     """Exact regular fields sampled at the cell centers of ``grid``.
 
-    With ``lump_delta`` the point mass (if any) is deposited into the cell
-    containing it, as a finite-volume scheme would represent it.
+    With ``lump_delta`` the point mass of a front (a delta shock or a
+    contact; a vacuum has none) is deposited into the cell containing it,
+    as a finite-volume scheme would represent it.  A contact with omega0 = 0
+    adds zeros of the cell's own sign, so every cell keeps its bytes.
     """
     x = grid.centers()
     alpha, u = solution.regular_fields(x, t)
     alpha = np.array(alpha, dtype=float)
     q = alpha * np.asarray(u, dtype=float)
-    if lump_delta and solution.kind == "delta-shock":
+    if lump_delta and solution.kind != "vacuum":
         w = float(solution.weight(t))
         xi = float(solution.position(t))
         j = grid.cell_index(xi)

@@ -1,8 +1,15 @@
+"""The velocity equation u_t + (u^2/2)_x = mu*(ua - u).
+
+Its Riemann solution is the velocity of the subsystem's droplet solution
+(``velocity_solution``); the smooth-solution machinery and the blowup
+predictor are ``dropshock.burgers``.
+"""
+
 import numpy as np
 import pytest
 
 import dropshock as ds
-from dropshock.burgers import BurgersWave, WaveKind, blowup, smooth_fields
+from dropshock.burgers import blowup, smooth_fields
 
 from helpers import (
     DENOM_05,
@@ -14,11 +21,12 @@ from helpers import (
     XI1,
     make_cubic_profile,
     make_tanh_profile,
+    velocity_solution,
 )
 
 P1 = ds.ModelParams(1.0, 0.2)
-SHOCK = BurgersWave(ds.RiemannData(1.0, 1.0, 1.0, 0.5), P1)
-FAN = BurgersWave(ds.RiemannData(1.0, 0.5, 1.0, 1.0), P1)
+SHOCK = velocity_solution(ds.RiemannData(1.0, 1.0, 1.0, 0.5), P1)
+FAN = velocity_solution(ds.RiemannData(1.0, 0.5, 1.0, 1.0), P1)
 
 
 def quad(f, a, b):
@@ -28,106 +36,101 @@ def quad(f, a, b):
     return val
 
 
-@pytest.mark.parametrize(
-    "u_l,u_r,kind",
-    [(1.0, 0.5, WaveKind.SHOCK), (0.5, 1.0, WaveKind.RAREFACTION), (0.7, 0.7, WaveKind.CONSTANT)],
-)
-def test_classification(u_l, u_r, kind):
-    assert BurgersWave(ds.RiemannData(1.0, u_l, 1.0, u_r), P1).kind is kind
+def u_left(wave, t):
+    return wave.left_state(t)[1]
+
+
+def u_right(wave, t):
+    return wave.right_state(t)[1]
+
+
+def velocity(wave, x, t):
+    return wave.regular_fields(x, t)[1]
 
 
 def test_left_right_states():
-    assert SHOCK.left_state(0.0) == 1.0
-    assert SHOCK.right_state(0.0) == 0.5
-    assert SHOCK.left_state(1.0) == pytest.approx(LEFT1, rel=1e-14)
+    assert u_left(SHOCK, 0.0) == 1.0
+    assert u_right(SHOCK, 0.0) == 0.5
+    assert u_left(SHOCK, 1.0) == pytest.approx(LEFT1, rel=1e-14)
     # relaxation equilibrium
-    assert SHOCK.left_state(100.0) == pytest.approx(P1.ua, abs=1e-12)
-    assert SHOCK.right_state(100.0) == pytest.approx(P1.ua, abs=1e-12)
+    assert u_left(SHOCK, 100.0) == pytest.approx(P1.ua, abs=1e-12)
+    assert u_right(SHOCK, 100.0) == pytest.approx(P1.ua, abs=1e-12)
 
 
 def test_shock_speed_symmetric_case_constant():
-    wave = BurgersWave(ds.RiemannData(1.0, 1.0, 1.0, 0.5), ds.ModelParams(1.0, 0.75))
+    wave = velocity_solution(ds.RiemannData(1.0, 1.0, 1.0, 0.5), ds.ModelParams(1.0, 0.75))
     for t in (0.0, 0.3, 2.0, 10.0):
-        assert wave.shock_speed(t) == pytest.approx(0.75, abs=1e-14)
+        assert wave.speed(t) == pytest.approx(0.75, abs=1e-14)
 
 
 def test_shock_speed_values():
-    assert SHOCK.shock_speed(0.0) == pytest.approx(0.75, abs=1e-15)
-    assert SHOCK.shock_speed(1.0) == pytest.approx(SIG1, rel=1e-14)
+    assert SHOCK.speed(0.0) == pytest.approx(0.75, abs=1e-15)
+    assert SHOCK.speed(1.0) == pytest.approx(SIG1, rel=1e-14)
     # jump-conditions cross-check: sigma = (u_l + u_r)/2 at any t
     t = 1.0
-    assert SHOCK.shock_speed(t) == pytest.approx(
-        0.5 * (SHOCK.left_state(t) + SHOCK.right_state(t)), rel=1e-15
-    )
+    assert SHOCK.speed(t) == pytest.approx(0.5 * (u_left(SHOCK, t) + u_right(SHOCK, t)), rel=1e-15)
 
 
 def test_shock_position_values():
-    assert SHOCK.shock_position(0.0) == 0.0
-    assert SHOCK.shock_position(1.0) == pytest.approx(XI1, rel=1e-14)
+    assert SHOCK.position(0.0) == 0.0
+    assert SHOCK.position(1.0) == pytest.approx(XI1, rel=1e-14)
     # independent oracle: adaptive quadrature of the speed
-    assert SHOCK.shock_position(1.0) == pytest.approx(quad(SHOCK.shock_speed, 0.0, 1.0), abs=1e-12)
+    assert SHOCK.position(1.0) == pytest.approx(quad(SHOCK.speed, 0.0, 1.0), abs=1e-12)
 
 
 def test_shock_position_mu_zero_line():
-    wave = BurgersWave(ds.RiemannData(1.0, 1.0, 1.0, 0.5), ds.ModelParams(0.0, 0.0))
+    wave = velocity_solution(ds.RiemannData(1.0, 1.0, 1.0, 0.5), ds.ModelParams(0.0, 0.0))
     for t in (0.5, 2.0):
-        assert wave.shock_position(t) == pytest.approx(0.75 * t, rel=1e-14)
+        assert wave.position(t) == pytest.approx(0.75 * t, rel=1e-14)
 
 
 def test_shock_position_derivative_is_speed():
     h = 1e-6
     for t in (0.2, 1.0, 4.0):
-        fd = (SHOCK.shock_position(t + h) - SHOCK.shock_position(t - h)) / (2 * h)
-        assert fd == pytest.approx(SHOCK.shock_speed(t), abs=1e-9)
-
-
-def test_wave_kind_usage_errors():
-    with pytest.raises(ValueError, match="shock"):
-        FAN.shock_speed(1.0)
-    with pytest.raises(ValueError, match="rarefaction"):
-        SHOCK.rarefaction_bounds(1.0)
+        fd = (SHOCK.position(t + h) - SHOCK.position(t - h)) / (2 * h)
+        assert fd == pytest.approx(SHOCK.speed(t), abs=1e-9)
 
 
 def test_rarefaction_bounds_values():
-    assert FAN.rarefaction_bounds(0.0) == (0.0, 0.0)
-    x1, x2 = FAN.rarefaction_bounds(1.0)
+    assert FAN.bounds(0.0) == (0.0, 0.0)
+    x1, x2 = FAN.bounds(1.0)
     assert x1 == pytest.approx(X1_1, rel=1e-14)
     assert x2 == pytest.approx(X2_1, rel=1e-14)
     # the defining integrals of the limit states are the binding oracle
-    assert x1 == pytest.approx(quad(FAN.left_state, 0.0, 1.0), abs=1e-12)
-    assert x2 == pytest.approx(quad(FAN.right_state, 0.0, 1.0), abs=1e-12)
+    assert x1 == pytest.approx(quad(lambda t: u_left(FAN, t), 0.0, 1.0), abs=1e-12)
+    assert x2 == pytest.approx(quad(lambda t: u_right(FAN, t), 0.0, 1.0), abs=1e-12)
     assert x1 < x2
 
 
 def test_rarefaction_bounds_mu_zero():
-    fan = BurgersWave(ds.RiemannData(1.0, 0.5, 1.0, 1.0), ds.ModelParams(0.0, 0.0))
-    x1, x2 = fan.rarefaction_bounds(2.0)
+    fan = velocity_solution(ds.RiemannData(1.0, 0.5, 1.0, 1.0), ds.ModelParams(0.0, 0.0))
+    x1, x2 = fan.bounds(2.0)
     assert (x1, x2) == (pytest.approx(1.0), pytest.approx(2.0))
 
 
 def test_fan_velocity_center_and_edges():
     t = 1.0
     assert FAN.fan_velocity(P1.ua * t, t) == pytest.approx(P1.ua, abs=1e-15)
-    x1, x2 = FAN.rarefaction_bounds(t)
-    assert FAN.fan_velocity(x1, t) == pytest.approx(FAN.left_state(t), abs=1e-12)
-    assert FAN.fan_velocity(x2, t) == pytest.approx(FAN.right_state(t), abs=1e-12)
+    x1, x2 = FAN.bounds(t)
+    assert FAN.fan_velocity(x1, t) == pytest.approx(u_left(FAN, t), abs=1e-12)
+    assert FAN.fan_velocity(x2, t) == pytest.approx(u_right(FAN, t), abs=1e-12)
 
 
 def test_fan_velocity_mu_zero_similarity():
-    fan = BurgersWave(ds.RiemannData(1.0, -1.0, 1.0, 1.0), ds.ModelParams(0.0, 0.0))
+    fan = velocity_solution(ds.RiemannData(1.0, -1.0, 1.0, 1.0), ds.ModelParams(0.0, 0.0))
     assert fan.fan_velocity(0.3, 1.0) == pytest.approx(0.3, abs=1e-15)
 
 
 @pytest.mark.parametrize("u_l,u_r", [(1.0, 0.5), (0.5, 1.0), (0.7, 0.7)])
 def test_velocity_ignores_densities(u_l, u_r):
     # zero densities included: the velocity solution never reads them
-    empty = BurgersWave(ds.RiemannData(0.0, u_l, 0.0, u_r), P1)
-    full = BurgersWave(ds.RiemannData(1.0, u_l, 1.0, u_r), P1)
+    empty = velocity_solution(ds.RiemannData(0.0, u_l, 0.0, u_r), P1)
+    full = velocity_solution(ds.RiemannData(1.0, u_l, 1.0, u_r), P1)
     x = np.linspace(-1.0, 2.0, 31)
     for t in (0.0, 0.7, 3.0):
-        assert np.array_equal(empty.evaluate(x, t), full.evaluate(x, t))
-    if empty.kind is WaveKind.SHOCK:
-        assert empty.shock_speed(1.0) == full.shock_speed(1.0)
+        assert np.array_equal(velocity(empty, x, t), velocity(full, x, t))
+    if empty.kind == "delta-shock":
+        assert empty.speed(1.0) == full.speed(1.0)
 
 
 def test_fan_velocity_rejects_t0():
@@ -137,56 +140,56 @@ def test_fan_velocity_rejects_t0():
 
 def test_evaluate_constant_kind():
     p = ds.ModelParams(0.2, 1.0)
-    wave = BurgersWave(ds.RiemannData(1.0, 0.5, 1.0, 0.5), p)
+    wave = velocity_solution(ds.RiemannData(1.0, 0.5, 1.0, 0.5), p)
     for x in (-3.0, 0.0, 7.0):
-        assert wave.evaluate(x, 2.0) == pytest.approx(ds.relax_velocity(0.5, p, 2.0), rel=1e-15)
+        assert velocity(wave, x, 2.0) == pytest.approx(ds.relax_velocity(0.5, p, 2.0), rel=1e-15)
 
 
 def test_evaluate_shock_regions():
     t = 1.0
-    xi = SHOCK.shock_position(t)
-    assert SHOCK.evaluate(-10.0, t) == pytest.approx(SHOCK.left_state(t), rel=1e-15)
-    assert SHOCK.evaluate(10.0, t) == pytest.approx(SHOCK.right_state(t), rel=1e-15)
-    assert SHOCK.evaluate(xi, t) == pytest.approx(SHOCK.shock_speed(t), rel=1e-15)
+    xi = SHOCK.position(t)
+    assert velocity(SHOCK, -10.0, t) == pytest.approx(u_left(SHOCK, t), rel=1e-15)
+    assert velocity(SHOCK, 10.0, t) == pytest.approx(u_right(SHOCK, t), rel=1e-15)
+    assert velocity(SHOCK, xi, t) == pytest.approx(SHOCK.speed(t), rel=1e-15)
 
 
 def test_evaluate_fan_midpoint():
     t = 1.0
-    x1, x2 = FAN.rarefaction_bounds(t)
+    x1, x2 = FAN.bounds(t)
     xm = 0.5 * (x1 + x2)
-    assert FAN.evaluate(xm, t) == pytest.approx(FAN.fan_velocity(xm, t), rel=1e-15)
+    assert velocity(FAN, xm, t) == pytest.approx(FAN.fan_velocity(xm, t), rel=1e-15)
 
 
 def test_entropy_strict_and_degenerate():
     for t in np.linspace(0.0, 20.0, 81):
-        sig = SHOCK.shock_speed(t)
-        assert SHOCK.right_state(t) < sig < SHOCK.left_state(t)
+        sig = SHOCK.speed(t)
+        assert u_right(SHOCK, t) < sig < u_left(SHOCK, t)
     # both gaps decay by exactly e^-10 at t = 10/mu
     t10 = 10.0 / P1.mu
     gap0 = 0.5 * (SHOCK.data.u_l - SHOCK.data.u_r)
     bound = gap0 * np.exp(-10.0) * (1 + 1e-9)
-    assert SHOCK.left_state(t10) - SHOCK.shock_speed(t10) <= bound
-    assert SHOCK.shock_speed(t10) - SHOCK.right_state(t10) <= bound
+    assert u_left(SHOCK, t10) - SHOCK.speed(t10) <= bound
+    assert SHOCK.speed(t10) - u_right(SHOCK, t10) <= bound
 
 
 def test_entropy_gaps_monotone():
     ts = np.linspace(0.0, 20.0, 200)
-    gl = np.array([SHOCK.left_state(t) - SHOCK.shock_speed(t) for t in ts])
-    gr = np.array([SHOCK.shock_speed(t) - SHOCK.right_state(t) for t in ts])
+    gl = np.array([u_left(SHOCK, t) - SHOCK.speed(t) for t in ts])
+    gr = np.array([SHOCK.speed(t) - u_right(SHOCK, t) for t in ts])
     assert np.all(np.diff(gl) < 0) and np.all(np.diff(gr) < 0)
 
 
 def test_jump_condition_identity():
     rng = np.random.default_rng(3)
     for t in rng.uniform(0.0, 20.0, 100):
-        ul, ur, sig = SHOCK.left_state(t), SHOCK.right_state(t), SHOCK.shock_speed(t)
+        ul, ur, sig = u_left(SHOCK, t), u_right(SHOCK, t), SHOCK.speed(t)
         assert abs((ur - ul) * sig - 0.5 * (ur * ur - ul * ul)) <= 1e-13
 
 
 def _residual(wave, x, t, h=1e-5):
-    u_t = (wave.evaluate(x, t + h) - wave.evaluate(x, t - h)) / (2 * h)
-    u_x = (wave.evaluate(x + h, t) - wave.evaluate(x - h, t)) / (2 * h)
-    u = wave.evaluate(x, t)
+    u_t = (velocity(wave, x, t + h) - velocity(wave, x, t - h)) / (2 * h)
+    u_x = (velocity(wave, x + h, t) - velocity(wave, x - h, t)) / (2 * h)
+    u = velocity(wave, x, t)
     return u_t + u * u_x - wave.params.mu * (wave.params.ua - u)
 
 
@@ -194,7 +197,7 @@ def test_classical_residual_away_from_waves():
     rng = np.random.default_rng(11)
     for _ in range(20):
         t = rng.uniform(0.3, 5.0)
-        xi = SHOCK.shock_position(t)
+        xi = SHOCK.position(t)
         assert abs(_residual(SHOCK, xi - rng.uniform(1.0, 5.0), t)) <= 1e-6
         assert abs(_residual(SHOCK, xi + rng.uniform(1.0, 5.0), t)) <= 1e-6
 
@@ -203,7 +206,7 @@ def test_fan_residual_inside():
     rng = np.random.default_rng(12)
     for _ in range(20):
         t = rng.uniform(0.3, 5.0)
-        x1, x2 = FAN.rarefaction_bounds(t)
+        x1, x2 = FAN.bounds(t)
         x = rng.uniform(x1 + 0.05 * (x2 - x1), x2 - 0.05 * (x2 - x1))
         assert abs(_residual(FAN, x, t)) <= 1e-6
 

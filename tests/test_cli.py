@@ -76,6 +76,19 @@ def test_exact_constant_state(tmp_path):
     assert np.allclose(u, expected, rtol=1e-14, atol=0)
 
 
+def test_exact_contact_reports_point_mass(tmp_path):
+    # a contact is a front with a weight: omega0 rides it unchanged
+    cfg = tmp_path / "s.json"
+    riemann = {"alpha_l": 0.008, "u_l": 1.0, "alpha_r": 0.003, "u_r": 1.0, "omega0": 0.02}
+    write_config(cfg, dict(DELTA_SCENARIO, name="contact", riemann=riemann))
+    assert main(["exact", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "contact_exact_report.json").read_text())
+    assert report["solution_kind"] == "contact"
+    for snap in report["snapshots"]:
+        assert set(snap) == {"t", "xi", "sigma", "omega"}
+        assert snap["omega"] == 0.02
+
+
 def test_simulate_initial_snapshot_echo(tmp_path):
     cfg = tmp_path / "s.json"
     scenario = dict(DELTA_SCENARIO, name="t0", t_snapshots=[0.0], n_cells=64)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import dropshock as ds
-from dropshock.grh import GrhMonitorError, GrhState, LimitStates, integrate, rhs
+from dropshock.grh import GrhMonitorError, GrhState, LimitStates, integrate
 
 from helpers import (
     DELTA_DATA,
@@ -13,6 +13,7 @@ from helpers import (
     PARAMS_02,
     SIGBAR0,
     SIGMA1_FULL,
+    _reference_rates,
     random_admissible,
     reference_integrate,
 )
@@ -21,17 +22,19 @@ STATES = LimitStates.from_riemann(DELTA_DATA, PARAMS_02)
 FULL = ds.DeltaShockSolution(DELTA_DATA, PARAMS_02)
 
 
+# the jump-ODE right-hand side of the stage-by-stage oracle, whose RK4 loop
+# integrate must match bit for bit
 def test_rhs_equal_densities_case():
     d = ds.RiemannData(0.01, 1.2, 0.01, 0.4)
     st = LimitStates.from_riemann(d, PARAMS_02)
-    dw, _ = rhs(GrhState(1e-3, 1e-3 * 0.8), 0.0, st, PARAMS_02)
+    dw, _, _ = _reference_rates(0.0, 1e-3, 1e-3 * 0.8, st, PARAMS_02)
     assert dw == pytest.approx(0.01 * (1.2 - 0.4), rel=1e-14)
     assert dw > 0
 
 
 def test_rhs_rejects_nonpositive_mass():
-    with pytest.raises(ValueError):
-        rhs(GrhState(0.0, 0.0), 0.0, STATES, PARAMS_02)
+    with pytest.raises(GrhMonitorError, match="nonpositive"):
+        _reference_rates(0.0, 0.0, 0.0, STATES, PARAMS_02)
 
 
 def test_rhs_matches_closed_form_slope_at_t0():
@@ -39,7 +42,7 @@ def test_rhs_matches_closed_form_slope_at_t0():
     d = ds.RiemannData(0.008, 1.5, 0.003, 0.5, omega0=w0)
     sol = ds.DeltaShockSolution(d, PARAMS_02)
     st = LimitStates.from_riemann(d, PARAMS_02)
-    dw, dm = rhs(GrhState(w0, w0 * SIGBAR0), 0.0, st, PARAMS_02)
+    dw, dm, _ = _reference_rates(0.0, w0, w0 * SIGBAR0, st, PARAMS_02)
     h = 1e-6
     # second-order one-sided differences at t = 0
 
@@ -55,8 +58,8 @@ def test_rhs_matches_closed_form_slope_at_t0():
 def test_rhs_autonomous_when_mu_zero_constant_states():
     p0 = ds.ModelParams(0.0, 1.0)
     st = LimitStates.from_riemann(DELTA_DATA, p0)
-    z = GrhState(0.01, 0.01 * 1.1)
-    assert rhs(z, 0.0, st, p0) == rhs(z, 5.0, st, p0)
+    w, m = 0.01, 0.01 * 1.1
+    assert _reference_rates(0.0, w, m, st, p0) == _reference_rates(5.0, w, m, st, p0)
 
 
 def test_integrate_reproduces_closed_form():

@@ -238,6 +238,25 @@ def test_compare_self_comparison_is_zero():
     assert rep.excess_mass_rel_error <= 1e-12
 
 
+def test_sample_exact_lumps_contact_point_mass():
+    grid = ds.Grid1D(-1.0, 2.0, 300)
+    contact = ds.solve(ds.RiemannData(0.008, 1.0, 0.003, 1.0, omega0=0.02), PARAMS_02)
+    regular = sample_exact(contact, grid, 1.0)
+    lumped = sample_exact(contact, grid, 1.0, lump_delta=True)
+    assert np.sum(regular.alpha) * grid.dx == pytest.approx(0.019, rel=1e-12)
+    assert np.sum(lumped.alpha) * grid.dx == pytest.approx(0.039, rel=1e-12)
+    j = grid.cell_index(float(contact.position(1.0)))
+    assert lumped.q[j] - regular.q[j] == pytest.approx(0.02 * contact.speed(1.0) / grid.dx, rel=1e-12)
+    # without a point mass the lumped state keeps every byte, signed zeros included
+    for a, u in ((0.008, 0.7), (0.008, -0.7), (0.0, 0.7), (0.0, -0.7)):
+        contact = ds.solve(ds.RiemannData(a, u, a, u), PARAMS_02)
+        for t in (0.0, 1.0):
+            regular = sample_exact(contact, grid, t)
+            lumped = sample_exact(contact, grid, t, lump_delta=True)
+            assert regular.alpha.tobytes() == lumped.alpha.tobytes()
+            assert regular.q.tobytes() == lumped.q.tobytes()
+
+
 def test_compare_csv_row_format():
     sol = ds.solve(DELTA_DATA, PARAMS_02)
     grid = ds.Grid1D(-1.0, 2.0, 600)
