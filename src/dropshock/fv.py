@@ -25,25 +25,37 @@ the far field is filled from the edge cells on return (and before the
 negative-density abort names its cell), so the output is byte for byte
 that of stepping every cell.
 
-After the transport update a step takes min(alpha), which the next step's
-vacuum test needs, and after the drag one dot product alpha.q.  A NaN or
-inf among them makes the IEEE sum non-finite, so a finite dot proves every
-value finite; only a non-finite dot (a bad value, or finite data that
-overflow it) takes max(alpha), min(q) and max(q) to decide the abort.
-There is one check per step, after the drag.  numpy's overflow and invalid
-warnings are off for the whole of each ``advance`` call (one ``errstate``
-per call): the checks, not warnings, report a bad state.
+A step reads three extremes: min and max of the velocity, which set dt
+and choose the flux, and after the transport update min(alpha), which the
+next step's vacuum test needs.  Each is read by index, x[x.argmin()] or
+x[x.argmax()]: on a 600-cell window an index search costs ~0.7 us and a
+numpy min()/max() reduction ~2.3-2.9 us.  The value is the reduction's.
+argmin and argmax return the index of the first NaN when there is one,
+so the extreme is NaN exactly when the reduction's is; +-inf extremes
+agree.  Only a tie of 0.0 and -0.0 may come out with the other sign, and
+every use of an extreme is a comparison, a finiteness test or
+max(-u_lo, u_hi, 1e-300), where either zero loses to 1e-300, so no
+result depends on that sign.
+
+After the drag a step takes one dot product alpha.q.  A NaN or inf among
+them makes the IEEE sum non-finite, so a finite dot proves every value
+finite; only a non-finite dot (a bad value, or finite data that overflow
+it) takes max(alpha), min(q) and max(q) to decide the abort.  There is one
+check per step, after the drag.  numpy's overflow and invalid warnings are
+off for the whole of each ``advance`` call (one ``errstate`` per call): the
+checks, not warnings, report a bad state.
 
 On a loaded 2-vCPU Intel Xeon VM (CPython 3.11, numpy 2.4, best of 55
-runs) a step costs ~22 us on the README delta data at 3000 cells (a window
-of 603 cells on average) and ~25 us on the vacuum data at 12 000 cells
-(1231 cells), against ~25 and ~32 us with the four extremes at every
-step; both runs take the one-sided flux at every step.
+interleaved runs) a step costs ~22 us on the README delta data at 3000
+cells (a window of 603 cells on average) and ~29 us on the vacuum data at
+12 000 cells (1231 cells), against ~24 and ~32 us with reductions for the
+three extremes; both runs take the one-sided flux at every step.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -82,12 +94,20 @@ class Grid1D:
     n_cells: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.n_cells, numbers.Integral):
+            raise ValueError(f"n_cells must be an integer, got {self.n_cells!r}")
         if self.n_cells < 1:
             raise ValueError("n_cells must be positive")
         if self.n_cells > MAX_CELLS:
             raise ValueError(f"n_cells={self.n_cells} exceeds the limit of {MAX_CELLS}")
         if not self.x_max > self.x_min:
             raise ValueError("x_max must exceed x_min")
+        # an infinite bound, a width that overflows or a cell width that underflows
+        if not 0.0 < self.dx < math.inf:
+            raise ValueError(
+                f"[{self.x_min!r}, {self.x_max!r}] over {self.n_cells} cells gives dx={self.dx!r}, "
+                "not a positive finite float"
+            )
 
     @property
     def dx(self) -> float:
@@ -135,7 +155,8 @@ def _velocity(alpha, q, ua, bounds, out, vac, any_vacuum=True):
     A cell is vacuum unless alpha > VACUUM_ALPHA, so a NaN alpha is vacuum.
     With ``any_vacuum`` the vacuum mask is written to ``vac``; a caller that
     knows min(alpha) > VACUUM_ALPHA passes False and skips the masking.
-    Returns (min, max) of ``out``.
+    Returns (min, max) of ``out``, read at argmin/argmax (see the module
+    docstring).
     """
     if any_vacuum:
         np.greater(alpha, VACUUM_ALPHA, out=vac)
@@ -144,10 +165,10 @@ def _velocity(alpha, q, ua, bounds, out, vac, any_vacuum=True):
         np.copyto(out, ua, where=vac)
     else:
         np.divide(q, alpha, out=out)
-    lo, hi = float(out.min()), float(out.max())
+    lo, hi = float(out[out.argmin()]), float(out[out.argmax()])
     if bounds is not None and not (lo >= bounds[0] and hi <= bounds[1]):  # also taken on NaN
         np.clip(out, bounds[0], bounds[1], out=out)
-        lo, hi = float(out.min()), float(out.max())
+        lo, hi = float(out[out.argmin()]), float(out[out.argmax()])
     return lo, hi
 
 
@@ -157,6 +178,8 @@ def reconstruct_velocity(state: FieldState, params: ModelParams, bounds=None) ->
     ``bounds`` (lo, hi), when given, clips the result; the exact solution
     obeys the maximum principle so clipping only strips float noise.
     """
+    if bounds is not None and not -math.inf < bounds[0] <= bounds[1] < math.inf:  # False on NaN
+        raise ValueError(f"bounds must be finite with lo <= hi, got {bounds!r}")
     n = state.grid.n_cells
     u = np.empty(n)
     _velocity(state.alpha, state.q, params.ua, bounds, u, np.empty(n, dtype=bool))
@@ -267,6 +290,8 @@ def advance(
     """
     if not math.isfinite(t_end):
         raise ValueError(f"t_end must be finite, got {t_end!r}")
+    if not math.isfinite(state.time):  # a NaN time would take no step and pass every check
+        raise ValueError(f"the state time must be finite, got {state.time!r}")
     if t_end < state.time:
         raise ValueError("t_end must not precede the state time")
     if fixed_dt is None and not 0.0 < cfl <= 1.0:
@@ -346,7 +371,7 @@ def advance(
         aw -= np.multiply(np.subtract(f_mass[1:], f_mass[:-1], out=dw), lam, out=dw)
         qw -= np.multiply(np.subtract(f_mom[1:], f_mom[:-1], out=dw), lam, out=dw)
 
-        a_lo = float(aw.min())
+        a_lo = float(aw[aw.argmin()])
         if a_lo < -1e-13:
             if _nonfinite(aw, qw, a_lo):  # a -inf or a bad q aborts as non-finite, not negative
                 raise SolverAbort(f"non-finite state at step {step} (t={t + dt:.6g})")
@@ -382,6 +407,8 @@ def shock_mass(
     alpha_right to the right, so a pure two-state profile reports zero and
     a concentrated spike reports the mass attributable to the point mass.
     """
+    if not (math.isfinite(center) and math.isfinite(half_width)):
+        raise ValueError(f"center and half_width must be finite, got {center!r}, {half_width!r}")
     if half_width < 0.0:
         raise ValueError("half_width must be nonnegative")
     grid = state.grid

@@ -90,7 +90,7 @@ def first_crossing_time(
         hi = np.where(still_open, hi, mid)
         # a pair whose lo exceeds another pair's hi ends with a larger
         # midpoint than that pair, so dropping it leaves the minimum as it is
-        keep = lo <= hi.min()
+        keep = lo <= hi[hi.argmin()]
         if not keep.all():
             x1, v1, x2, v2, lo, hi = x1[keep], v1[keep], x2[keep], v2[keep], lo[keep], hi[keep]
     return float(np.min(0.5 * (lo + hi)))

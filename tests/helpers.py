@@ -15,7 +15,7 @@ import dropshock as ds
 from dropshock import fv
 from dropshock.core import ModelParams, characteristic_position
 from dropshock.droplet import initial_shock_speed
-from dropshock.fv import VACUUM_ALPHA, FieldState, SolverAbort, _drag, _hull_bounds, _velocity
+from dropshock.fv import VACUUM_ALPHA, FieldState, SolverAbort
 from dropshock.grh import MAX_STEPS, GrhMonitorError, GrhState, GrhTrajectory, LimitStates
 from dropshock.validation import BumpTestFunction, _bump, _simpson_weights
 
@@ -106,10 +106,27 @@ def _finite(alpha, q) -> bool:
     return all(map(math.isfinite, (alpha.min(), alpha.max(), q.min(), q.max())))
 
 
+def _reference_velocity(alpha, q, ua, bounds, out, vac, any_vacuum=True):
+    """``fv._velocity`` as it was, its extremes taken by numpy reductions."""
+    if any_vacuum:
+        np.greater(alpha, VACUUM_ALPHA, out=vac)
+        np.divide(q, alpha, out=out, where=vac)
+        np.logical_not(vac, out=vac)
+        np.copyto(out, ua, where=vac)
+    else:
+        np.divide(q, alpha, out=out)
+    lo, hi = float(out.min()), float(out.max())
+    if bounds is not None and not (lo >= bounds[0] and hi <= bounds[1]):
+        np.clip(out, bounds[0], bounds[1], out=out)
+        lo, hi = float(out.min()), float(out.max())
+    return lo, hi
+
+
 # The full-grid time loop of ``fv.advance`` before it stepped only a window
 # of cells, kept as the oracle its output must equal byte for byte.  It
-# calls ``fv.kinetic_flux`` directly and shares the step helpers; its vacuum
-# cells take momentum alpha*ua, as in ``advance``.
+# calls ``fv.kinetic_flux`` directly and has its own copies of the velocity,
+# hull and drag helpers, so a change inside them shows as a difference; its
+# vacuum cells take momentum alpha*ua, as in ``advance``.
 def reference_advance(
     state: FieldState,
     params: ModelParams,
@@ -145,15 +162,17 @@ def reference_advance(
     vac = np.empty(n, dtype=bool)
     a_lo = float(alpha.min())
     t = state.time
-    bounds = _hull_bounds(state, params)
     mu, ua = params.mu, params.ua
+    # the hull of the data's velocities and ua, which drag relaxes them toward
+    u_lo, u_hi = _reference_velocity(state.alpha, state.q, ua, None, np.empty(n), np.empty(n, dtype=bool))
+    bounds = min(u_lo, ua) - 1e-9, max(u_hi, ua) + 1e-9
 
     step = 0
     while t < t_end - 1e-14 * max(1.0, abs(t_end)):
         step += 1
         # a_lo is min(alpha) (NaN if any alpha is NaN), carried over from the checks below
         any_vacuum = not a_lo > VACUUM_ALPHA
-        u_lo, u_hi = _velocity(alpha, q, ua, bounds, u, vac, any_vacuum)
+        u_lo, u_hi = _reference_velocity(alpha, q, ua, bounds, u, vac, any_vacuum)
         if any_vacuum:
             np.multiply(alpha, ua, out=q, where=vac)
         umax = max(-u_lo, u_hi, 1e-300)
@@ -186,8 +205,11 @@ def reference_advance(
         if a_lo <= 0.0:
             np.maximum(alpha, 0.0, out=alpha)
 
-        if mu > 0.0:
-            _drag(q, alpha, ua, math.exp(-mu * dt), diff)
+        if mu > 0.0:  # exact relaxation toward alpha*ua
+            q_eq = np.multiply(alpha, ua, out=diff)
+            q -= q_eq
+            q *= math.exp(-mu * dt)
+            q += q_eq
         if not _finite(alpha, q):
             raise SolverAbort(f"non-finite state at step {step} (t={t + dt:.6g})")
         t = t_end if remaining <= dt * (1.0 + 1e-12) else t + dt

@@ -367,6 +367,9 @@ def with_flags(command, *flags):
         pytest.param(run_as("exact", n_cells=True), id="n_cells-true"),
         pytest.param(run_as("exact", cfl="0.15"), id="cfl-numeric-text"),
         pytest.param(run_as("exact", n_cells=10**400), id="n_cells-huge-int"),
+        # a domain whose cell width overflows: every x would be written as inf
+        *[pytest.param(run_as(command, domain=[-1e308, 1e308], n_cells=20), id=f"{command}-domain-dx-inf")
+          for command in ("exact", "simulate", "compare")],
         # counts past the allocation caps: config error, not a MemoryError traceback
         *[pytest.param(run_as(command, n_cells=1e13), id=f"{command}-n_cells-1e13")
           for command in ("exact", "simulate", "compare")],

@@ -31,6 +31,23 @@ def test_grid_geometry():
     assert g.cell_index(-5.0) == 0 and g.cell_index(5.0) == 2999
 
 
+@pytest.mark.parametrize(
+    "x_min, x_max, n_cells, message",
+    [
+        (-np.inf, 1.0, 10, "dx=inf"),  # NaN centres
+        (-1e308, 1e308, 10, "dx=inf"),  # the width overflows
+        (0.0, 5e-324, 10, "dx=0.0"),  # the cell width underflows
+        (0.0, 1.0, 10.5, "integer"),  # 11 centres, and no FieldState fits them
+        (0.0, 1.0, 10.0, "integer"),  # np.empty(n + 2) in advance rejects a float
+    ],
+    ids=["x_min-inf", "dx-overflow", "dx-underflow", "n_cells-fraction", "n_cells-float"],
+)
+def test_grid_rejects_unrepresentable_grid(x_min, x_max, n_cells, message):
+    with pytest.raises(ValueError, match=message):
+        Grid1D(x_min, x_max, n_cells)
+    assert Grid1D(0.0, 1.0, np.int64(10)).centers().shape == (10,)
+
+
 def test_kinetic_flux_rest_state():
     assert kinetic_flux(1.0, 0.0, 2.0, 0.0) == (0.0, 0.0)
 
@@ -197,6 +214,15 @@ def test_advance_rejects_nonfinite_t_end(t_end):
     st = FieldState.from_riemann(Grid1D(-1.0, 2.0, 64), DELTA_DATA)
     with pytest.raises(ValueError, match="finite"):
         advance(st, PARAMS_02, t_end)
+
+
+@pytest.mark.parametrize("time", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_advance_rejects_nonfinite_state_time(time):
+    # a NaN time took no step and returned the input stamped t_end; -inf never ends
+    g = Grid1D(-1.0, 2.0, 64)
+    st = FieldState.from_riemann(g, DELTA_DATA)
+    with pytest.raises(ValueError, match="state time must be finite"):
+        advance(FieldState(g, st.alpha, st.q, time), PARAMS_02, 1.0)
 
 
 @pytest.mark.parametrize("fixed_dt", [0.0, -1e-3, np.nan, np.inf], ids=["zero", "negative", "nan", "inf"])
@@ -589,6 +615,54 @@ def test_shock_mass_window_must_fit_domain():
     st = FieldState.from_riemann(g, DELTA_DATA)
     with pytest.raises(ValueError):
         shock_mass(st, 1.9, 0.5, DELTA_DATA.alpha_l, DELTA_DATA.alpha_r)
+
+
+@pytest.mark.parametrize("center, half_width", [(np.nan, 0.1), (0.5, np.nan), (np.inf, 0.1)],
+                         ids=["center-nan", "half_width-nan", "center-inf"])
+def test_shock_mass_rejects_nonfinite_window(center, half_width):
+    # a NaN selects no cell, and the excess mass read 0.0
+    st = FieldState.from_riemann(Grid1D(-1.0, 2.0, 500), DELTA_DATA)
+    with pytest.raises(ValueError, match="finite"):
+        shock_mass(st, center, half_width, DELTA_DATA.alpha_l, DELTA_DATA.alpha_r)
+
+
+@pytest.mark.parametrize("bounds", [(2.0, 0.0), (np.nan, 1.0), (0.0, np.nan), (-np.inf, 1.0), (0.0, np.inf)],
+                         ids=["reversed", "lo-nan", "hi-nan", "lo-inf", "hi-inf"])
+def test_reconstruct_velocity_rejects_bad_bounds(bounds):
+    # reversed bounds clipped every velocity to 0.0, a NaN bound to NaN
+    st = FieldState.from_riemann(Grid1D(-1.0, 2.0, 64), DELTA_DATA)
+    with pytest.raises(ValueError, match="bounds"):
+        reconstruct_velocity(st, PARAMS_02, bounds)
+    assert np.array_equal(reconstruct_velocity(st, PARAMS_02, (1.0, 1.0)), np.ones(64))
+
+
+SPECIAL = st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e-12])
+VALUE = SPECIAL | st.floats(allow_nan=True, allow_infinity=True)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    alpha=st.lists(VALUE, min_size=1, max_size=12),
+    q=st.lists(VALUE, min_size=12, max_size=12),
+    ua=st.floats(-10.0, 10.0) | st.sampled_from([0.0, -0.0]),
+    bounds=st.none() | st.lists(st.floats(-10.0, 10.0) | st.sampled_from([0.0, -0.0]), min_size=2, max_size=2),
+    any_vacuum=st.booleans(),
+)
+@example(alpha=[1.0, 1.0], q=[0.0, -0.0] + [0.0] * 10, ua=0.0, bounds=None, any_vacuum=False)
+@example(alpha=[1.0, 1.0], q=[-0.0, 0.0] + [0.0] * 10, ua=0.0, bounds=[-0.0, 0.0], any_vacuum=True)
+@example(alpha=[1.0, np.nan, 1.0], q=[-5.0, 1.0, np.inf] + [0.0] * 9, ua=1.0, bounds=[-1.0, 1.0], any_vacuum=False)
+def test_velocity_extremes_equal_reductions(alpha, q, ua, bounds, any_vacuum):
+    # _velocity reads its extremes at argmin/argmax: the values of min() and
+    # max() up to the sign of a zero, NaN when any value is NaN
+    alpha = np.array(alpha)
+    q = np.array(q[: len(alpha)])
+    bounds = None if bounds is None else tuple(sorted(bounds))
+    out, vac = np.empty(len(alpha)), np.empty(len(alpha), dtype=bool)
+    with np.errstate(all="ignore"):
+        lo, hi = fv._velocity(alpha, q, ua, bounds, out, vac, any_vacuum)
+    for got, want in ((lo, np.min(out)), (hi, np.max(out))):
+        assert type(got) is float
+        assert got == want or (np.isnan(got) and np.isnan(want))
 
 
 def test_shock_mass_recovers_lumped_delta():
