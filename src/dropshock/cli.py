@@ -13,7 +13,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -24,7 +24,7 @@ from .core import BlowupError, ModelParams, RiemannData, SmoothProfile
 from .droplet import RiemannSolution, initial_shock_speed, solve
 from .fv import FieldState, Grid1D, SolverAbort, advance, reconstruct_velocity
 from .svgplot import line_plot
-from .validation import ErrorReport, compare, first_crossing_time
+from .validation import compare, first_crossing_time
 from .grh import GrhMonitorError
 
 __all__ = ["main", "ConfigError"]
@@ -170,11 +170,8 @@ def _name_from(cfg: dict, default: str) -> str:
 @dataclass
 class Scenario:
     name: str
-    params: ModelParams
-    data: RiemannData
-    solution: RiemannSolution
-    domain: tuple
-    n_cells: int
+    solution: RiemannSolution  # carries the scenario's params and Riemann data
+    grid: Grid1D
     t_snapshots: List[float]
     cfl: float
     fixed_dt: Optional[float]
@@ -195,14 +192,14 @@ def _outputs_from(cfg: dict) -> dict:
 def _scenario_from(cfg: dict, raw: str, args) -> Scenario:
     name = _name_from(cfg, "scenario")
     params = _params_from(cfg)
-    data = _riemann_from(cfg)
-    solution = solve(data, params)  # rejects data with no exact solution, so `simulate` does too
+    solution = solve(_riemann_from(cfg), params)  # rejects data with no exact solution, so `simulate` does too
     domain = _domain(cfg, [-1.0, 2.0])
     n_cells = _count(cfg, "n_cells", 3000)
     if getattr(args, "cells", None) is not None:
         n_cells = args.cells
     if n_cells < 16:
         raise ConfigError(f"n_cells must be at least 16, got {n_cells}")
+    grid = Grid1D(domain[0], domain[1], n_cells)
     snaps = cfg.get("t_snapshots", [])
     if not isinstance(snaps, list) or len(snaps) == 0:
         raise ConfigError("t_snapshots must be a nonempty list of times")
@@ -215,13 +212,12 @@ def _scenario_from(cfg: dict, raw: str, args) -> Scenario:
         fixed_dt = args.fixed_dt
     fixed_dt = None if fixed_dt is None else _finite(fixed_dt, "fixed_dt")
     excl = _number(cfg, "exclusion_half_width", 0.05)
+    if excl < 0.0:
+        raise ConfigError(f"exclusion_half_width must be nonnegative, got {excl!r}")
     return Scenario(
         name=name,
-        params=params,
-        data=data,
         solution=solution,
-        domain=domain,
-        n_cells=n_cells,
+        grid=grid,
         t_snapshots=snaps,
         cfl=cfl,
         fixed_dt=fixed_dt,
@@ -243,6 +239,19 @@ def _exact_snapshot_row(solution, t: float) -> dict:
     return row
 
 
+def _report_head(sc: Scenario) -> dict:
+    """The keys the `exact` and `compare` reports share: scenario, solution kind, snapshots, any warning."""
+    solution = sc.solution
+    head = {
+        "scenario": sc.raw,
+        "solution_kind": solution.kind,
+        "snapshots": [_exact_snapshot_row(solution, t) for t in sc.t_snapshots],
+    }
+    if solution.warning:
+        head["warning"] = solution.warning
+    return head
+
+
 def _write_report(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
@@ -257,51 +266,52 @@ def _output_dir(path: str) -> str:
     return path
 
 
-def _x_text(sc: Scenario) -> Optional[np.ndarray]:
-    """The grid's x column as CSV text, formatted once for every file of a command (None without CSV)."""
-    return _run_text(Grid1D(sc.domain[0], sc.domain[1], sc.n_cells).centers()) if sc.outputs["csv"] else None
+def _x_columns(sc: Scenario):
+    """The cell centres, and their CSV text formatted once for every file of a command (None without CSV)."""
+    x = sc.grid.centers()
+    return x, (_run_text(x) if sc.outputs["csv"] else None)
+
+
+def _exact_snapshot(sc: Scenario, out: str, x, x_text, t: float):
+    """The exact (alpha, u) at the cell centres x, written to <name>_exact_t<t>.csv."""
+    alpha, u = sc.solution.regular_fields(x, t)
+    if sc.outputs["csv"]:
+        write_csv(os.path.join(out, f"{sc.name}_exact_t{t:g}.csv"), ("x", "alpha", "u"), (x_text, alpha, u))
+    return alpha, u
+
+
+def _numeric_snapshot(sc: Scenario, out: str, x_text, t: float, state: FieldState):
+    """The FV velocity of ``state`` and the name of the <name>_num_t<t>.csv it is written to."""
+    u = reconstruct_velocity(state, sc.solution.params)
+    fname = f"{sc.name}_num_t{t:g}.csv"
+    if sc.outputs["csv"]:
+        write_csv(os.path.join(out, fname), ("x", "alpha", "u"), (x_text, state.alpha, u))
+    return u, fname
 
 
 def cmd_exact(args, cfg: dict, raw: str, out: str) -> int:
     sc = _scenario_from(cfg, raw, args)
-    solution = sc.solution
-    x = Grid1D(sc.domain[0], sc.domain[1], sc.n_cells).centers()
-    x_text = _x_text(sc)
-    rows = []
+    x, x_text = _x_columns(sc)
     for t in sc.t_snapshots:
-        alpha, u = solution.regular_fields(x, t)
-        if sc.outputs["csv"]:
-            write_csv(os.path.join(out, f"{sc.name}_exact_t{t:g}.csv"), ("x", "alpha", "u"), (x_text, alpha, u))
-        rows.append(_exact_snapshot_row(solution, t))
+        _exact_snapshot(sc, out, x, x_text, t)
     if sc.outputs["report"]:
-        payload = {
-            "scenario": sc.raw,
-            "solution_kind": solution.kind,
-            "snapshots": rows,
-        }
-        if solution.warning:
-            payload["warning"] = solution.warning
-        _write_report(os.path.join(out, f"{sc.name}_exact_report.json"), payload)
+        _write_report(os.path.join(out, f"{sc.name}_exact_report.json"), _report_head(sc))
     return 0
 
 
 def _run_snapshots(sc: Scenario):
-    grid = Grid1D(sc.domain[0], sc.domain[1], sc.n_cells)
-    state = FieldState.from_riemann(grid, sc.data)
+    state = FieldState.from_riemann(sc.grid, sc.solution.data)
     for t in sc.t_snapshots:
-        state = advance(state, sc.params, t, cfl=sc.cfl, fixed_dt=sc.fixed_dt)
+        state = advance(state, sc.solution.params, t, cfl=sc.cfl, fixed_dt=sc.fixed_dt)
         yield t, state
 
 
 def cmd_simulate(args, cfg: dict, raw: str, out: str) -> int:
     sc = _scenario_from(cfg, raw, args)
+    _, x_text = _x_columns(sc)
     files = []
-    x_text = _x_text(sc)
     for t, state in _run_snapshots(sc):
-        u = reconstruct_velocity(state, sc.params)
-        fname = f"{sc.name}_num_t{t:g}.csv"
-        if sc.outputs["csv"]:
-            write_csv(os.path.join(out, fname), ("x", "alpha", "u"), (x_text, state.alpha, u))
+        _, fname = _numeric_snapshot(sc, out, x_text, t, state)
         files.append({"t": t, "file": fname})
     if sc.outputs["report"]:
         _write_report(
@@ -311,22 +321,31 @@ def cmd_simulate(args, cfg: dict, raw: str, out: str) -> int:
     return 0
 
 
+_ERRORS_HEADER = ("scenario", "n_cells", "t", "l1_u", "l1_alpha", "pos_err_cells", "mass_rel_err")
+
+
+def _csv_text(value: str) -> str:
+    """A CSV text field, quoted per RFC 4180 when it holds ``,``, ``"``, CR or LF."""
+    if any(c in value for c in ',"\r\n'):
+        return '"' + value.replace('"', '""') + '"'
+    return value
+
+
 def cmd_compare(args, cfg: dict, raw: str, out: str) -> int:
     sc = _scenario_from(cfg, raw, args)
-    solution = sc.solution
+    grid, h = sc.grid, sc.exclusion_half_width
+    # before any output: the window checks that validation.compare and fv.shock_mass make later
+    for t in sc.t_snapshots if sc.solution.kind == "delta-shock" else ():
+        xi = float(sc.solution.position(t))
+        if not (grid.x_min < xi < grid.x_max and xi - h >= grid.x_min and xi + h <= grid.x_max):
+            raise ConfigError(f"exclusion window {xi:g} ± {h:g} (shock at t={t:g}) must lie inside the domain")
     scale, suffix = (100.0, " (x100)") if getattr(args, "rescale_alpha", False) else (1.0, "")
-    reports: List[ErrorReport] = []
-    exact_rows = []
-    x_text = _x_text(sc)
+    reports = []
+    x, x_text = _x_columns(sc)
     for t, state in _run_snapshots(sc):
-        x = state.grid.centers()
-        u_num = reconstruct_velocity(state, sc.params)
-        alpha_ex, u_ex = solution.regular_fields(x, t)
-        if sc.outputs["csv"]:
-            write_csv(os.path.join(out, f"{sc.name}_num_t{t:g}.csv"), ("x", "alpha", "u"), (x_text, state.alpha, u_num))
-            write_csv(os.path.join(out, f"{sc.name}_exact_t{t:g}.csv"), ("x", "alpha", "u"), (x_text, alpha_ex, u_ex))
-        reports.append(compare(state, solution, sc.exclusion_half_width, label=f"{sc.name}_t{t:g}"))
-        exact_rows.append(_exact_snapshot_row(solution, t))
+        u_num, _ = _numeric_snapshot(sc, out, x_text, t, state)
+        alpha_ex, u_ex = _exact_snapshot(sc, out, x, x_text, t)
+        reports.append(compare(state, sc.solution, h, label=f"{sc.name}_t{t:g}"))
         if sc.outputs["svg"]:
             line_plot(
                 os.path.join(out, f"{sc.name}_overlay_alpha_t{t:g}.svg"),
@@ -343,20 +362,13 @@ def cmd_compare(args, cfg: dict, raw: str, out: str) -> int:
                 ylabel="u",
             )
     if sc.outputs["csv"]:
-        with open(os.path.join(out, f"{sc.name}_errors.csv"), "w", encoding="utf-8") as fh:
-            fh.write(ErrorReport.CSV_HEADER + "\n")
-            for rep in reports:
-                fh.write(rep.csv_row() + "\n")
+        # one column per ErrorReport field, in field order
+        scenario, *numbers = zip(*(astuple(rep) for rep in reports))
+        scenario = np.array([_csv_text(s) for s in scenario], dtype=object)
+        write_csv(os.path.join(out, f"{sc.name}_errors.csv"), _ERRORS_HEADER, (scenario, *numbers))
     if sc.outputs["report"]:
-        _write_report(
-            os.path.join(out, f"{sc.name}_compare_report.json"),
-            {
-                "scenario": sc.raw,
-                "solution_kind": solution.kind,
-                "snapshots": exact_rows,
-                "errors": [rep.__dict__ for rep in reports],
-            },
-        )
+        payload = dict(_report_head(sc), errors=[rep.__dict__ for rep in reports])
+        _write_report(os.path.join(out, f"{sc.name}_compare_report.json"), payload)
     return 0
 
 

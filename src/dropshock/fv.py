@@ -82,6 +82,10 @@ VACUUM_ALPHA = 1e-12
 # largest n_cells accepted: advance keeps a few float64 arrays per cell
 MAX_CELLS = 10**7
 
+# Largest step count advance takes, as grh.MAX_STEPS for integrate: a dt
+# below the rounding of t (t + dt == t) would otherwise never end the loop
+MAX_STEPS = 10**7
+
 
 class SolverAbort(RuntimeError):
     """The time loop hit NaN/negative density or a CFL violation."""
@@ -178,8 +182,8 @@ def reconstruct_velocity(state: FieldState, params: ModelParams, bounds=None) ->
     ``bounds`` (lo, hi), when given, clips the result; the exact solution
     obeys the maximum principle so clipping only strips float noise.
     """
-    if bounds is not None and not -math.inf < bounds[0] <= bounds[1] < math.inf:  # False on NaN
-        raise ValueError(f"bounds must be finite with lo <= hi, got {bounds!r}")
+    if bounds is not None and not (len(bounds) == 2 and -math.inf < bounds[0] <= bounds[1] < math.inf):  # False on NaN
+        raise ValueError(f"bounds must be two finite values lo <= hi, got {bounds!r}")
     n = state.grid.n_cells
     u = np.empty(n)
     _velocity(state.alpha, state.q, params.ua, bounds, u, np.empty(n, dtype=bool))
@@ -287,6 +291,11 @@ def advance(
     positive, finite ``fixed_dt`` (aborting if it violates CFL <= 1).
     Boundaries are outflow (ghost cells copy the adjacent interior cell),
     so the total mass changes exactly by the net boundary flux.
+
+    A run takes at most ``MAX_STEPS`` steps.  A ``fixed_dt`` that needs
+    more, (t_end - time)/fixed_dt > MAX_STEPS, is rejected up front with
+    ValueError; a run whose step count passes the cap (a dt so small that
+    t + dt == t, say, from velocities near 1e100) raises SolverAbort.
     """
     if not math.isfinite(t_end):
         raise ValueError(f"t_end must be finite, got {t_end!r}")
@@ -298,6 +307,10 @@ def advance(
         raise ValueError("cfl must lie in (0, 1]")
     if fixed_dt is not None and not (fixed_dt > 0.0 and math.isfinite(fixed_dt)):
         raise ValueError(f"fixed_dt must be positive and finite, got {fixed_dt!r}")
+    if fixed_dt is not None and (t_end - state.time) / fixed_dt > MAX_STEPS:  # inf too
+        raise ValueError(
+            f"(t_end - t)/fixed_dt = {(t_end - state.time) / fixed_dt:g} steps exceeds the limit of {MAX_STEPS}"
+        )
     grid = state.grid
     n, dx = grid.n_cells, grid.dx
     # ghost-extended buffers: the interior is a view, each step refreshes
@@ -319,9 +332,11 @@ def advance(
     lo, hi = _window(a_bits, q_bits)
     view = None
 
-    step = 0
+    step, max_steps = 0, MAX_STEPS
     while t < t_end - 1e-14 * max(1.0, abs(t_end)):
         step += 1
+        if step > max_steps:
+            raise SolverAbort(f"no end after {max_steps} steps (t={t:.6g} of t_end={t_end:.6g})")
         # a cell moves information one cell per step: grow the window on a
         # side whose edge cell differs from its inner neighbour
         if lo > 0 and (a_bits[lo] != a_bits[lo + 1] or q_bits[lo] != q_bits[lo + 1]):

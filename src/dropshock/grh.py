@@ -127,7 +127,10 @@ def integrate(
     limit-state interval and the mass must not decrease; a violation
     raises GrhMonitorError with the offending step, since along admissible
     Riemann states both properties are guaranteed and a failure means bad
-    inputs or a too-coarse dt.
+    inputs or a too-coarse dt.  A stage mass w2, w3 or w4 <= 0 raises it
+    too, before the division by it.  A step's starting mass needs no such
+    check: it is positive at t = 0, and a new mass <= 0 or NaN gives a NaN
+    speed, which the speed monitor rejects.
 
     The node times come first.  While h = dt, ``np.add.accumulate`` forms
     the running sum 0 + dt + dt + ... in the order a step-by-step loop adds
@@ -230,9 +233,8 @@ def integrate(
         )
         out_w, out_m, out_x = [], [], []
 
+        # w > 0 here: see the docstring
         for t, h, h2, h6, a1, b1, c1, a2, b2, c2, a4, b4, c4, lo, hi in per_step:
-            if w <= 0.0:
-                raise _nonpositive_mass(w, t)
             s1 = m / w
             k1w = a1 * s1 - b1
             k1m = b1 * s1 + mu * (ua * w - m) - c1

@@ -301,25 +301,6 @@ class ErrorReport:
     shock_position_error: float
     excess_mass_rel_error: float
 
-    CSV_HEADER = "scenario,n_cells,t,l1_u,l1_alpha,pos_err_cells,mass_rel_err"
-
-    def csv_row(self) -> str:
-        """One CSV line; a scenario holding ``,``, ``"``, CR or LF is quoted per RFC 4180."""
-        scenario = self.scenario
-        if any(c in scenario for c in ',"\r\n'):
-            scenario = '"' + scenario.replace('"', '""') + '"'
-        return ",".join(
-            [
-                scenario,
-                str(self.n_cells),
-                f"{self.t:.17g}",
-                f"{self.l1_u:.17g}",
-                f"{self.l1_alpha_regular:.17g}",
-                f"{self.shock_position_error:.17g}",
-                f"{self.excess_mass_rel_error:.17g}",
-            ]
-        )
-
 
 def compare(
     numeric: FieldState,

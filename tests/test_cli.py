@@ -279,13 +279,30 @@ def test_errors_csv_quotes_scenario_name(tmp_path, name):
     assert main(["compare", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     text = (tmp_path / f"{name}_errors.csv").read_text(encoding="utf-8")
     rows = list(csv.reader(io.StringIO(text, newline="")))
-    assert rows[0] == ds.ErrorReport.CSV_HEADER.split(",")
+    assert rows[0] == ["scenario", "n_cells", "t", "l1_u", "l1_alpha", "pos_err_cells", "mass_rel_err"]
     assert [len(row) for row in rows] == [7, 7, 7]
     assert [row[0] for row in rows[1:]] == [f"{name}_t0.4", f"{name}_t1"]
     # quoted as RFC 4180 asks, which csv.writer does too
     canonical = io.StringIO()
     csv.writer(canonical, lineterminator="\n").writerows(rows)
     assert text == canonical.getvalue()
+
+
+def test_errors_csv_fields_are_report_values_at_17_digits(tmp_path):
+    cfg = tmp_path / "s.json"
+    write_config(cfg, dict(DELTA_SCENARIO, n_cells=600))
+    assert main(["compare", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "delta_errors.csv").read_text().splitlines()[1:]
+    errors = json.loads((tmp_path / "delta_compare_report.json").read_text())["errors"]
+    assert len(rows) == len(errors) == 2
+    for row, rep in zip(rows, errors):
+        fields = row.split(",")
+        assert len(fields) == 7
+        assert fields[:2] == [rep["scenario"], "600"]
+        values = [rep[k] for k in ("t", "l1_u", "l1_alpha_regular", "shock_position_error", "excess_mass_rel_error")]
+        assert fields[2:] == ["%.17g" % v for v in values]
+        assert [float(f) for f in fields[2:]] == values  # 17 digits read back exactly
+    assert rows[1].startswith("delta_t1,600,1,")
 
 
 def test_csv_17_digit_roundtrip(tmp_path):
@@ -339,9 +356,15 @@ def with_flags(command, *flags):
         pytest.param(run_as("exact", n_cells=float("inf")), id="n_cells-inf"),
         pytest.param(run_as("exact", n_cells=300.5), id="n_cells-fraction"),
         pytest.param(run_as("compare", exclusion_half_width=float("nan")), id="exclusion-nan"),
+        # the window is checked before any output, at every snapshot (shock at x 0.446 and 1.109)
+        pytest.param(run_as("compare", exclusion_half_width=-1.0), id="exclusion-negative"),
+        pytest.param(run_as("compare", exclusion_half_width=5.0), id="exclusion-wider-than-domain"),
+        pytest.param(run_as("compare", exclusion_half_width=1.2), id="exclusion-leaves-domain-at-last-snapshot"),
         pytest.param(run_as("simulate", fixed_dt=0), id="fixed_dt-zero"),
         pytest.param(run_as("simulate", fixed_dt=-1e-3), id="fixed_dt-negative"),
         pytest.param(run_as("simulate", fixed_dt=float("nan")), id="fixed_dt-nan"),
+        # t + 1e-25 == t from t ~ 9.3e-10 on: more than fv.MAX_STEPS steps
+        pytest.param(run_as("simulate", fixed_dt=1e-25), id="simulate-fixed_dt-1e-25"),
         pytest.param(run_as("exact", params={"mu": None, "ua": 1.0}), id="mu-null"),
         pytest.param(run_as("grh", t_end=float("inf")), id="grh-t_end-inf"),
         pytest.param(run_as("grh", t_end=None), id="grh-t_end-null"),
@@ -451,6 +474,23 @@ def test_exact_one_zero_density_reports_warning(tmp_path):
     for snap in report["snapshots"]:
         assert snap["omega"] == 0.0
         assert snap["sigma"] == ds.relax_velocity(-1.0, p, snap["t"])
+
+
+def test_compare_one_zero_density_reports_warning(tmp_path):
+    cfg = tmp_path / "s.json"
+    scenario = dict(
+        DELTA_SCENARIO,
+        name="empty",
+        n_cells=64,
+        params={"mu": 3.0, "ua": -0.5},
+        riemann={"alpha_l": 0.0, "u_l": 2.0, "alpha_r": 0.05, "u_r": -1.0},
+    )
+    write_config(cfg, scenario)
+    for command in ("exact", "compare"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    exact, compared = (json.loads((tmp_path / f"empty_{c}_report.json").read_text()) for c in ("exact", "compare"))
+    assert "zero density" in compared["warning"]
+    assert {k: compared[k] for k in exact} == exact  # the report head is the exact report
 
 
 def test_missing_and_malformed_config_exit_2(tmp_path):

@@ -233,6 +233,30 @@ def test_advance_rejects_bad_fixed_dt(fixed_dt):
         advance(st, PARAMS_02, 1.0, fixed_dt=fixed_dt)
 
 
+@pytest.mark.parametrize("fixed_dt", [1e-25, 5e-324], ids=["1e-25", "subnormal"])
+def test_advance_rejects_fixed_dt_past_step_cap(fixed_dt):
+    # from t ~ 9.3e-10 on, t + 1e-25 == t: the loop ran on without end
+    st = FieldState.from_riemann(Grid1D(-1.0, 2.0, 64), DELTA_DATA)
+    with pytest.raises(ValueError, match=f"exceeds the limit of {fv.MAX_STEPS}"):
+        advance(st, PARAMS_02, 1.0, fixed_dt=fixed_dt)
+
+
+def test_advance_fixed_dt_step_cap_is_inclusive(monkeypatch):
+    monkeypatch.setattr(fv, "MAX_STEPS", 100)
+    st = FieldState.from_riemann(Grid1D(-1.0, 2.0, 64), DELTA_DATA)
+    assert advance(st, PARAMS_02, 1.0, fixed_dt=0.01).time == 1.0  # 100 steps
+    with pytest.raises(ValueError, match="exceeds the limit of 100"):
+        advance(st, PARAMS_02, 1.0, fixed_dt=0.0099)
+
+
+def test_advance_aborts_past_step_cap(monkeypatch):
+    # at |u| = 1e100 the adaptive dt is ~1e-103: reaching t = 1 takes ~1e103 steps
+    monkeypatch.setattr(fv, "MAX_STEPS", 1000)
+    st = FieldState.from_riemann(Grid1D(-1.0, 2.0, 64), ds.RiemannData(0.008, 1e100, 0.003, 1e100))
+    with pytest.raises(SolverAbort, match=r"no end after 1000 steps \(t=7\.03125e-100 of t_end=1\)"):
+        advance(st, PARAMS_02, 1.0)
+
+
 def test_advance_aborts_on_nonfinite():
     g = Grid1D(0.0, 1.0, 32)
     q = np.full(32, 0.01)
@@ -626,10 +650,14 @@ def test_shock_mass_rejects_nonfinite_window(center, half_width):
         shock_mass(st, center, half_width, DELTA_DATA.alpha_l, DELTA_DATA.alpha_r)
 
 
-@pytest.mark.parametrize("bounds", [(2.0, 0.0), (np.nan, 1.0), (0.0, np.nan), (-np.inf, 1.0), (0.0, np.inf)],
-                         ids=["reversed", "lo-nan", "hi-nan", "lo-inf", "hi-inf"])
+@pytest.mark.parametrize(
+    "bounds",
+    [(2.0, 0.0), (np.nan, 1.0), (0.0, np.nan), (-np.inf, 1.0), (0.0, np.inf), (0.0, 1.0, 5.0), (0.0,)],
+    ids=["reversed", "lo-nan", "hi-nan", "lo-inf", "hi-inf", "three-values", "one-value"],
+)
 def test_reconstruct_velocity_rejects_bad_bounds(bounds):
-    # reversed bounds clipped every velocity to 0.0, a NaN bound to NaN
+    # reversed bounds clipped every velocity to 0.0, a NaN bound to NaN; a
+    # third value was ignored and a single one raised IndexError
     st = FieldState.from_riemann(Grid1D(-1.0, 2.0, 64), DELTA_DATA)
     with pytest.raises(ValueError, match="bounds"):
         reconstruct_velocity(st, PARAMS_02, bounds)

@@ -257,17 +257,6 @@ def test_sample_exact_lumps_contact_point_mass():
             assert regular.q.tobytes() == lumped.q.tobytes()
 
 
-def test_compare_csv_row_format():
-    sol = ds.solve(DELTA_DATA, PARAMS_02)
-    grid = ds.Grid1D(-1.0, 2.0, 600)
-    rep = compare(sample_exact(sol, grid, 1.0, lump_delta=True), sol, label="fmt")
-    row = rep.csv_row()
-    fields = row.split(",")
-    assert len(fields) == len(rep.CSV_HEADER.split(","))
-    assert fields[0] == "fmt" and int(fields[1]) == 600
-    assert float(fields[2]) == 1.0
-
-
 def test_compare_numeric_run_sane():
     grid = ds.Grid1D(-1.0, 2.0, 750)
     st = ds.advance(ds.FieldState.from_riemann(grid, DELTA_DATA), PARAMS_02, 1.0, cfl=0.15)
