@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from . import grh
+from . import fv, grh
 from .burgers import blowup
 from .core import BlowupError, ModelParams, RiemannData, SmoothProfile
 from .droplet import RiemannSolution, initial_shock_speed, solve
@@ -211,6 +211,14 @@ def _scenario_from(cfg: dict, raw: str, args) -> Scenario:
     if getattr(args, "fixed_dt", None) is not None:
         fixed_dt = args.fixed_dt
     fixed_dt = None if fixed_dt is None else _finite(fixed_dt, "fixed_dt")
+    if fixed_dt is not None and fixed_dt > 0.0:  # advance rejects any other fixed_dt
+        # advance's step cap on each snapshot interval, checked before any output
+        for t0, t1 in zip([0.0] + snaps, snaps):
+            if (t1 - t0) / fixed_dt > fv.MAX_STEPS:
+                raise ConfigError(
+                    f"fixed_dt={fixed_dt!r} needs {(t1 - t0) / fixed_dt:g} steps from t={t0:g} to t={t1:g}, "
+                    f"over the limit of {fv.MAX_STEPS}"
+                )
     excl = _number(cfg, "exclusion_half_width", 0.05)
     if excl < 0.0:
         raise ConfigError(f"exclusion_half_width must be nonnegative, got {excl!r}")

@@ -7,13 +7,30 @@ monokinetic transport, which keeps alpha nonnegative and the
 reconstructed velocity inside the convex hull of the data under CFL <= 1.
 
 ``advance`` is one in-place kernel.  It allocates its ghost-extended alpha
-and u buffers, the momentum and one scratch array once per call; each step
-refreshes the ghost values it reads, writes every update into those buffers
-with ``out=`` and in-place operators, and allocates only the flux arrays
-``kinetic_flux`` returns.  When no cell is vacuum and every velocity has
-one strict sign, the step passes ``kinetic_flux`` the upwind states only
-and gets their physical flux (alpha*u, alpha*u^2) in two array operations;
-the flux differences, and so the output, are those of the two-sided flux.
+and u buffers, the momentum, one scratch array and one mass-flux and one
+momentum-flux buffer of n + 1 interfaces once per call, and the views of
+the stepped window (the flux pair and the four flux-difference operands
+among them) only when the window grows.  Each step refreshes the ghost
+values it reads and writes every update into those buffers with ``out=``
+and in-place operators, the flux through ``kinetic_flux(..., out=)``.
+When no cell is vacuum and every velocity has one strict sign, the step
+passes ``kinetic_flux`` the upwind states only and gets their physical
+flux (alpha*u, alpha*u^2) in two array operations, allocating no array;
+the flux differences, and so the output, are those of the two-sided flux,
+which still allocates the right states' share.
+
+No ufunc call of a step takes a Python float.  numpy 2 converts such an
+operand on every call: at 600 cells a multiply, an in-place multiply, a
+comparison or a maximum costs ~0.4 us more with a Python float than with
+a 0-d float64 array (medians ~1.3-1.6 against ~1.0-1.2 us, fastest
+~0.9-1.1 against ~0.6-0.8 us, on the VM below).  So 0.0 and VACUUM_ALPHA
+are read-only 0-d arrays, ua is one 0-d array per call, and dt/dx and the
+drag factor exp(-mu*dt) are written each step into 0-d arrays
+(``lam[()] = dt / dx`` costs ~0.1 us).  The operands hold the floats'
+values, so every operation and every output byte is as with the floats;
+numpy 1.x's value-based casting picks the same float64 loops for both.
+Only the clip to the velocity hull, a branch taken
+when rounding leaves the hull, keeps its float bounds.
 
 The kernel steps only a window [lo, hi) of cells.  Cells 0..lo hold the
 bits of cell lo and cells hi-1..n-1 those of cell hi-1; the ghosts copy
@@ -45,11 +62,13 @@ check per step, after the drag.  numpy's overflow and invalid warnings are
 off for the whole of each ``advance`` call (one ``errstate`` per call): the
 checks, not warnings, report a bad state.
 
-On a loaded 2-vCPU Intel Xeon VM (CPython 3.11, numpy 2.4, best of 55
-interleaved runs) a step costs ~22 us on the README delta data at 3000
-cells (a window of 603 cells on average) and ~29 us on the vacuum data at
-12 000 cells (1231 cells), against ~24 and ~32 us with reductions for the
-three extremes; both runs take the one-sided flux at every step.
+On a loaded 2-vCPU Intel Xeon VM (CPython 3.11, numpy 2.4; 100 runs
+alternated in one process with a step that allocates its flux arrays and
+passes Python floats) a step costs a median ~25 us (fastest ~16 us) on the
+README delta data at 3000 cells (a window of 603 cells on average) and
+~31 us (~21 us) on the vacuum data at 12 000 cells (1231 cells), against
+~28 (~19) and ~34 (~23) us for that step; both runs take the one-sided
+flux at every step.
 """
 
 from __future__ import annotations
@@ -85,6 +104,17 @@ MAX_CELLS = 10**7
 # Largest step count advance takes, as grh.MAX_STEPS for integrate: a dt
 # below the rounding of t (t + dt == t) would otherwise never end the loop
 MAX_STEPS = 10**7
+
+
+def _constant(value: float) -> np.ndarray:
+    """A read-only 0-d float64 operand (see the module docstring)."""
+    c = np.array(value, dtype=float)
+    c.flags.writeable = False
+    return c
+
+
+_ZERO = _constant(0.0)
+_VACUUM_ALPHA = _constant(VACUUM_ALPHA)
 
 
 class SolverAbort(RuntimeError):
@@ -163,7 +193,7 @@ def _velocity(alpha, q, ua, bounds, out, vac, any_vacuum=True):
     docstring).
     """
     if any_vacuum:
-        np.greater(alpha, VACUUM_ALPHA, out=vac)
+        np.greater(alpha, _VACUUM_ALPHA, out=vac)
         np.divide(q, alpha, out=out, where=vac)
         np.logical_not(vac, out=vac)
         np.copyto(out, ua, where=vac)
@@ -190,7 +220,7 @@ def reconstruct_velocity(state: FieldState, params: ModelParams, bounds=None) ->
     return u
 
 
-def kinetic_flux(alpha_l, u_l, alpha_r=None, u_r=None):
+def kinetic_flux(alpha_l, u_l, alpha_r=None, u_r=None, out=None):
     """Upwind kinetic interface flux (f_mass, f_momentum).
 
     Left cells contribute their rightward-moving content, right cells
@@ -203,15 +233,21 @@ def kinetic_flux(alpha_l, u_l, alpha_r=None, u_r=None):
     sign: the left states alone for u > 0, the right states alone for
     u < 0.  The other side then adds only zeros, which can flip the sign
     of a zero flux but not the flux differences ``advance`` applies.
+
+    ``out``, a pair (f_mass, f_momentum) of interface-length float64
+    arrays, receives the flux in either form and is returned; the values
+    are those of the allocating call.  The four-argument form then still
+    allocates one array, the right states' share.
     """
+    f_mass, f_mom = (None, None) if out is None else out
     if alpha_r is None:
-        f_mass = np.multiply(u_l, alpha_l)
-        return f_mass, f_mass * u_l
-    fl = np.maximum(u_l, 0.0, dtype=float)
+        f_mass = np.multiply(u_l, alpha_l, out=f_mass)
+        return f_mass, np.multiply(f_mass, u_l, out=f_mom)
+    fl = np.maximum(u_l, _ZERO, out=f_mom, dtype=float)
     fl *= alpha_l
-    fr = np.minimum(u_r, 0.0, dtype=float)
+    fr = np.minimum(u_r, _ZERO, dtype=float)
     fr *= alpha_r
-    f_mass = fl + fr
+    f_mass = np.add(fl, fr, out=f_mass)
     fl *= u_l
     fr *= u_r
     fl += fr
@@ -221,7 +257,8 @@ def kinetic_flux(alpha_l, u_l, alpha_r=None, u_r=None):
 def _drag(q, alpha, ua, decay, q_eq=None) -> np.ndarray:
     """Exact drag relaxation in place: q <- q_eq + (q - q_eq)*decay, q_eq = alpha*ua.
 
-    ``q_eq`` is scratch for alpha*ua (allocated when None).
+    ``ua`` and ``decay`` are floats or 0-d arrays; ``q_eq`` is scratch for
+    alpha*ua (allocated when None).
     """
     q_eq = np.multiply(alpha, ua, out=q_eq)
     q -= q_eq
@@ -322,15 +359,19 @@ def advance(
     q = np.array(state.q, dtype=float)
     diff = np.empty(n)
     vac = np.empty(n, dtype=bool)
+    # interface fluxes, written by kinetic_flux(..., out=) on the window's m + 1 interfaces
+    f_mass, f_mom = np.empty(n + 1), np.empty(n + 1)
     a_lo = float(alpha.min())
     t = state.time
     bounds = _hull_bounds(state, params)
-    mu, ua = params.mu, params.ua
+    mu = params.mu
+    # 0-d float64 operands (see the module docstring); lam and decay are rewritten each step
+    ua, lam, decay = np.array(params.ua, dtype=float), np.empty(()), np.empty(())
     # the window [lo, hi): cells 0..lo hold the bits of cell lo and cells
     # hi-1..n-1 those of cell hi-1, so the edge cells stand for the far field
     a_bits, q_bits = alpha.view(np.int64), q.view(np.int64)
     lo, hi = _window(a_bits, q_bits)
-    view = None
+    moved = True
 
     step, max_steps = 0, MAX_STEPS
     while t < t_end - 1e-14 * max(1.0, abs(t_end)):
@@ -342,15 +383,19 @@ def advance(
         if lo > 0 and (a_bits[lo] != a_bits[lo + 1] or q_bits[lo] != q_bits[lo + 1]):
             lo -= 1
             alpha[lo], q[lo] = alpha[lo + 1], q[lo + 1]
+            moved = True
         if hi < n and (a_bits[hi - 1] != a_bits[hi - 2] or q_bits[hi - 1] != q_bits[hi - 2]):
             hi += 1
             alpha[hi - 1], q[hi - 1] = alpha[hi - 2], q[hi - 2]
-        if view != (lo, hi):
-            view = (lo, hi)
+            moved = True
+        if moved:
+            moved = False
             m = hi - lo
             aw, qw, uw, dw, vw = alpha[lo:hi], q[lo:hi], u[lo:hi], diff[:m], vac[:m]
             a_left, u_left = a_ext[lo : hi + 1], u_ext[lo : hi + 1]
             a_right, u_right = a_ext[lo + 1 : hi + 2], u_ext[lo + 1 : hi + 2]
+            flux = (f_mass[: m + 1], f_mom[: m + 1])
+            fm_right, fm_left, fq_right, fq_left = f_mass[1 : m + 1], f_mass[:m], f_mom[1 : m + 1], f_mom[:m]
         # a_lo is min(alpha) (NaN if any alpha is NaN), carried over from the checks below
         any_vacuum = not a_lo > VACUUM_ALPHA
         u_lo, u_hi = _velocity(aw, qw, ua, bounds, uw, vw, any_vacuum)
@@ -374,17 +419,17 @@ def advance(
         # the flux is the physical flux of the upwind side: refresh its ghost only
         if not any_vacuum and u_lo > 0.0:
             a_ext[lo], u_ext[lo] = aw[0], uw[0]
-            f_mass, f_mom = kinetic_flux(a_left, u_left)
+            kinetic_flux(a_left, u_left, out=flux)
         elif not any_vacuum and u_hi < 0.0:
             a_ext[hi + 1], u_ext[hi + 1] = aw[-1], uw[-1]
-            f_mass, f_mom = kinetic_flux(a_right, u_right)
+            kinetic_flux(a_right, u_right, out=flux)
         else:
             a_ext[lo], a_ext[hi + 1] = aw[0], aw[-1]
             u_ext[lo], u_ext[hi + 1] = uw[0], uw[-1]
-            f_mass, f_mom = kinetic_flux(a_left, u_left, a_right, u_right)
-        lam = dt / dx
-        aw -= np.multiply(np.subtract(f_mass[1:], f_mass[:-1], out=dw), lam, out=dw)
-        qw -= np.multiply(np.subtract(f_mom[1:], f_mom[:-1], out=dw), lam, out=dw)
+            kinetic_flux(a_left, u_left, a_right, u_right, out=flux)
+        lam[()] = dt / dx
+        aw -= np.multiply(np.subtract(fm_right, fm_left, out=dw), lam, out=dw)
+        qw -= np.multiply(np.subtract(fq_right, fq_left, out=dw), lam, out=dw)
 
         a_lo = float(aw[aw.argmin()])
         if a_lo < -1e-13:
@@ -396,10 +441,11 @@ def advance(
                 f"negative volume fraction {alpha[j]:g} in cell {j} at step {step} (t={t + dt:.6g})"
             )
         if a_lo <= 0.0:
-            np.maximum(aw, 0.0, out=aw)
+            np.maximum(aw, _ZERO, out=aw)
 
         if mu > 0.0:
-            _drag(qw, aw, ua, math.exp(-mu * dt), dw)
+            decay[()] = math.exp(-mu * dt)
+            _drag(qw, aw, ua, decay, dw)
         # after the drag, so a step's own drag overflow is reported at that step
         if _nonfinite(aw, qw, a_lo):
             raise SolverAbort(f"non-finite state at step {step} (t={t + dt:.6g})")

@@ -456,6 +456,18 @@ def test_nonfinite_snapshot_exit_2(tmp_path):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_fixed_dt_step_cap_checked_before_any_output(tmp_path, monkeypatch, capsys, command):
+    # 800 steps to t=0.4, then 1200 to t=1.0: only the second interval passes
+    # the cap, and the run must stop before the first snapshot is written
+    monkeypatch.setattr(ds.fv, "MAX_STEPS", 1000)
+    cfg = tmp_path / "s.json"
+    write_config(cfg, dict(DELTA_SCENARIO, n_cells=64, t_snapshots=[0.4, 1.0], fixed_dt=5e-4))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "over the limit of 1000" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_exact_one_zero_density_reports_warning(tmp_path):
     # the front speed starts on the edge of the entropy interval here
     cfg = tmp_path / "s.json"

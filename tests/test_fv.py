@@ -313,16 +313,17 @@ def test_advance_calls_kinetic_flux_once_per_step(monkeypatch, mode, t_end, step
     # the benchmark's fv.steps and fv.cell_steps counters wrap the module
     # global, so each step must make exactly one call on the n + 1 interfaces
     n = 100
-    calls, ghosts = [], []
+    calls, ghosts, outs = [], [], []
     original = fv.kinetic_flux
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append([len(a) for a in args])
         # the left states' densities open with the left ghost, the right
         # states' close with the right one; a one-sided call passes one of them
         a_left, a_right = args[0], args[-2]
         ghosts.append((a_left[0] == a_left[1], a_right[-1] == a_right[-2]))
-        return original(*args)
+        outs.append(_flux_buffers(args, kwargs))
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(fv, "kinetic_flux", counting)
     alpha = np.linspace(0.01, 0.02, n)
@@ -336,6 +337,16 @@ def test_advance_calls_kinetic_flux_once_per_step(monkeypatch, mode, t_end, step
     assert calls == [[n + 1] * n_args] * steps
     expected = {"left": (True, False), "right": (False, True)}.get(case, (True, True))
     assert ghosts == [expected] * steps
+    # the window never moves here, so every step writes its flux into the same memory
+    assert len(set(outs)) == 1
+
+
+def _flux_buffers(args, kwargs):
+    """The (address, address, length) of a kinetic_flux call's ``out`` pair,
+    which must span the interfaces of its first argument."""
+    f_mass, f_mom = kwargs["out"]
+    assert len(f_mass) == len(f_mom) == len(args[0])
+    return f_mass.ctypes.data, f_mom.ctypes.data, len(f_mass)
 
 
 @settings(max_examples=200, deadline=None)
@@ -567,12 +578,13 @@ def test_advance_window_grows_one_cell_per_side(monkeypatch):
     # one jump: the first step covers the two jump cells and one cell on
     # each side, and each later step adds at most one cell per side
     n = 200
-    sizes = []
+    sizes, outs = [], []
     original = fv.kinetic_flux
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         sizes.append(len(args[0]))
-        return original(*args)
+        outs.append(_flux_buffers(args, kwargs))
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(fv, "kinetic_flux", counting)
     st = FieldState.from_riemann(Grid1D(-1.0, 2.0, n), DELTA_DATA)
@@ -582,6 +594,9 @@ def test_advance_window_grows_one_cell_per_side(monkeypatch):
     assert np.all(steps >= 0) and np.all(steps <= 2)
     assert max(sizes) <= n + 1
     assert sizes[-1] < n + 1  # the far field was never stepped
+    # steps on an unchanged window write their flux into the same memory
+    assert all(a == b for a, b in zip(outs, outs[1:]) if a[2] == b[2])
+    assert 0 in steps  # and there are such steps
 
 
 @settings(max_examples=100, deadline=None)
@@ -691,6 +706,29 @@ def test_velocity_extremes_equal_reductions(alpha, q, ua, bounds, any_vacuum):
     for got, want in ((lo, np.min(out)), (hi, np.max(out))):
         assert type(got) is float
         assert got == want or (np.isnan(got) and np.isnan(want))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    states=st.lists(st.tuples(VALUE, VALUE, VALUE, VALUE), min_size=1, max_size=12),
+    one_sided=st.booleans(),
+)
+@example(states=[(0.0, -0.0, -0.0, 0.0), (5e-324, -5e-324, np.inf, -np.inf), (np.nan, 1.0, 1.0, np.nan)],
+         one_sided=False)
+@example(states=[(-0.0, 0.0, 0.0, 0.0), (np.inf, 0.0, 0.0, 0.0), (2.2e-308, -1e-310, 0.0, 0.0)], one_sided=True)
+def test_kinetic_flux_out_equals_allocating_form(states, one_sided):
+    # advance passes preallocated interface buffers: the flux written into
+    # them must be the allocating call's bytes, in the given arrays
+    a_l, u_l, a_r, u_r = (np.array(column) for column in zip(*states))
+    args = (a_l, u_l) if one_sided else (a_l, u_l, a_r, u_r)
+    inputs = [a.tobytes() for a in args]
+    out = (np.full(len(a_l), 7.0), np.full(len(a_l), 7.0))  # stale values to overwrite
+    with np.errstate(all="ignore"):
+        want = kinetic_flux(*args)
+        got = kinetic_flux(*args, out=out)
+    assert got[0] is out[0] and got[1] is out[1]
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    assert [a.tobytes() for a in args] == inputs
 
 
 def test_shock_mass_recovers_lumped_delta():

@@ -5,6 +5,10 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+from dropshock import fv
+
+from helpers import DELTA_DATA, PARAMS_02
+
 _spec = importlib.util.spec_from_file_location(
     "perfbench_tracing", Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 )
@@ -35,3 +39,31 @@ def test_tracer_wraps_every_target_and_restores():
         tracer.uninstall()
     for (owner, attr), original in zip(targets, originals):
         assert vars(owner)[attr] is original, f"{owner.__name__}.{attr} not restored"
+
+
+def test_traced_advance_counts_every_step_and_window_cell(monkeypatch):
+    # the counters wrap fv.kinetic_flux, which advance calls with out=: a
+    # traced run must return the untraced bytes and count each step once,
+    # with the m cells of its window
+    st = fv.FieldState.from_riemann(fv.Grid1D(-1.0, 2.0, 300), DELTA_DATA)
+    plain = fv.advance(st, PARAMS_02, 0.2, fixed_dt=1e-3)
+    widths = []
+    original = fv.kinetic_flux
+
+    def window_cells(*args, **kwargs):
+        assert "out" in kwargs
+        widths.append(len(args[0]) - 1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fv, "kinetic_flux", window_cells)  # under the tracer's counter
+    tracer = tracing.Tracer()
+    tracer.install(counters=True)
+    try:
+        traced = tracer.run_job(0, lambda: fv.advance(st, PARAMS_02, 0.2, fixed_dt=1e-3))
+    finally:
+        tracer.uninstall()
+    assert traced.alpha.tobytes() == plain.alpha.tobytes()
+    assert traced.q.tobytes() == plain.q.tobytes()
+    assert tracer.counts[0]["fv.steps"] == len(widths) == 200
+    assert tracer.counts[0]["fv.cell_steps"] == sum(widths)
+    assert 4 * 200 < sum(widths) < 300 * 200  # the window grew from the jump and never covered the grid
