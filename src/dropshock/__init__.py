@@ -44,7 +44,6 @@ from .validation import (
     BumpTestFunction,
     ErrorReport,
     compare,
-    convergence_study,
     first_crossing_time,
     sample_exact,
     vacuum_extent,

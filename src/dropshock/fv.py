@@ -6,53 +6,51 @@ the drag source.  The flux is the first-order moment closure of free
 monokinetic transport, which keeps alpha nonnegative and the
 reconstructed velocity inside the convex hull of the data under CFL <= 1.
 
-``advance`` is one in-place kernel.  It allocates its ghost-extended alpha
-and u buffers, the momentum, one scratch array and one mass-flux and one
-momentum-flux buffer of n + 1 interfaces once per call, and the views of
-the stepped window (the flux pair and the four flux-difference operands
-among them) only when the window grows.  Each step refreshes the ghost
-values it reads and writes every update into those buffers with ``out=``
-and in-place operators, the flux through ``kinetic_flux(..., out=)``.
-When no cell is vacuum and every velocity has one strict sign, the step
-passes ``kinetic_flux`` the upwind states only and gets their physical
-flux (alpha*u, alpha*u^2) in two array operations, allocating no array;
-the flux differences, and so the output, are those of the two-sided flux,
-which still allocates the right states' share.
+``advance`` returns, byte for byte, the state of stepping every cell with
+the four-argument flux; it gets there with less work, as follows.
 
-No ufunc call of a step takes a Python float.  numpy 2 converts such an
-operand on every call: at 600 cells a multiply, an in-place multiply, a
-comparison or a maximum costs ~0.4 us more with a Python float than with
-a 0-d float64 array (medians ~1.3-1.6 against ~1.0-1.2 us, fastest
-~0.9-1.1 against ~0.6-0.8 us, on the VM below).  So 0.0 and VACUUM_ALPHA
-are read-only 0-d arrays, ua is one 0-d array per call, and dt/dx and the
-drag factor exp(-mu*dt) are written each step into 0-d arrays
-(``lam[()] = dt / dx`` costs ~0.1 us).  The operands hold the floats'
-values, so every operation and every output byte is as with the floats;
-numpy 1.x's value-based casting picks the same float64 loops for both.
-Only the clip to the velocity hull, a branch taken
-when rounding leaves the hull, keeps its float bounds.
+It steps only a window [lo, hi) of m cells.  Cells 0..lo hold the bits of
+cell lo and cells hi-1..n-1 those of cell hi-1, and the outflow ghosts
+copy the edge cells, so an edge cell whose inner neighbour equals it takes
+the update of the whole uniform far field it stands for.  Before each step
+the window grows by one cell, a copy of the edge cell, on a side whose
+edge cell differs from its inner neighbour (a three-point scheme moves
+information one cell per step).  The far field is filled from the edge
+cells on return, and before the negative-density abort names its cell.
 
-The kernel steps only a window [lo, hi) of cells.  Cells 0..lo hold the
-bits of cell lo and cells hi-1..n-1 those of cell hi-1; the ghosts copy
-the edge cells, so an edge cell whose inner neighbour equals it takes the
-update of the whole uniform far field it stands for.  Before each step the
-window grows by one cell on a side whose edge cell differs from its inner
-neighbour (a three-point scheme moves information one cell per step), and
-the far field is filled from the edge cells on return (and before the
-negative-density abort names its cell), so the output is byte for byte
-that of stepping every cell.
+The window lives in one buffer s = [left ghost, alpha (m), right ghost,
+q (m)], and the interface fluxes in one buffer fg = [f_mass (m + 1),
+f_mom (m + 1)], which ``kinetic_flux(..., out=)`` fills.  So one
+difference of fg, one multiply by dt/dx and one in-place subtract update
+both fields: s[1:2m+2] -= (fg[1:2m+2] - fg[:2m+1])*dt/dx.  The middle
+value of that difference, f_mom[0] - f_mass[m], lands on the right ghost,
+which every flux that reads it rewrites first.  Growing the window moves
+the blocks by a slice copy (on the left alpha moves by 1 and q by 2, on
+the right q by 1).  Every buffer is allocated once per call.
+
+When no cell is vacuum and every velocity has one strict sign,
+``kinetic_flux`` gets the upwind states only and returns their physical
+flux (alpha*u, alpha*u^2); the other side would add only zeros, so the
+flux differences, and so the output, are those of the two-sided flux.
+
+No ufunc call of a step takes a Python float, which numpy 2 converts on
+every call: 0.0 and VACUUM_ALPHA are read-only 0-d float64 arrays, ua is
+one per call, and dt/dx and the drag factor exp(-mu*dt) are written into
+0-d arrays when dt changes.  They hold the floats' values, so every
+operation gives the bits it gives with the floats.  Only the clip to the
+velocity hull, a branch taken when rounding leaves the hull, keeps its
+float bounds.  Single cells (ghosts, growth tests, extremes) are read and
+written through memoryviews, as Python floats and ints, bit for bit.
 
 A step reads three extremes: min and max of the velocity, which set dt
 and choose the flux, and after the transport update min(alpha), which the
-next step's vacuum test needs.  Each is read by index, x[x.argmin()] or
-x[x.argmax()]: on a 600-cell window an index search costs ~0.7 us and a
-numpy min()/max() reduction ~2.3-2.9 us.  The value is the reduction's.
-argmin and argmax return the index of the first NaN when there is one,
-so the extreme is NaN exactly when the reduction's is; +-inf extremes
-agree.  Only a tie of 0.0 and -0.0 may come out with the other sign, and
-every use of an extreme is a comparison, a finiteness test or
-max(-u_lo, u_hi, 1e-300), where either zero loses to 1e-300, so no
-result depends on that sign.
+next step's vacuum test needs.  Each is read at x.argmin() or x.argmax(),
+and its value is the numpy reduction's: argmin and argmax return the index
+of the first NaN when there is one, so the extreme is NaN exactly when the
+reduction's is, and +-inf extremes agree.  Only a tie of 0.0 and -0.0 may
+come out with the other sign; every use of an extreme is a comparison, a
+finiteness test or max(-u_lo, u_hi, 1e-300), where either zero loses to
+1e-300, so no result depends on that sign.
 
 After the drag a step takes one dot product alpha.q.  A NaN or inf among
 them makes the IEEE sum non-finite, so a finite dot proves every value
@@ -61,14 +59,6 @@ it) takes max(alpha), min(q) and max(q) to decide the abort.  There is one
 check per step, after the drag.  numpy's overflow and invalid warnings are
 off for the whole of each ``advance`` call (one ``errstate`` per call): the
 checks, not warnings, report a bad state.
-
-On a loaded 2-vCPU Intel Xeon VM (CPython 3.11, numpy 2.4; 100 runs
-alternated in one process with a step that allocates its flux arrays and
-passes Python floats) a step costs a median ~25 us (fastest ~16 us) on the
-README delta data at 3000 cells (a window of 603 cells on average) and
-~31 us (~21 us) on the vacuum data at 12 000 cells (1231 cells), against
-~28 (~19) and ~34 (~23) us for that step; both runs take the one-sided
-flux at every step.
 """
 
 from __future__ import annotations
@@ -327,7 +317,7 @@ def advance(
     Each step uses dt = min(cfl*dx/max|u|, remaining time), or the given
     positive, finite ``fixed_dt`` (aborting if it violates CFL <= 1).
     Boundaries are outflow (ghost cells copy the adjacent interior cell),
-    so the total mass changes exactly by the net boundary flux.
+    so the total mass changes by the net boundary flux.
 
     A run takes at most ``MAX_STEPS`` steps.  A ``fixed_dt`` that needs
     more, (t_end - time)/fixed_dt > MAX_STEPS, is rejected up front with
@@ -350,59 +340,73 @@ def advance(
         )
     grid = state.grid
     n, dx = grid.n_cells, grid.dx
-    # ghost-extended buffers: the interior is a view, each step refreshes
-    # the two outflow ghosts (copies of the window's edge cells)
-    a_ext = np.empty(n + 2)
-    u_ext = np.empty(n + 2)
-    alpha, u = a_ext[1:-1], u_ext[1:-1]
-    alpha[:] = state.alpha
-    q = np.array(state.q, dtype=float)
-    diff = np.empty(n)
-    vac = np.empty(n, dtype=bool)
-    # interface fluxes, written by kinetic_flux(..., out=) on the window's m + 1 interfaces
-    f_mass, f_mom = np.empty(n + 1), np.empty(n + 1)
+    alpha, q = np.array(state.alpha, dtype=float), np.array(state.q, dtype=float)
     a_lo = float(alpha.min())
     t = state.time
-    bounds = _hull_bounds(state, params)
+    b_lo, b_hi = bounds = _hull_bounds(state, params)
     mu = params.mu
-    # 0-d float64 operands (see the module docstring); lam and decay are rewritten each step
+    # 0-d float64 operands (see the module docstring); lam and decay are rewritten when dt changes
     ua, lam, decay = np.array(params.ua, dtype=float), np.empty(()), np.empty(())
-    # the window [lo, hi): cells 0..lo hold the bits of cell lo and cells
-    # hi-1..n-1 those of cell hi-1, so the edge cells stand for the far field
-    a_bits, q_bits = alpha.view(np.int64), q.view(np.int64)
-    lo, hi = _window(a_bits, q_bits)
+    # the window [lo, hi) of m cells: cells 0..lo hold the bits of cell lo and
+    # cells hi-1..n-1 those of cell hi-1, so the edge cells stand for the far field
+    lo, hi = _window(alpha.view(np.int64), q.view(np.int64))
+    m = hi - lo
+    # s = [left ghost, alpha window, right ghost, q window] and fg = [f_mass, f_mom]
+    # (m + 1 interfaces each) in buffers sized for the whole grid; u_ext = [ghost, u window, ghost]
+    s, fg, d = np.empty(2 * n + 2), np.empty(2 * n + 2), np.empty(2 * n + 1)
+    u_ext = np.empty(n + 2)
+    vac = np.empty(n, dtype=bool)
+    s[1 : m + 1], s[m + 2 : 2 * m + 2] = alpha[lo:hi], q[lo:hi]
+    # single cells are read and written as Python floats and ints, bit for bit
+    sv, sb, uv = memoryview(s), memoryview(s.view(np.int64)), memoryview(u_ext)
     moved = True
+    dt_prev = None
 
     step, max_steps = 0, MAX_STEPS
-    while t < t_end - 1e-14 * max(1.0, abs(t_end)):
+    t_stop = t_end - 1e-14 * max(1.0, abs(t_end))
+    while t < t_stop:
         step += 1
         if step > max_steps:
             raise SolverAbort(f"no end after {max_steps} steps (t={t:.6g} of t_end={t_end:.6g})")
         # a cell moves information one cell per step: grow the window on a
-        # side whose edge cell differs from its inner neighbour
-        if lo > 0 and (a_bits[lo] != a_bits[lo + 1] or q_bits[lo] != q_bits[lo + 1]):
+        # side whose edge cell differs from its inner neighbour, repeating the
+        # edge cell; on the left alpha moves by 1 and q by 2, on the right q by 1
+        if lo > 0 and (sb[1] != sb[2] or sb[m + 2] != sb[m + 3]):
             lo -= 1
-            alpha[lo], q[lo] = alpha[lo + 1], q[lo + 1]
+            s[m + 4 : 2 * m + 4] = s[m + 2 : 2 * m + 2]
+            sv[m + 3] = sv[m + 2]
+            s[2 : m + 2] = s[1 : m + 1]
+            m += 1
             moved = True
-        if hi < n and (a_bits[hi - 1] != a_bits[hi - 2] or q_bits[hi - 1] != q_bits[hi - 2]):
+        if hi < n and (sb[m] != sb[m - 1] or sb[2 * m + 1] != sb[2 * m]):
             hi += 1
-            alpha[hi - 1], q[hi - 1] = alpha[hi - 2], q[hi - 2]
+            s[m + 3 : 2 * m + 3] = s[m + 2 : 2 * m + 2]
+            sv[2 * m + 3], sv[m + 1] = sv[2 * m + 2], sv[m]
+            m += 1
             moved = True
         if moved:
             moved = False
-            m = hi - lo
-            aw, qw, uw, dw, vw = alpha[lo:hi], q[lo:hi], u[lo:hi], diff[:m], vac[:m]
-            a_left, u_left = a_ext[lo : hi + 1], u_ext[lo : hi + 1]
-            a_right, u_right = a_ext[lo + 1 : hi + 2], u_ext[lo + 1 : hi + 2]
-            flux = (f_mass[: m + 1], f_mom[: m + 1])
-            fm_right, fm_left, fq_right, fq_left = f_mass[1 : m + 1], f_mass[:m], f_mom[1 : m + 1], f_mom[:m]
+            aw, qw, uw, dw, vw = s[1 : m + 1], s[m + 2 : 2 * m + 2], u_ext[1 : m + 1], d[:m], vac[:m]
+            awv, uwv = memoryview(aw), memoryview(uw)
+            a_left, u_left = s[: m + 1], u_ext[: m + 1]
+            a_right, u_right = s[1 : m + 2], u_ext[1 : m + 2]
+            flux = (fg[: m + 1], fg[m + 1 : 2 * m + 2])
+            # one transport update of alpha and q; its middle value,
+            # f_mom[0] - f_mass[m], lands on the right ghost, which every
+            # flux that reads it rewrites first
+            s_upd, f_upper, f_lower, d_upd = s[1 : 2 * m + 2], fg[1 : 2 * m + 2], fg[: 2 * m + 1], d[: 2 * m + 1]
         # a_lo is min(alpha) (NaN if any alpha is NaN), carried over from the checks below
         any_vacuum = not a_lo > VACUUM_ALPHA
-        u_lo, u_hi = _velocity(aw, qw, ua, bounds, uw, vw, any_vacuum)
         if any_vacuum:
+            u_lo, u_hi = _velocity(aw, qw, ua, bounds, uw, vw)
             # zeroing q instead would leave q/alpha outside the velocity hull
             # once mass flows into the cell
             np.multiply(aw, ua, out=qw, where=vw)
+        else:
+            np.divide(qw, aw, out=uw)
+            u_lo, u_hi = uwv[uw.argmin()], uwv[uw.argmax()]
+            if not (u_lo >= b_lo and u_hi <= b_hi):  # also taken on NaN
+                u_lo, u_hi = _velocity(aw, qw, ua, bounds, uw, vw, False)
         umax = max(-u_lo, u_hi, 1e-300)
         remaining = t_end - t
         if fixed_dt is not None:
@@ -418,23 +422,27 @@ def advance(
         # with every density positive and every velocity of one strict sign,
         # the flux is the physical flux of the upwind side: refresh its ghost only
         if not any_vacuum and u_lo > 0.0:
-            a_ext[lo], u_ext[lo] = aw[0], uw[0]
+            sv[0], uv[0] = sv[1], uv[1]
             kinetic_flux(a_left, u_left, out=flux)
         elif not any_vacuum and u_hi < 0.0:
-            a_ext[hi + 1], u_ext[hi + 1] = aw[-1], uw[-1]
+            sv[m + 1], uv[m + 1] = sv[m], uv[m]
             kinetic_flux(a_right, u_right, out=flux)
         else:
-            a_ext[lo], a_ext[hi + 1] = aw[0], aw[-1]
-            u_ext[lo], u_ext[hi + 1] = uw[0], uw[-1]
+            sv[0], sv[m + 1] = sv[1], sv[m]
+            uv[0], uv[m + 1] = uv[1], uv[m]
             kinetic_flux(a_left, u_left, a_right, u_right, out=flux)
-        lam[()] = dt / dx
-        aw -= np.multiply(np.subtract(fm_right, fm_left, out=dw), lam, out=dw)
-        qw -= np.multiply(np.subtract(fq_right, fq_left, out=dw), lam, out=dw)
+        if dt != dt_prev:
+            dt_prev = dt
+            lam[()] = dt / dx
+            if mu > 0.0:
+                decay[()] = math.exp(-mu * dt)
+        s_upd -= np.multiply(np.subtract(f_upper, f_lower, out=d_upd), lam, out=d_upd)
 
-        a_lo = float(aw[aw.argmin()])
+        a_lo = awv[aw.argmin()]
         if a_lo < -1e-13:
             if _nonfinite(aw, qw, a_lo):  # a -inf or a bad q aborts as non-finite, not negative
                 raise SolverAbort(f"non-finite state at step {step} (t={t + dt:.6g})")
+            alpha[lo:hi], q[lo:hi] = aw, qw
             _fill_far_field(alpha, q, lo, hi)  # the message names the first such cell of the grid
             j = int(np.argmin(alpha))
             raise SolverAbort(
@@ -444,13 +452,13 @@ def advance(
             np.maximum(aw, _ZERO, out=aw)
 
         if mu > 0.0:
-            decay[()] = math.exp(-mu * dt)
             _drag(qw, aw, ua, decay, dw)
         # after the drag, so a step's own drag overflow is reported at that step
         if _nonfinite(aw, qw, a_lo):
             raise SolverAbort(f"non-finite state at step {step} (t={t + dt:.6g})")
         t = t_end if remaining <= dt * (1.0 + 1e-12) else t + dt
 
+    alpha[lo:hi], q[lo:hi] = s[1 : m + 1], s[m + 2 : 2 * m + 2]
     _fill_far_field(alpha, q, lo, hi)
     return FieldState(grid=grid, alpha=alpha, q=q, time=t_end)
 

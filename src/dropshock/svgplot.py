@@ -6,6 +6,7 @@ without pulling in a plotting dependency.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -13,13 +14,6 @@ import numpy as np
 __all__ = ["line_plot"]
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
-
-
-def _ticks(lo: float, hi: float, n: int = 5):
-    if hi <= lo:
-        hi = lo + 1.0
-    raw = np.linspace(lo, hi, n)
-    return raw
 
 
 def line_plot(
@@ -31,20 +25,40 @@ def line_plot(
     ylabel: str = "",
     size: Tuple[int, int] = (720, 480),
 ) -> None:
-    """Write a line plot of one or more (label, y) series over x to ``path``."""
+    """Write a line plot of one or more (label, y) series over x to ``path``.
+
+    x and every y must be non-empty, of one length and finite (ValueError
+    otherwise).  A zero span of x or of y is widened by 1 on each side.
+    """
     width, height = size
     ml, mr, mt, mb = 70, 20, 40, 50
     pw, ph = width - ml - mr, height - mt - mb
 
     x = np.asarray(x, dtype=float)
     ys = [np.asarray(y, dtype=float) for _, y in series]
+    if x.ndim != 1 or len(x) == 0:
+        raise ValueError(f"x must be a non-empty 1-D array, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("x holds a non-finite value")
+    if not ys:
+        raise ValueError("no series to plot")
+    for (label, _), y in zip(series, ys):
+        if y.shape != x.shape:
+            raise ValueError(f"series {label!r} has shape {y.shape}, x has shape {x.shape}")
+        if not np.isfinite(y).all():
+            raise ValueError(f"series {label!r} holds a non-finite value")
     x_lo, x_hi = float(np.min(x)), float(np.max(x))
+    if x_hi == x_lo:
+        x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
     y_lo = min(float(np.min(y)) for y in ys)
     y_hi = max(float(np.max(y)) for y in ys)
     if y_hi == y_lo:
         y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
+    for name, lo, hi in (("x", x_lo, x_hi), ("y", y_lo, y_hi)):
+        if not 0.0 < hi - lo < math.inf:  # a span lost to rounding, or one that overflows
+            raise ValueError(f"the {name} range [{lo!r}, {hi!r}] has no finite positive width to draw")
 
     def sx(v):
         return ml + (v - x_lo) / (x_hi - x_lo) * pw
@@ -63,14 +77,14 @@ def line_plot(
             f'<text x="{width / 2:.1f}" y="{mt - 15}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="15">{title}</text>'
         )
-    for tx in _ticks(x_lo, x_hi):
+    for tx in np.linspace(x_lo, x_hi, 5):
         px = sx(tx)
         parts.append(f'<line x1="{px:.2f}" y1="{mt + ph}" x2="{px:.2f}" y2="{mt + ph + 5}" stroke="black"/>')
         parts.append(
             f'<text x="{px:.2f}" y="{mt + ph + 20}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="11">{tx:.3g}</text>'
         )
-    for ty in _ticks(y_lo, y_hi):
+    for ty in np.linspace(y_lo, y_hi, 5):
         py = sy(ty)
         parts.append(f'<line x1="{ml - 5}" y1="{py:.2f}" x2="{ml}" y2="{py:.2f}" stroke="black"/>')
         parts.append(

@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .core import ModelParams, RiemannData, SmoothProfile, characteristic_position
-from .droplet import solve
-from .fv import FieldState, Grid1D, advance, reconstruct_velocity, shock_mass
+from .fv import FieldState, Grid1D, reconstruct_velocity, shock_mass
 
 __all__ = [
     "ErrorReport",
@@ -36,7 +35,6 @@ __all__ = [
     "weak_residual",
     "sample_exact",
     "compare",
-    "convergence_study",
     "vacuum_extent",
 ]
 
@@ -350,28 +348,6 @@ def compare(
         shock_position_error=pos_err,
         excess_mass_rel_error=mass_err,
     )
-
-
-def convergence_study(
-    data: RiemannData,
-    params: ModelParams,
-    t_end: float,
-    n_cells_list: Sequence[int],
-    domain: Tuple[float, float] = (-1.0, 2.0),
-    cfl: float = 0.15,
-    exclusion_half_width: float = 0.05,
-    label: str = "",
-) -> List[ErrorReport]:
-    """Run the solver over a grid ladder and report errors in grid order."""
-    exact = solve(data, params)
-    reports = []
-    for n in n_cells_list:
-        grid = Grid1D(domain[0], domain[1], int(n))
-        state = advance(FieldState.from_riemann(grid, data), params, t_end, cfl=cfl)
-        reports.append(
-            compare(state, exact, exclusion_half_width, label=f"{label}n{n}" if label else f"n{n}")
-        )
-    return reports
 
 
 def vacuum_extent(state: FieldState, threshold: float) -> float:

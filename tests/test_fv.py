@@ -504,6 +504,16 @@ POISON = st.none() | st.tuples(
          poison=None, mu=0.5, ua=1.0, fixed=False, courant=0.5, t_end=0.2)
 @example(n=16, cuts=[8], states=[(1e200, 1.5), (3e200, 0.5), (0, 0), (0, 0), (0, 0)],
          poison=None, mu=0.2, ua=1.0, fixed=True, courant=0.9, t_end=0.2)
+# window growth: every u < 0, so after the first step only the left edge
+# grows, step by step until it reaches cell 0; colliding streams, which grow
+# both edges in one step; and a fixed dt ending on a partial step
+# (t_end = 10.5 dt), so dt/dx and the drag factor change on the last step
+@example(n=12, cuts=[6], states=[(0.01, -0.5), (0.02, -1.0), (0, 0), (0, 0), (0, 0)],
+         poison=None, mu=0.5, ua=-1.0, fixed=True, courant=0.9, t_end=0.4)
+@example(n=24, cuts=[12], states=[(0.01, 1.0), (0.02, -1.0), (0, 0), (0, 0), (0, 0)],
+         poison=None, mu=0.3, ua=0.2, fixed=True, courant=0.9, t_end=0.4)
+@example(n=16, cuts=[8], states=[(0.01, 1.0), (0.02, 0.5), (0, 0), (0, 0), (0, 0)],
+         poison=None, mu=0.5, ua=1.0, fixed=True, courant=0.8, t_end=0.525)
 def test_advance_equals_full_grid_reference(n, cuts, states, poison, mu, ua, fixed, courant, t_end):
     # the windowed kernel must return the full-grid loop's bytes, or abort
     # with its message (same step, same argmin cell and value)
