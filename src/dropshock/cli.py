@@ -19,6 +19,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import fv, grh
+from ._runs import run_starts as _run_starts, run_text as _run_text
 from .burgers import blowup
 from .core import BlowupError, ModelParams, RiemannData, SmoothProfile
 from .droplet import RiemannSolution, initial_shock_speed, solve
@@ -35,23 +36,6 @@ class ConfigError(Exception):
 
 
 _CSV_CHUNK_ROWS = 1024  # rows formatted per % operation: bounds the transient string and tuple
-
-
-def _run_starts(values: np.ndarray) -> np.ndarray:
-    """The first index of each run of equal bit patterns, so 0.0 and -0.0 (and NaN payloads) differ."""
-    bits = values.view(np.int64)
-    return np.flatnonzero(np.r_[len(bits) > 0, bits[1:] != bits[:-1]])
-
-
-def _run_text(values, starts: Optional[np.ndarray] = None) -> np.ndarray:
-    """The %.17g text of each value as an object array, formatted once per run of equal bits."""
-    values = np.ascontiguousarray(values, dtype=float)
-    if len(values) == 0:
-        return np.empty(0, dtype=object)
-    if starts is None:
-        starts = _run_starts(values)
-    texts = (",".join(["%.17g"] * len(starts)) % tuple(values[starts].tolist())).split(",")
-    return np.repeat(np.array(texts, dtype=object), np.diff(starts, append=len(values)))
 
 
 def write_csv(path: str, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:

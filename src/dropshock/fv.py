@@ -42,15 +42,23 @@ velocity hull, a branch taken when rounding leaves the hull, keeps its
 float bounds.  Single cells (ghosts, growth tests, extremes) are read and
 written through memoryviews, as Python floats and ints, bit for bit.
 
+The step's ufuncs take their output array positionally, which numpy
+parses with less work than ``out=``; only np.maximum and np.minimum,
+whose third positional argument numpy deprecates, keep ``out=``.  The
+step calls no builtin min or max: it makes their comparisons itself, in
+their order, so NaN and signed zeros come out as the builtins give them.
+
 A step reads three extremes: min and max of the velocity, which set dt
 and choose the flux, and after the transport update min(alpha), which the
 next step's vacuum test needs.  Each is read at x.argmin() or x.argmax(),
 and its value is the numpy reduction's: argmin and argmax return the index
 of the first NaN when there is one, so the extreme is NaN exactly when the
 reduction's is, and +-inf extremes agree.  Only a tie of 0.0 and -0.0 may
-come out with the other sign; every use of an extreme is a comparison, a
-finiteness test or max(-u_lo, u_hi, 1e-300), where either zero loses to
-1e-300, so no result depends on that sign.
+come out with the other sign.  Every use of an extreme is a comparison, a
+finiteness test, or a negation that enters max|u| beside the floor
+1e-300, which either zero loses to, so no result depends on that sign.
+The argmin/argmax methods of the window views are bound once per view,
+when the window grows.
 
 After the drag a step takes one dot product alpha.q.  A NaN or inf among
 them makes the IEEE sum non-finite, so a finite dot proves every value
@@ -183,15 +191,15 @@ def _velocity(alpha, q, ua, bounds, out, vac, any_vacuum=True):
     docstring).
     """
     if any_vacuum:
-        np.greater(alpha, _VACUUM_ALPHA, out=vac)
-        np.divide(q, alpha, out=out, where=vac)
-        np.logical_not(vac, out=vac)
+        np.greater(alpha, _VACUUM_ALPHA, vac)
+        np.divide(q, alpha, out, where=vac)
+        np.logical_not(vac, vac)
         np.copyto(out, ua, where=vac)
     else:
-        np.divide(q, alpha, out=out)
+        np.divide(q, alpha, out)
     lo, hi = float(out[out.argmin()]), float(out[out.argmax()])
     if bounds is not None and not (lo >= bounds[0] and hi <= bounds[1]):  # also taken on NaN
-        np.clip(out, bounds[0], bounds[1], out=out)
+        np.clip(out, bounds[0], bounds[1], out)
         lo, hi = float(out[out.argmin()]), float(out[out.argmax()])
     return lo, hi
 
@@ -231,13 +239,13 @@ def kinetic_flux(alpha_l, u_l, alpha_r=None, u_r=None, out=None):
     """
     f_mass, f_mom = (None, None) if out is None else out
     if alpha_r is None:
-        f_mass = np.multiply(u_l, alpha_l, out=f_mass)
-        return f_mass, np.multiply(f_mass, u_l, out=f_mom)
+        f_mass = np.multiply(u_l, alpha_l, f_mass)
+        return f_mass, np.multiply(f_mass, u_l, f_mom)
     fl = np.maximum(u_l, _ZERO, out=f_mom, dtype=float)
     fl *= alpha_l
     fr = np.minimum(u_r, _ZERO, dtype=float)
     fr *= alpha_r
-    f_mass = np.add(fl, fr, out=f_mass)
+    f_mass = np.add(fl, fr, f_mass)
     fl *= u_l
     fr *= u_r
     fl += fr
@@ -250,11 +258,10 @@ def _drag(q, alpha, ua, decay, q_eq=None) -> np.ndarray:
     ``ua`` and ``decay`` are floats or 0-d arrays; ``q_eq`` is scratch for
     alpha*ua (allocated when None).
     """
-    q_eq = np.multiply(alpha, ua, out=q_eq)
-    q -= q_eq
-    q *= decay
-    q += q_eq
-    return q
+    q_eq = np.multiply(alpha, ua, q_eq)
+    np.subtract(q, q_eq, q)
+    np.multiply(q, decay, q)
+    return np.add(q, q_eq, q)
 
 
 def source_step(state: FieldState, params: ModelParams, dt: float) -> FieldState:
@@ -291,7 +298,7 @@ def _nonfinite(a, q, a_lo) -> bool:
     non-finite: a finite dot proves every value finite.  Finite data can
     overflow the dot, so only a non-finite dot looks at the extremes.
     """
-    if math.isfinite(np.dot(a, q)):
+    if math.isfinite(a.dot(q)):
         return False
     return not all(map(math.isfinite, (a_lo, float(a.max()), float(q.min()), float(q.max()))))
 
@@ -388,6 +395,7 @@ def advance(
             moved = False
             aw, qw, uw, dw, vw = s[1 : m + 1], s[m + 2 : 2 * m + 2], u_ext[1 : m + 1], d[:m], vac[:m]
             awv, uwv = memoryview(aw), memoryview(uw)
+            aw_argmin, uw_argmin, uw_argmax = aw.argmin, uw.argmin, uw.argmax
             a_left, u_left = s[: m + 1], u_ext[: m + 1]
             a_right, u_right = s[1 : m + 2], u_ext[1 : m + 2]
             flux = (fg[: m + 1], fg[m + 1 : 2 * m + 2])
@@ -401,23 +409,31 @@ def advance(
             u_lo, u_hi = _velocity(aw, qw, ua, bounds, uw, vw)
             # zeroing q instead would leave q/alpha outside the velocity hull
             # once mass flows into the cell
-            np.multiply(aw, ua, out=qw, where=vw)
+            np.multiply(aw, ua, qw, where=vw)
         else:
-            np.divide(qw, aw, out=uw)
-            u_lo, u_hi = uwv[uw.argmin()], uwv[uw.argmax()]
+            np.divide(qw, aw, uw)
+            u_lo, u_hi = uwv[uw_argmin()], uwv[uw_argmax()]
             if not (u_lo >= b_lo and u_hi <= b_hi):  # also taken on NaN
                 u_lo, u_hi = _velocity(aw, qw, ua, bounds, uw, vw, False)
-        umax = max(-u_lo, u_hi, 1e-300)
+        # max(-u_lo, u_hi, 1e-300), min(fixed_dt, remaining) and
+        # min(cfl*dx/umax, remaining) as the builtins compare, NaN included
+        umax = -u_lo
+        if u_hi > umax:
+            umax = u_hi
+        if 1e-300 > umax:
+            umax = 1e-300
         remaining = t_end - t
         if fixed_dt is not None:
-            dt = min(fixed_dt, remaining)
+            dt = remaining if remaining < fixed_dt else fixed_dt
             if dt * umax / dx > 1.0 + 1e-12:
                 raise SolverAbort(
                     f"fixed dt={fixed_dt:g} violates CFL at step {step} "
                     f"(t={t:.6g}, max|u|={umax:g}, dx={dx:g})"
                 )
         else:
-            dt = min(cfl * dx / umax, remaining)
+            dt = cfl * dx / umax
+            if remaining < dt:
+                dt = remaining
 
         # with every density positive and every velocity of one strict sign,
         # the flux is the physical flux of the upwind side: refresh its ghost only
@@ -436,9 +452,9 @@ def advance(
             lam[()] = dt / dx
             if mu > 0.0:
                 decay[()] = math.exp(-mu * dt)
-        s_upd -= np.multiply(np.subtract(f_upper, f_lower, out=d_upd), lam, out=d_upd)
+        np.subtract(s_upd, np.multiply(np.subtract(f_upper, f_lower, d_upd), lam, d_upd), s_upd)
 
-        a_lo = awv[aw.argmin()]
+        a_lo = awv[aw_argmin()]
         if a_lo < -1e-13:
             if _nonfinite(aw, qw, a_lo):  # a -inf or a bad q aborts as non-finite, not negative
                 raise SolverAbort(f"non-finite state at step {step} (t={t + dt:.6g})")

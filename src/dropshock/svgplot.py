@@ -11,9 +11,16 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
+from ._runs import run_text
+
 __all__ = ["line_plot"]
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
+
+
+def _escape(text) -> str:
+    """``str(text)`` as SVG character data: ``&``, ``<`` and ``>`` as entities."""
+    return str(text).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def line_plot(
@@ -27,12 +34,19 @@ def line_plot(
 ) -> None:
     """Write a line plot of one or more (label, y) series over x to ``path``.
 
-    x and every y must be non-empty, of one length and finite (ValueError
-    otherwise).  A zero span of x or of y is widened by 1 on each side.
+    x and every y must be non-empty, of one length and finite, and ``size``
+    must leave a plot area inside the margins (ValueError otherwise).  A
+    zero span of x or of y is widened by 1 on each side.  Title, axis
+    labels and series labels are written as text, with ``&``, ``<`` and
+    ``>`` escaped.  Each point is the ``%.2f,%.2f`` text of its pixel
+    coordinates; the x text is formatted once for all series, and each
+    series' y text once per run of equal values.
     """
     width, height = size
     ml, mr, mt, mb = 70, 20, 40, 50
     pw, ph = width - ml - mr, height - mt - mb
+    if not (pw > 0 and ph > 0):
+        raise ValueError(f"size {size!r} leaves no plot area: width and height must exceed {ml + mr} px")
 
     x = np.asarray(x, dtype=float)
     ys = [np.asarray(y, dtype=float) for _, y in series]
@@ -75,7 +89,7 @@ def line_plot(
     if title:
         parts.append(
             f'<text x="{width / 2:.1f}" y="{mt - 15}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="15">{title}</text>'
+            f'font-family="sans-serif" font-size="15">{_escape(title)}</text>'
         )
     for tx in np.linspace(x_lo, x_hi, 5):
         px = sx(tx)
@@ -93,24 +107,25 @@ def line_plot(
         )
     parts.append(
         f'<text x="{ml + pw / 2:.1f}" y="{height - 12}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{xlabel}</text>'
+        f'font-family="sans-serif" font-size="13">{_escape(xlabel)}</text>'
     )
     if ylabel:
         parts.append(
             f'<text x="18" y="{mt + ph / 2:.1f}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="13" '
-            f'transform="rotate(-90 18 {mt + ph / 2:.1f})">{ylabel}</text>'
+            f'transform="rotate(-90 18 {mt + ph / 2:.1f})">{_escape(ylabel)}</text>'
         )
 
-    px = sx(x)
+    # the x texts, written once into a template that every series fills with its y texts
+    template = ",%s ".join(run_text(sx(x), fmt="%.2f").tolist()) + ",%s"
     for k, ((label, _), y) in enumerate(zip(series, ys)):
         color = _COLORS[k % len(_COLORS)]
-        pts = " ".join(["%.2f,%.2f"] * len(x)) % tuple(np.column_stack((px, sy(y))).ravel().tolist())
+        pts = template % tuple(run_text(sy(y), fmt="%.2f").tolist())
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.3"/>')
         ly = mt + 16 + 16 * k
         parts.append(f'<line x1="{ml + pw - 120}" y1="{ly}" x2="{ml + pw - 95}" y2="{ly}" stroke="{color}" stroke-width="2"/>')
         parts.append(
-            f'<text x="{ml + pw - 90}" y="{ly + 4}" font-family="sans-serif" font-size="12">{label}</text>'
+            f'<text x="{ml + pw - 90}" y="{ly + 4}" font-family="sans-serif" font-size="12">{_escape(label)}</text>'
         )
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:

@@ -1,4 +1,4 @@
-"""The byte oracle stays independent of the code it checks.
+"""The byte oracles stay independent of the code they check.
 
 ``helpers.reference_advance`` is the full-grid loop that ``fv.advance``
 must equal byte for byte.  It may take from ``dropshock.fv`` only the state
@@ -6,8 +6,14 @@ type, the abort exception and the vacuum threshold, and it calls
 ``fv.kinetic_flux`` only in its four-argument, allocating form.  A speed-up
 that routed the oracle through ``advance``'s own helpers (``_velocity``,
 ``_drag``, the ``out=`` flux) would make the byte-identity property compare
-that code with itself.  The guard reads the source of ``helpers.py``, so
-it needs no run of the oracle.
+that code with itself.
+
+``test_svgplot.reference_points`` is the polyline text that
+``svgplot.line_plot`` must equal byte for byte.  It formats each point with
+its own f-string and calls nothing from ``dropshock``, so it shares no
+formatter (such as the run formatter) with the plot.
+
+The guards read the sources, so they need no run of an oracle.
 """
 
 import ast
@@ -131,3 +137,88 @@ def test_guard_flags_each_route_into_fv(edits, use):
         assert found == []
     else:
         assert found and all(use in f for f in found), found
+
+
+SVG_TESTS = pathlib.Path(__file__).with_name("test_svgplot.py")
+SVG_ORACLE = "reference_points"
+
+
+def _point_fstring(node) -> bool:
+    """Whether ``node`` is a comprehension over ``zip(...)`` whose element is
+    one f-string of two ``.2f`` fields, joined by a comma."""
+    if not (isinstance(node, (ast.GeneratorExp, ast.ListComp)) and len(node.generators) == 1):
+        return False
+    it, elt = node.generators[0].iter, node.elt
+    if not (isinstance(it, ast.Call) and isinstance(it.func, ast.Name) and it.func.id == "zip"):
+        return False
+    if not (isinstance(elt, ast.JoinedStr) and len(elt.values) == 3):
+        return False
+    first, comma, second = elt.values
+    return (isinstance(comma, ast.Constant) and comma.value == ","
+            and all(isinstance(v, ast.FormattedValue) and v.conversion == -1
+                    and v.format_spec is not None and ast.unparse(v.format_spec) == "f'.2f'"
+                    for v in (first, second)))
+
+
+def svg_oracle_faults(source: str) -> list:
+    """What keeps the SVG oracle from formatting each point on its own:
+    a use of ``dropshock`` by the oracle or a module-level function it
+    reaches, or no per-point f-string; empty when the oracle is independent."""
+    tree = ast.parse(source)
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    package = set()  # module-level names bound to dropshock or to something imported from it
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dropshock":
+            package.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            package.update((a.asname or a.name.split(".")[0]) for a in node.names if a.name.split(".")[0] == "dropshock")
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            if any(isinstance(n, ast.Name) and n.id in package for n in ast.walk(node.value)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                package.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+
+    found, seen, todo = [], set(), [SVG_ORACLE]
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Name) and node.id in package:
+                found.append(f"{name}: uses {node.id}")
+            elif isinstance(node, ast.Name) and node.id in functions:
+                todo.append(node.id)
+    if not any(_point_fstring(node) for node in ast.walk(functions[SVG_ORACLE])):
+        found.append(f"{SVG_ORACLE}: no per-point f-string")
+    return found
+
+
+def test_reference_points_formats_each_point_itself():
+    assert svg_oracle_faults(SVG_TESTS.read_text()) == []
+
+
+POINT_FSTRING = 'f"{ml + (xv - x_lo) / (x_hi - x_lo) * pw:.2f},{mt + ph - (yv - y_lo) / (y_hi - y_lo) * ph:.2f}"'
+
+
+@pytest.mark.parametrize(
+    "edits, fault",
+    [
+        ([("from dropshock.svgplot import line_plot\n", "from dropshock.svgplot import line_plot, run_text\n"),
+          ("    return [\n", "    run_text(x)\n    return [\n")], "uses run_text"),
+        ([("import pytest\n", "import pytest\n\nimport dropshock._runs as runs\n"),
+          ("    return [\n", "    runs.run_text(x)\n    return [\n")], "uses runs"),
+        ([("import pytest\n", "import pytest\nfrom dropshock import _runs\n_fmt = _runs.run_text\n"),
+          ("    return [\n", "    _fmt(x)\n    return [\n")], "uses _fmt"),
+        ([(POINT_FSTRING, '"%.2f,%.2f" % (xv, yv)')], "no per-point f-string"),
+        ([(POINT_FSTRING, POINT_FSTRING.replace(":.2f}", "}"))], "no per-point f-string"),
+    ],
+    ids=["imported-formatter", "module-alias", "module-level-alias", "percent-format", "no-format-spec"],
+)
+def test_svg_guard_flags_each_route_into_dropshock(edits, fault):
+    source = SVG_TESTS.read_text()
+    for old, new in edits:
+        assert old in source
+        source = source.replace(old, new, 1)
+    found = svg_oracle_faults(source)
+    assert found and all(fault in f for f in found), found

@@ -1,4 +1,5 @@
 import re
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -29,6 +30,8 @@ def reference_points(x, ys, size):
 
 X = np.linspace(-1.0, 2.0, 3000)
 UNSORTED = np.random.default_rng(3).uniform(-5.0, 5.0, 257)
+# an FV snapshot: equal far-field cells at both ends, distinct values between
+SNAPSHOT = np.concatenate((np.full(1200, 0.008), 0.008 + 0.004 * np.sin(np.linspace(0.0, 9.0, 700)), np.full(1100, 0.003)))
 
 
 @pytest.mark.parametrize(
@@ -38,8 +41,10 @@ UNSORTED = np.random.default_rng(3).uniform(-5.0, 5.0, 257)
         (UNSORTED, [np.full(UNSORTED.shape, 0.25)], (720, 480)),
         (UNSORTED, [UNSORTED**3, -UNSORTED], (500, 301)),
         ([0.0, 1.0], [[1, 2]], (720, 480)),
+        (X, [SNAPSHOT, np.where(X < 0.5, 0.008, 0.003)], (720, 480)),
+        (X[:400], [X[:400] * k for k in (1.0, -0.5, 2.0, 0.0)], (720, 480)),
     ],
-    ids=["three-series", "constant", "unsorted-small", "two-points"],
+    ids=["three-series", "constant", "unsorted-small", "two-points", "fv-snapshot", "four-series"],
 )
 def test_line_plot_points_equal_per_point_formatting(tmp_path, x, ys, size):
     path = tmp_path / "p.svg"
@@ -66,20 +71,34 @@ def test_line_plot_zero_x_span_is_widened(tmp_path, x, y, point):
 
 
 @pytest.mark.parametrize(
-    "x, series, message",
+    "x, series, size, message",
     [
-        ([], [("s", [])], "non-empty"),
-        ([0.0, 1.0], [], "no series"),
-        ([0.0, 1.0], [("s", [1.0, 2.0, 3.0])], r"series 's' has shape \(3,\), x has shape \(2,\)"),
-        ([0.0, 1.0], [("a", [1.0, 2.0]), ("b", [1.0, np.nan])], "series 'b' holds a non-finite value"),
-        ([0.0, np.inf], [("s", [1.0, 2.0])], "x holds a non-finite value"),
-        ([1e300, 1e300], [("s", [1.0, 2.0])], "the x range"),
-        ([0.0, 1.0], [("s", [-1e308, 1e308])], "the y range"),
+        ([], [("s", [])], (720, 480), "non-empty"),
+        ([0.0, 1.0], [], (720, 480), "no series"),
+        ([0.0, 1.0], [("s", [1.0, 2.0, 3.0])], (720, 480), r"series 's' has shape \(3,\), x has shape \(2,\)"),
+        ([0.0, 1.0], [("a", [1.0, 2.0]), ("b", [1.0, np.nan])], (720, 480), "series 'b' holds a non-finite value"),
+        ([0.0, np.inf], [("s", [1.0, 2.0])], (720, 480), "x holds a non-finite value"),
+        ([1e300, 1e300], [("s", [1.0, 2.0])], (720, 480), "the x range"),
+        ([0.0, 1.0], [("s", [-1e308, 1e308])], (720, 480), "the y range"),
+        # the margins take 90 px of the width and 90 px of the height
+        ([0.0, 1.0], [("s", [1.0, 2.0])], (80, 80), r"size \(80, 80\) leaves no plot area"),
+        ([0.0, 1.0], [("s", [1.0, 2.0])], (720, 90), r"size \(720, 90\) leaves no plot area"),
     ],
-    ids=["empty", "no-series", "mismatched", "nan-y", "inf-x", "x-span-lost-to-rounding", "y-span-overflows"],
+    ids=["empty", "no-series", "mismatched", "nan-y", "inf-x", "x-span-lost-to-rounding", "y-span-overflows",
+         "no-plot-area", "no-plot-height"],
 )
-def test_line_plot_rejects_degenerate_input(tmp_path, x, series, message):
+def test_line_plot_rejects_degenerate_input(tmp_path, x, series, size, message):
     path = tmp_path / "p.svg"
     with pytest.raises(ValueError, match=message):
-        line_plot(str(path), x, series)
+        line_plot(str(path), x, series, size=size)
     assert not path.exists()
+
+
+def test_line_plot_escapes_text(tmp_path):
+    path = tmp_path / "p.svg"
+    texts = {"title": "x & y", "xlabel": "<x>", "ylabel": "a&b<c", "label": "a<b & c"}
+    line_plot(str(path), [0, 1], [(texts["label"], [1, 2])],
+              title=texts["title"], xlabel=texts["xlabel"], ylabel=texts["ylabel"])
+    doc = minidom.parse(str(path))  # raises on unescaped & or <
+    read = {node.firstChild.data for node in doc.getElementsByTagName("text") if node.firstChild}
+    assert set(texts.values()) <= read
