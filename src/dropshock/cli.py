@@ -22,7 +22,7 @@ from . import fv, grh
 from ._runs import run_starts as _run_starts, run_text as _run_text
 from .burgers import blowup
 from .core import BlowupError, ModelParams, RiemannData, SmoothProfile
-from .droplet import RiemannSolution, initial_shock_speed, solve
+from .droplet import RiemannSolution, solve
 from .fv import FieldState, Grid1D, SolverAbort, advance, reconstruct_velocity
 from .svgplot import line_plot
 from .validation import compare, first_crossing_time
@@ -145,7 +145,9 @@ def _riemann_from(cfg: dict) -> RiemannData:
 
 def _name_from(cfg: dict, default: str) -> str:
     """The scenario name, which prefixes every output file: one plain path component."""
-    name = str(cfg.get("name", default))
+    name = cfg.get("name", default)
+    if not isinstance(name, str):
+        raise ConfigError(f"name must be a string, got {json.dumps(name)}")
     if name in ("", ".", "..") or os.sep in name or (os.altsep and os.altsep in name):
         raise ConfigError(f"name must be one plain file-name component, got {name!r}")
     return name
@@ -430,10 +432,14 @@ def cmd_grh(args, cfg: dict, raw: str, out: str) -> int:
     if t_end <= 0 or dt <= 0:
         raise ConfigError("t_end and dt must be positive")
     states = grh.LimitStates.from_riemann(data, params)
-    if sigma0 is None and data.omega0 > 0.0:
-        sigma0 = initial_shock_speed(data.alpha_l, data.u_l, data.alpha_r, data.u_r)
+    # a zero mass is seeded by integrate, at sigma0 or its own initial speed
+    z0 = grh.GrhState(mass=0.0, momentum=0.0)
+    if data.omega0 > 0.0:
+        if sigma0 is None:  # the sqrt-density-weighted speed; u of the non-empty side when one density is 0
+            sigma0 = solve(data, params).initial_speed
+        z0 = grh.GrhState(mass=data.omega0, momentum=data.omega0 * sigma0)
     traj = grh.integrate(
-        grh.GrhState(mass=data.omega0, momentum=data.omega0 * (sigma0 if sigma0 else 0.0)),
+        z0,
         sigma0,
         t_end,
         dt,

@@ -15,8 +15,7 @@ copy the edge cells, so an edge cell whose inner neighbour equals it takes
 the update of the whole uniform far field it stands for.  Before each step
 the window grows by one cell, a copy of the edge cell, on a side whose
 edge cell differs from its inner neighbour (a three-point scheme moves
-information one cell per step).  The far field is filled from the edge
-cells on return, and before the negative-density abort names its cell.
+information one cell per step).  The far field is filled on return.
 
 The window lives in one buffer s = [left ghost, alpha (m), right ghost,
 q (m)], and the interface fluxes in one buffer fg = [f_mass (m + 1),
@@ -28,45 +27,42 @@ which every flux that reads it rewrites first.  Growing the window moves
 the blocks by a slice copy (on the left alpha moves by 1 and q by 2, on
 the right q by 1).  Every buffer is allocated once per call.
 
-When no cell is vacuum and every velocity has one strict sign,
-``kinetic_flux`` gets the upwind states only and returns their physical
-flux (alpha*u, alpha*u^2); the other side would add only zeros, so the
-flux differences, and so the output, are those of the two-sided flux.
+The velocity is one sequence: u = q/alpha; only if min(alpha) >
+VACUUM_ALPHA fails, u = ua and q = alpha*ua in the vacuum cells; the
+extremes of u; only if they leave the hull of the data and ua, a clip to
+it and the extremes again.  When no cell is vacuum and every velocity has
+one strict sign, ``kinetic_flux`` gets the upwind states only and returns
+their physical flux; the other side would add only zeros, so the flux
+differences are those of the two-sided flux.
 
 No ufunc call of a step takes a Python float, which numpy 2 converts on
-every call: 0.0 and VACUUM_ALPHA are read-only 0-d float64 arrays, ua is
-one per call, and dt/dx and the drag factor exp(-mu*dt) are written into
-0-d arrays when dt changes.  They hold the floats' values, so every
-operation gives the bits it gives with the floats.  Only the clip to the
-velocity hull, a branch taken when rounding leaves the hull, keeps its
-float bounds.  Single cells (ghosts, growth tests, extremes) are read and
-written through memoryviews, as Python floats and ints, bit for bit.
+every call: 0.0, VACUUM_ALPHA, ua, dt/dx and exp(-mu*dt) are 0-d float64
+arrays holding the floats' values (the last two rewritten when dt
+changes), so every operation gives the same bits; only the clip keeps its
+float bounds.  Ufuncs take their output positionally, which numpy parses
+with less work than ``out=`` (np.maximum and np.minimum, whose third
+positional argument numpy deprecates, keep ``out=``).  Single cells
+(ghosts, growth tests, extremes) are read and written through
+memoryviews, as Python floats and ints, bit for bit.
 
-The step's ufuncs take their output array positionally, which numpy
-parses with less work than ``out=``; only np.maximum and np.minimum,
-whose third positional argument numpy deprecates, keep ``out=``.  The
-step calls no builtin min or max: it makes their comparisons itself, in
-their order, so NaN and signed zeros come out as the builtins give them.
-
-A step reads three extremes: min and max of the velocity, which set dt
-and choose the flux, and after the transport update min(alpha), which the
-next step's vacuum test needs.  Each is read at x.argmin() or x.argmax(),
-and its value is the numpy reduction's: argmin and argmax return the index
-of the first NaN when there is one, so the extreme is NaN exactly when the
-reduction's is, and +-inf extremes agree.  Only a tie of 0.0 and -0.0 may
-come out with the other sign.  Every use of an extreme is a comparison, a
-finiteness test, or a negation that enters max|u| beside the floor
-1e-300, which either zero loses to, so no result depends on that sign.
-The argmin/argmax methods of the window views are bound once per view,
-when the window grows.
+A step reads three extremes: min and max of u, which set dt and choose
+the flux, and after the transport update min(alpha), for the next step's
+vacuum test.  Each is read at x.argmin() or x.argmax(), methods bound once
+per view.  They return the index of the first NaN, so an extreme is NaN
+exactly when numpy's reduction is, and +-inf extremes agree; only a tie of
+0.0 and -0.0 may come out with the other sign, and every use of an
+extreme (a comparison, a finiteness test, or a negation beside the floor
+1e-300 in max|u|) gives the same result for either.  The step calls no
+builtin min or max: it makes their comparisons itself, in their order.
 
 After the drag a step takes one dot product alpha.q.  A NaN or inf among
-them makes the IEEE sum non-finite, so a finite dot proves every value
-finite; only a non-finite dot (a bad value, or finite data that overflow
-it) takes max(alpha), min(q) and max(q) to decide the abort.  There is one
-check per step, after the drag.  numpy's overflow and invalid warnings are
-off for the whole of each ``advance`` call (one ``errstate`` per call): the
-checks, not warnings, report a bad state.
+them makes it non-finite, so a finite dot proves every value finite; only
+a non-finite dot (a bad value, or finite data that overflow it) takes
+max(alpha), min(q) and max(q) to decide the abort.  numpy's divide,
+overflow and invalid warnings are off for the whole of each ``advance``
+call: the checks, not warnings, report a bad state.  A negative density
+names the grid's first cell holding min(alpha): cell 0 when the window's
+argmin is its first cell, else that cell.
 """
 
 from __future__ import annotations
@@ -102,6 +98,9 @@ MAX_CELLS = 10**7
 # Largest step count advance takes, as grh.MAX_STEPS for integrate: a dt
 # below the rounding of t (t + dt == t) would otherwise never end the loop
 MAX_STEPS = 10**7
+
+# advance clips velocities to the hull of the data and ua widened by this much
+_HULL_PAD = 1e-9
 
 
 def _constant(value: float) -> np.ndarray:
@@ -181,40 +180,23 @@ class FieldState:
         return float(np.sum(self.alpha) * self.grid.dx)
 
 
-def _velocity(alpha, q, ua, bounds, out, vac, any_vacuum=True):
-    """out <- q/alpha, pinned to ua in vacuum cells and clipped to ``bounds``.
-
-    A cell is vacuum unless alpha > VACUUM_ALPHA, so a NaN alpha is vacuum.
-    With ``any_vacuum`` the vacuum mask is written to ``vac``; a caller that
-    knows min(alpha) > VACUUM_ALPHA passes False and skips the masking.
-    Returns (min, max) of ``out``, read at argmin/argmax (see the module
-    docstring).
-    """
-    if any_vacuum:
-        np.greater(alpha, _VACUUM_ALPHA, vac)
-        np.divide(q, alpha, out, where=vac)
-        np.logical_not(vac, vac)
-        np.copyto(out, ua, where=vac)
-    else:
-        np.divide(q, alpha, out)
-    lo, hi = float(out[out.argmin()]), float(out[out.argmax()])
-    if bounds is not None and not (lo >= bounds[0] and hi <= bounds[1]):  # also taken on NaN
-        np.clip(out, bounds[0], bounds[1], out)
-        lo, hi = float(out[out.argmin()]), float(out[out.argmax()])
-    return lo, hi
-
-
 def reconstruct_velocity(state: FieldState, params: ModelParams, bounds=None) -> np.ndarray:
     """Cell velocities q/alpha, with vacuum cells pinned to the carrier velocity.
 
-    ``bounds`` (lo, hi), when given, clips the result; the exact solution
-    obeys the maximum principle so clipping only strips float noise.
+    A cell is vacuum unless alpha > VACUUM_ALPHA, so a NaN alpha is vacuum.
+    ``bounds``, a pair (lo, hi) of finite numbers, when given, clips the
+    result; the exact solution obeys the maximum principle so clipping only
+    strips float noise.
     """
-    if bounds is not None and not (len(bounds) == 2 and -math.inf < bounds[0] <= bounds[1] < math.inf):  # False on NaN
-        raise ValueError(f"bounds must be two finite values lo <= hi, got {bounds!r}")
-    n = state.grid.n_cells
-    u = np.empty(n)
-    _velocity(state.alpha, state.q, params.ua, bounds, u, np.empty(n, dtype=bool))
+    if bounds is not None and not (
+        isinstance(bounds, (tuple, list)) and len(bounds) == 2 and all(isinstance(b, numbers.Real) for b in bounds)
+        and -math.inf < bounds[0] <= bounds[1] < math.inf  # False on NaN
+    ):
+        raise ValueError(f"bounds must be a pair of finite numbers lo <= hi, got {bounds!r}")
+    u = np.full(state.grid.n_cells, params.ua, dtype=float)
+    np.divide(state.q, state.alpha, u, where=state.alpha > VACUUM_ALPHA)
+    if bounds is not None and not (u[u.argmin()] >= bounds[0] and u[u.argmax()] <= bounds[1]):  # also on NaN
+        np.clip(u, bounds[0], bounds[1], u)
     return u
 
 
@@ -252,11 +234,11 @@ def kinetic_flux(alpha_l, u_l, alpha_r=None, u_r=None, out=None):
     return f_mass, fl
 
 
-def _drag(q, alpha, ua, decay, q_eq=None) -> np.ndarray:
+def _drag(q, alpha, ua, decay, q_eq) -> np.ndarray:
     """Exact drag relaxation in place: q <- q_eq + (q - q_eq)*decay, q_eq = alpha*ua.
 
     ``ua`` and ``decay`` are floats or 0-d arrays; ``q_eq`` is scratch for
-    alpha*ua (allocated when None).
+    alpha*ua.
     """
     q_eq = np.multiply(alpha, ua, q_eq)
     np.subtract(q, q_eq, q)
@@ -271,13 +253,13 @@ def source_step(state: FieldState, params: ModelParams, dt: float) -> FieldState
     if params.mu == 0.0:
         return state
     q = np.array(state.q, dtype=float)
-    return replace(state, q=_drag(q, state.alpha, params.ua, math.exp(-params.mu * dt)))
+    return replace(state, q=_drag(q, state.alpha, params.ua, math.exp(-params.mu * dt), np.empty_like(q)))
 
 
-def _hull_bounds(state: FieldState, params: ModelParams, pad: float = 1e-9):
-    """Hull of the data's velocities and ua, which drag relaxes them toward."""
+def _hull_bounds(state: FieldState, params: ModelParams):
+    """Hull of the data's velocities and ua (drag relaxes toward it), widened by _HULL_PAD."""
     u = reconstruct_velocity(state, params)
-    return min(float(np.min(u)), params.ua) - pad, max(float(np.max(u)), params.ua) + pad
+    return min(float(np.min(u)), params.ua) - _HULL_PAD, max(float(np.max(u)), params.ua) + _HULL_PAD
 
 
 def _window(a_bits: np.ndarray, q_bits: np.ndarray):
@@ -303,15 +285,8 @@ def _nonfinite(a, q, a_lo) -> bool:
     return not all(map(math.isfinite, (a_lo, float(a.max()), float(q.min()), float(q.max()))))
 
 
-def _fill_far_field(alpha, q, lo, hi) -> None:
-    """Copy the window's edge cells over the far field [0, lo) and [hi, n)."""
-    for arr in (alpha, q):
-        arr[:lo] = arr[lo]
-        arr[hi:] = arr[hi - 1]
-
-
 # once per call: an errstate per step would cost about what the dot saves
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def advance(
     state: FieldState,
     params: ModelParams,
@@ -350,7 +325,7 @@ def advance(
     alpha, q = np.array(state.alpha, dtype=float), np.array(state.q, dtype=float)
     a_lo = float(alpha.min())
     t = state.time
-    b_lo, b_hi = bounds = _hull_bounds(state, params)
+    b_lo, b_hi = _hull_bounds(state, params)
     mu = params.mu
     # 0-d float64 operands (see the module docstring); lam and decay are rewritten when dt changes
     ua, lam, decay = np.array(params.ua, dtype=float), np.empty(()), np.empty(())
@@ -403,18 +378,19 @@ def advance(
             # f_mom[0] - f_mass[m], lands on the right ghost, which every
             # flux that reads it rewrites first
             s_upd, f_upper, f_lower, d_upd = s[1 : 2 * m + 2], fg[1 : 2 * m + 2], fg[: 2 * m + 1], d[: 2 * m + 1]
+        np.divide(qw, aw, uw)
         # a_lo is min(alpha) (NaN if any alpha is NaN), carried over from the checks below
         any_vacuum = not a_lo > VACUUM_ALPHA
         if any_vacuum:
-            u_lo, u_hi = _velocity(aw, qw, ua, bounds, uw, vw)
-            # zeroing q instead would leave q/alpha outside the velocity hull
-            # once mass flows into the cell
+            # a cell is vacuum unless alpha > VACUUM_ALPHA (NaN is vacuum); zeroing its q
+            # instead of alpha*ua would leave q/alpha outside the hull once mass flows in
+            np.logical_not(np.greater(aw, _VACUUM_ALPHA, vw), vw)
+            np.copyto(uw, ua, where=vw)
             np.multiply(aw, ua, qw, where=vw)
-        else:
-            np.divide(qw, aw, uw)
+        u_lo, u_hi = uwv[uw_argmin()], uwv[uw_argmax()]
+        if not (u_lo >= b_lo and u_hi <= b_hi):  # rounding left the hull; also taken on NaN
+            np.clip(uw, b_lo, b_hi, uw)
             u_lo, u_hi = uwv[uw_argmin()], uwv[uw_argmax()]
-            if not (u_lo >= b_lo and u_hi <= b_hi):  # also taken on NaN
-                u_lo, u_hi = _velocity(aw, qw, ua, bounds, uw, vw, False)
         # max(-u_lo, u_hi, 1e-300), min(fixed_dt, remaining) and
         # min(cfl*dx/umax, remaining) as the builtins compare, NaN included
         umax = -u_lo
@@ -458,11 +434,9 @@ def advance(
         if a_lo < -1e-13:
             if _nonfinite(aw, qw, a_lo):  # a -inf or a bad q aborts as non-finite, not negative
                 raise SolverAbort(f"non-finite state at step {step} (t={t + dt:.6g})")
-            alpha[lo:hi], q[lo:hi] = aw, qw
-            _fill_far_field(alpha, q, lo, hi)  # the message names the first such cell of the grid
-            j = int(np.argmin(alpha))
+            k = int(aw_argmin())  # the grid's first such cell: cells 0..lo repeat window cell 0
             raise SolverAbort(
-                f"negative volume fraction {alpha[j]:g} in cell {j} at step {step} (t={t + dt:.6g})"
+                f"negative volume fraction {a_lo:g} in cell {lo + k if k else 0} at step {step} (t={t + dt:.6g})"
             )
         if a_lo <= 0.0:
             np.maximum(aw, _ZERO, out=aw)
@@ -475,7 +449,9 @@ def advance(
         t = t_end if remaining <= dt * (1.0 + 1e-12) else t + dt
 
     alpha[lo:hi], q[lo:hi] = s[1 : m + 1], s[m + 2 : 2 * m + 2]
-    _fill_far_field(alpha, q, lo, hi)
+    for arr in (alpha, q):  # the far field repeats the window's edge cells
+        arr[:lo] = arr[lo]
+        arr[hi:] = arr[hi - 1]
     return FieldState(grid=grid, alpha=alpha, q=q, time=t_end)
 
 

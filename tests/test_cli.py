@@ -170,23 +170,23 @@ def test_grh_trajectory_csv(tmp_path):
     assert report["final"]["omega"] == pytest.approx(OMEGA1_FULL, abs=1e-8)
 
 
-def test_grh_with_initial_point_mass(tmp_path):
+@pytest.mark.parametrize(
+    "alpha_l, alpha_r, omega0",
+    [(0.008, 0.003, 0.02), (0.008, 0.0, 0.01), (0.0, 0.003, 0.01)],
+    ids=["both-positive", "alpha_r-0", "alpha_l-0"],
+)
+def test_grh_with_initial_point_mass(tmp_path, alpha_l, alpha_r, omega0):
+    # a point mass on a closing jump, also beside an empty side, which
+    # initial_shock_speed rejects and `exact` solves
     cfg = tmp_path / "g.json"
-    write_config(
-        cfg,
-        {
-            "name": "seeded",
-            "params": {"mu": 0.2, "ua": 1.0},
-            "riemann": {"alpha_l": 0.008, "u_l": 1.5, "alpha_r": 0.003, "u_r": 0.5, "omega0": 0.02},
-            "t_end": 1.0,
-            "dt": 1e-3,
-        },
-    )
+    riemann = {"alpha_l": alpha_l, "u_l": 1.5, "alpha_r": alpha_r, "u_r": 0.5, "omega0": omega0}
+    scenario = {"name": "seeded", "params": {"mu": 0.2, "ua": 1.0}, "riemann": riemann, "t_end": 1.0, "dt": 1e-3}
+    write_config(cfg, scenario)
     assert main(["grh", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "seeded_grh_report.json").read_text())
-    d = ds.RiemannData(0.008, 1.5, 0.003, 0.5, omega0=0.02)
-    exact = ds.DeltaShockSolution(d, PARAMS_02)
+    exact = ds.DeltaShockSolution(ds.RiemannData(alpha_l, 1.5, alpha_r, 0.5, omega0=omega0), PARAMS_02)
     assert report["final"]["omega"] == pytest.approx(exact.weight(1.0), abs=1e-8)
+    assert report["final"]["sigma"] == pytest.approx(exact.speed(1.0), abs=1e-8)
 
 
 GRH_SCENARIO = {
@@ -408,6 +408,8 @@ def with_flags(command, *flags):
             for command in ("exact", "grh", "blowup")
             for name in ("a/b", "../x", "", ".", "..")
         ],
+        # a name that is not a JSON string was written as None_…, True_…, 5_… or [1]_…
+        *[pytest.param(run_as("exact", name=name), id=f"name-{json.dumps(name)}") for name in (None, True, 5, [1])],
         *[
             pytest.param(run_as("batch", runs=[{"command": "exact", "scenario": dict(DELTA_SCENARIO, name=name)}]),
                          id=f"batch-run-name-{name!r}")

@@ -18,7 +18,7 @@ from dropshock.fv import (
     source_step,
 )
 
-from helpers import DELTA_DATA, PARAMS_02, RELAX_15, VACUUM_DATA, reference_advance
+from helpers import DELTA_DATA, PARAMS_02, RELAX_15, VACUUM_DATA, _reference_velocity, reference_advance
 
 
 def test_grid_geometry():
@@ -514,6 +514,21 @@ POISON = st.none() | st.tuples(
          poison=None, mu=0.3, ua=0.2, fixed=True, courant=0.9, t_end=0.4)
 @example(n=16, cuts=[8], states=[(0.01, 1.0), (0.02, 0.5), (0, 0), (0, 0), (0, 0)],
          poison=None, mu=0.5, ua=1.0, fixed=True, courant=0.8, t_end=0.525)
+# a negative density is named by the grid's first cell holding min(alpha):
+# cell 0 when it is the window's left edge (the window starts at cell 19),
+# and cell 21 inside the window [9, 31)
+@example(n=40, cuts=[20, 30], states=[(-2e-3, 0.4), (0.01, -0.8), (0.02, 0.3), (0, 0), (0, 0)],
+         poison=None, mu=0.3, ua=0.5, fixed=True, courant=0.7, t_end=0.3)
+@example(n=40, cuts=[10, 20, 30], states=[(0.01, 0.5), (0.02, 0.5), (-0.004, -0.2), (0.01, -0.5), (0, 0)],
+         poison=None, mu=0.0, ua=0.5, fixed=False, courant=0.4, t_end=0.3)
+# an empty cell holding momentum: q/alpha divides by zero, without a
+# warning, before ua overwrites it
+@example(n=16, cuts=[4, 12], states=[(0.01, 1.0), (0.0, 0.0), (0.01, -1.0), (0, 0), (0, 0)],
+         poison=("interior", "q", -1.0), mu=0.5, ua=0.3, fixed=False, courant=0.5, t_end=0.2)
+# a contact at u = 1e9: q/alpha rounds outside the hull padded by 1e-9, and
+# the clip back to it changes the output
+@example(n=16, cuts=[8], states=[(0.01, 1e9), (0.02, 1e9), (0, 0), (0, 0), (0, 0)],
+         poison=None, mu=0.0, ua=0.3, fixed=False, courant=0.5, t_end=2.5e-9)
 def test_advance_equals_full_grid_reference(n, cuts, states, poison, mu, ua, fixed, courant, t_end):
     # the windowed kernel must return the full-grid loop's bytes, or abort
     # with its message (same step, same argmin cell and value)
@@ -677,12 +692,15 @@ def test_shock_mass_rejects_nonfinite_window(center, half_width):
 
 @pytest.mark.parametrize(
     "bounds",
-    [(2.0, 0.0), (np.nan, 1.0), (0.0, np.nan), (-np.inf, 1.0), (0.0, np.inf), (0.0, 1.0, 5.0), (0.0,)],
-    ids=["reversed", "lo-nan", "hi-nan", "lo-inf", "hi-inf", "three-values", "one-value"],
+    [(2.0, 0.0), (np.nan, 1.0), (0.0, np.nan), (-np.inf, 1.0), (0.0, np.inf), (0.0, 1.0, 5.0), (0.0,),
+     5, "ab", (0, "1"), (None, 1.0), {0: 1, 1: 2}],
+    ids=["reversed", "lo-nan", "hi-nan", "lo-inf", "hi-inf", "three-values", "one-value",
+         "number", "text", "text-bound", "none-bound", "dict"],
 )
 def test_reconstruct_velocity_rejects_bad_bounds(bounds):
     # reversed bounds clipped every velocity to 0.0, a NaN bound to NaN; a
-    # third value was ignored and a single one raised IndexError
+    # third value was ignored and a single one raised IndexError; a number,
+    # text or None raised TypeError, and a dict clipped to its values
     st = FieldState.from_riemann(Grid1D(-1.0, 2.0, 64), DELTA_DATA)
     with pytest.raises(ValueError, match="bounds"):
         reconstruct_velocity(st, PARAMS_02, bounds)
@@ -699,23 +717,23 @@ VALUE = SPECIAL | st.floats(allow_nan=True, allow_infinity=True)
     q=st.lists(VALUE, min_size=12, max_size=12),
     ua=st.floats(-10.0, 10.0) | st.sampled_from([0.0, -0.0]),
     bounds=st.none() | st.lists(st.floats(-10.0, 10.0) | st.sampled_from([0.0, -0.0]), min_size=2, max_size=2),
-    any_vacuum=st.booleans(),
 )
-@example(alpha=[1.0, 1.0], q=[0.0, -0.0] + [0.0] * 10, ua=0.0, bounds=None, any_vacuum=False)
-@example(alpha=[1.0, 1.0], q=[-0.0, 0.0] + [0.0] * 10, ua=0.0, bounds=[-0.0, 0.0], any_vacuum=True)
-@example(alpha=[1.0, np.nan, 1.0], q=[-5.0, 1.0, np.inf] + [0.0] * 9, ua=1.0, bounds=[-1.0, 1.0], any_vacuum=False)
-def test_velocity_extremes_equal_reductions(alpha, q, ua, bounds, any_vacuum):
-    # _velocity reads its extremes at argmin/argmax: the values of min() and
-    # max() up to the sign of a zero, NaN when any value is NaN
+@example(alpha=[1.0, 1.0], q=[0.0, -0.0] + [0.0] * 10, ua=0.0, bounds=None)
+@example(alpha=[1.0, 1.0], q=[-0.0, 0.0] + [0.0] * 10, ua=0.0, bounds=[-0.0, 0.0])
+@example(alpha=[1.0, np.nan, 1.0], q=[-5.0, 1.0, np.inf] + [0.0] * 9, ua=1.0, bounds=[-1.0, 1.0])
+def test_reconstruct_velocity_equals_reference(alpha, q, ua, bounds):
+    # advance's velocity rule, out of the time loop: q/alpha, ua where alpha
+    # is not above VACUUM_ALPHA (NaN included), clipped only when an extreme
+    # leaves the bounds; the bytes of the masked-divide reference
     alpha = np.array(alpha)
     q = np.array(q[: len(alpha)])
     bounds = None if bounds is None else tuple(sorted(bounds))
-    out, vac = np.empty(len(alpha)), np.empty(len(alpha), dtype=bool)
+    n = len(alpha)
+    want = np.empty(n)
     with np.errstate(all="ignore"):
-        lo, hi = fv._velocity(alpha, q, ua, bounds, out, vac, any_vacuum)
-    for got, want in ((lo, np.min(out)), (hi, np.max(out))):
-        assert type(got) is float
-        assert got == want or (np.isnan(got) and np.isnan(want))
+        _reference_velocity(alpha, q, ua, bounds, want, np.empty(n, dtype=bool), any_vacuum=True)
+        got = reconstruct_velocity(FieldState(Grid1D(0.0, 1.0, n), alpha, q), ds.ModelParams(0.0, ua), bounds)
+    assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=300, deadline=None)
