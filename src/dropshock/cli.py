@@ -9,6 +9,7 @@ Exit codes: 0 ok, 2 configuration error, 3 numerical abort.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -432,11 +433,15 @@ def cmd_grh(args, cfg: dict, raw: str, out: str) -> int:
     if t_end <= 0 or dt <= 0:
         raise ConfigError("t_end and dt must be positive")
     states = grh.LimitStates.from_riemann(data, params)
+    solution = solve(data, params)
+    # the closed form's speed: sqrt-density-weighted, or u of the non-empty
+    # side when one density is 0 (flagged by the warning), where integrate's
+    # own initial speed fails
+    if sigma0 is None and (data.omega0 > 0.0 or solution.warning):
+        sigma0 = solution.initial_speed
     # a zero mass is seeded by integrate, at sigma0 or its own initial speed
     z0 = grh.GrhState(mass=0.0, momentum=0.0)
     if data.omega0 > 0.0:
-        if sigma0 is None:  # the sqrt-density-weighted speed; u of the non-empty side when one density is 0
-            sigma0 = solve(data, params).initial_speed
         z0 = grh.GrhState(mass=data.omega0, momentum=data.omega0 * sigma0)
     traj = grh.integrate(
         z0,
@@ -456,18 +461,18 @@ def cmd_grh(args, cfg: dict, raw: str, out: str) -> int:
             (traj.t, traj.mass, traj.speed, u_l, u_r, entropy_ok),
         )
     if outputs["report"]:
-        _write_report(
-            os.path.join(out, f"{name}_grh_report.json"),
-            {
-                "scenario": raw,
-                "final": {
-                    "t": float(traj.t[-1]),
-                    "omega": float(traj.mass[-1]),
-                    "sigma": float(traj.speed[-1]),
-                    "xi": float(traj.position[-1]),
-                },
+        report = {
+            "scenario": raw,
+            "final": {
+                "t": float(traj.t[-1]),
+                "omega": float(traj.mass[-1]),
+                "sigma": float(traj.speed[-1]),
+                "xi": float(traj.position[-1]),
             },
-        )
+        }
+        if solution.warning:
+            report["warning"] = solution.warning
+        _write_report(os.path.join(out, f"{name}_grh_report.json"), report)
     return 0
 
 
@@ -506,7 +511,9 @@ _COMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="dropshock",
         description="Exact and finite-volume Riemann solutions for the droplet flow model",

@@ -194,9 +194,10 @@ def reconstruct_velocity(state: FieldState, params: ModelParams, bounds=None) ->
     ):
         raise ValueError(f"bounds must be a pair of finite numbers lo <= hi, got {bounds!r}")
     u = np.full(state.grid.n_cells, params.ua, dtype=float)
-    np.divide(state.q, state.alpha, u, where=state.alpha > VACUUM_ALPHA)
-    if bounds is not None and not (u[u.argmin()] >= bounds[0] and u[u.argmax()] <= bounds[1]):  # also on NaN
-        np.clip(u, bounds[0], bounds[1], u)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # as in advance: q/alpha may overflow
+        np.divide(state.q, state.alpha, u, where=state.alpha > VACUUM_ALPHA)
+        if bounds is not None and not (u[u.argmin()] >= bounds[0] and u[u.argmax()] <= bounds[1]):  # also on NaN
+            np.clip(u, bounds[0], bounds[1], u)
     return u
 
 

@@ -10,11 +10,14 @@ The quadrature evaluates a solution once per time node: its regular part
 becomes strips (x_a(t), x_b(t), alpha, u(t)) of constant state between
 the discontinuity curves, its point mass a one-node strip on the shock
 curve, and each test function is evaluated once per strip, on the time
-rows of its support only, and in each block of rows only on the columns
-where some row lies inside its x-support: everywhere else bump(t) or
-bump(x), and with it psi, is exactly 0.  The row sums still run over
-matrices of the full height, so the residuals are bit for bit those of
-evaluating psi on every node.
+rows of its support only.  A strip keeps x_a(t) and its width per row,
+not its nodes: each block of rows forms x_a + width * j/n on just the
+columns j that its rows' x-support can reach, found from the node
+indices of x_c -/+ x_h, so no node array or mask spans a whole row.
+Everywhere else bump(t) or bump(x), and with it psi, is exactly +-0, and
+an extra column adds nothing.  The row sums still run over matrices of
+the full height, so the residuals are bit for bit those of evaluating
+psi on every node.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ __all__ = [
 
 MAX_FEET = 10**7  # largest n_feet accepted: a few float64 arrays per foot
 _ROW_BLOCK = 32  # time rows per evaluation of psi in weak_residual: small temporaries
+_ROUNDING = 1e-14  # relative bound, with a margin, on the rounding of a node and of its column
 
 
 def first_crossing_time(
@@ -168,6 +172,40 @@ def _simpson_weights(n: int) -> np.ndarray:
     return w / 3.0
 
 
+def _block_nodes(psi: BumpTestFunction, xa, width, frac, rows):
+    """(cols, x): the columns of the rows ``rows`` whose nodes may lie in
+    psi's x-support, and those nodes; None when none can.
+
+    A row's nodes are xa + width * frac (for a point mass, width None: xa).
+    The columns run between the node indices of x_c -/+ x_h, widened by a
+    bound on the rounding of nodes and indices, which exceeds a tenth of a
+    column only when the node spacing is below 1e-13 of the coordinates; a
+    row whose width is not positive and finite takes every column.  Off its
+    support psi and its partials are +-0, so a column too many changes no
+    row sum.
+    """
+    xa = xa[rows]
+    if width is None:
+        return slice(0, 1), xa[:, None]
+    width = width[rows]
+    n = frac.size - 1
+    lo = hi = math.nan
+    if width.min() > 0.0:
+        h = abs(psi.x_halfwidth)
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = n / width
+            slack = _ROUNDING * (np.abs(xa) + (abs(psi.x_center) + h) + width) * scale
+            lo = (((psi.x_center - h) - xa) * scale - slack).min()
+            hi = (((psi.x_center + h) - xa) * scale + slack).max()
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        cols = slice(0, n + 1)
+    else:
+        cols = slice(max(math.floor(lo), 0), min(math.ceil(hi) + 1, n + 1))
+        if cols.start >= cols.stop:
+            return None
+    return cols, xa[:, None] + width[:, None] * frac[cols]
+
+
 def weak_residual(
     solution,
     test_functions: Sequence[BumpTestFunction],
@@ -217,21 +255,19 @@ def weak_residual(
         (np.full(t.shape, float(x_lo)), x1, *solution.left_state(t)),
         (x2, np.full(t.shape, float(x_hi)), *solution.right_state(t)),
     ]
-    # a piece: x nodes (a row per time node), their weights, and per row the
-    # mass weight and the velocity (a contact's point mass is omega0, so it
-    # adds exactly zero unless the run starts from one); the initial data,
-    # split at the jump, are pieces at t = 0 alone
-    pieces = [
-        (xa[:, None] + (xb - xa)[:, None] * frac, w, row_weight * (xb - xa) / n * alpha, u)
-        for xa, xb, alpha, u in strips
-    ]
+    # a piece: per time node the left node x_a and the width of its nodes
+    # x_a + width * frac (None for a point mass, whose one node is x_a), their
+    # weights, and per row the mass weight and the velocity (a contact's point
+    # mass is omega0, so it adds exactly zero unless the run starts from one);
+    # the initial data, split at the jump, are pieces at t = 0 alone
+    pieces = [(xa, xb - xa, w, row_weight * (xb - xa) / n * alpha, u) for xa, xb, alpha, u in strips]
     initial = [
         (np.linspace(x_lo, 0.0, n + 1), w, data.alpha_l * (0.0 - x_lo) / n, data.u_l),
         (np.linspace(0.0, x_hi, n + 1), w, data.alpha_r * (x_hi - 0.0) / n, data.u_r),
     ]
     if solution.kind != "vacuum":
         one = np.ones(1)
-        pieces.append((solution.position(t)[:, None], one, row_weight * solution.weight(t), solution.speed(t)))
+        pieces.append((solution.position(t), None, one, row_weight * solution.weight(t), solution.speed(t)))
         initial.append((np.zeros(1), one, data.omega0, float(solution.speed(0.0))))
 
     out = np.zeros((len(test_functions), 2))
@@ -244,20 +280,20 @@ def weak_residual(
         # bump(t), and with it psi, is exactly 0 off the rows k0:k1
         inside = np.flatnonzero(np.abs((t - psi.t_center) / psi.t_halfwidth) < 1.0)
         k0, k1 = (inside[0], inside[-1] + 1) if inside.size else (0, 0)
-        for x_nodes, wx, rho, u in pieces:
-            f = grid[:, :, : x_nodes.shape[1]]
+        for xa, width, wx, rho, u in pieces:
+            f = grid[:, :, : wx.size]
+            c0, c1 = wx.size, 0  # the columns written by some block
             for k in range(k0, k1, _ROW_BLOCK):
                 rows = slice(k, min(k + _ROW_BLOCK, k1))
-                # and bump(x) is exactly 0 off the columns where some row has |x - x_c| < x_h
-                inside = np.abs((x_nodes[rows] - psi.x_center) / psi.x_halfwidth) < 1.0
-                cols = np.flatnonzero(inside.any(axis=0))
-                if not cols.size:
+                nodes = _block_nodes(psi, xa, width, frac, rows)
+                if nodes is None:
                     continue
-                cols = slice(cols[0], cols[-1] + 1)
-                for f_k, g in zip(f, psi.value_and_partials(x_nodes[rows, cols], t[rows, None])):
+                cols, x = nodes
+                for f_k, g in zip(f, psi.value_and_partials(x, t[rows, None])):
                     f_k[rows, cols] = g
+                c0, c1 = min(c0, cols.start), max(c1, cols.stop)
             v, v_x, v_t = (f_k @ wx for f_k in f)
-            f[:, k0:k1] = 0.0
+            f[:, k0:k1, c0:c1] = 0.0
             r[0] += rho @ (v_t + u * v_x)
             r[1] += rho @ (u * v_t + u * u * v_x + mu * (ua - u) * v)
         for x_nodes, wx, mass, u in initial:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import dropshock as ds
-from dropshock.cli import _run_text, main, write_csv
+from dropshock.cli import _run_text, build_parser, main, write_csv
 
 from helpers import LN2, OMEGA1_FULL, PARAMS_02, SIGMA1_FULL
 
@@ -172,12 +172,14 @@ def test_grh_trajectory_csv(tmp_path):
 
 @pytest.mark.parametrize(
     "alpha_l, alpha_r, omega0",
-    [(0.008, 0.003, 0.02), (0.008, 0.0, 0.01), (0.0, 0.003, 0.01)],
-    ids=["both-positive", "alpha_r-0", "alpha_l-0"],
+    [(0.008, 0.003, 0.02), (0.008, 0.0, 0.01), (0.0, 0.003, 0.01), (0.008, 0.0, 0.0), (0.0, 0.003, 0.0)],
+    ids=["both-positive", "alpha_r-0", "alpha_l-0", "alpha_r-0-no-mass", "alpha_l-0-no-mass"],
 )
 def test_grh_with_initial_point_mass(tmp_path, alpha_l, alpha_r, omega0):
     # a point mass on a closing jump, also beside an empty side, which
-    # initial_shock_speed rejects and `exact` solves
+    # initial_shock_speed rejects and `exact` solves; with omega0 = 0 the
+    # seed there starts at the exact speed too (it exited 2), and the strict
+    # entropy_ok flag falls either way by rounding: the warning says why
     cfg = tmp_path / "g.json"
     riemann = {"alpha_l": alpha_l, "u_l": 1.5, "alpha_r": alpha_r, "u_r": 0.5, "omega0": omega0}
     scenario = {"name": "seeded", "params": {"mu": 0.2, "ua": 1.0}, "riemann": riemann, "t_end": 1.0, "dt": 1e-3}
@@ -187,6 +189,15 @@ def test_grh_with_initial_point_mass(tmp_path, alpha_l, alpha_r, omega0):
     exact = ds.DeltaShockSolution(ds.RiemannData(alpha_l, 1.5, alpha_r, 0.5, omega0=omega0), PARAMS_02)
     assert report["final"]["omega"] == pytest.approx(exact.weight(1.0), abs=1e-8)
     assert report["final"]["sigma"] == pytest.approx(exact.speed(1.0), abs=1e-8)
+    assert report.get("warning") == exact.warning
+
+
+def test_parser_built_once_and_still_rejects_bad_arguments(capsys):
+    assert build_parser() is build_parser()
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["exact", "--no-such-flag"])
+        assert exc.value.code == 2
 
 
 GRH_SCENARIO = {

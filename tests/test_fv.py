@@ -707,6 +707,16 @@ def test_reconstruct_velocity_rejects_bad_bounds(bounds):
     assert np.array_equal(reconstruct_velocity(st, PARAMS_02, (1.0, 1.0)), np.ones(64))
 
 
+def test_reconstruct_velocity_overflow_is_silent():
+    # q/alpha overflows to inf in the first cell; advance's errstate keeps
+    # that silent, and so does this one, with and without the clip
+    st = FieldState(Grid1D(0.0, 1.0, 2), np.array([1e-11, 1.0]), np.array([1e300, 1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert reconstruct_velocity(st, PARAMS_02).tolist() == [np.inf, 1.0]
+        assert reconstruct_velocity(st, PARAMS_02, (0.0, 2.0)).tolist() == [2.0, 1.0]
+
+
 SPECIAL = st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e-12])
 VALUE = SPECIAL | st.floats(allow_nan=True, allow_infinity=True)
 

@@ -8,6 +8,13 @@ that routed the oracle through ``advance``'s own helpers (``_velocity``,
 ``_drag``, the ``out=`` flux) would make the byte-identity property compare
 that code with itself.
 
+``helpers.reference_weak_residual`` and ``_reference_value_and_partials``
+evaluate psi on every node, the oracle ``validation.weak_residual`` must
+equal byte for byte.  They may take from ``dropshock.validation`` only the
+test-function type, the bump and the Simpson weights, and call no method of
+the test function, so they cannot share the per-block nodes and columns or
+``value_and_partials`` with the code they check.
+
 ``test_svgplot.reference_points`` is the polyline text that
 ``svgplot.line_plot`` must equal byte for byte.  It formats each point with
 its own f-string and calls nothing from ``dropshock``, so it shares no
@@ -17,71 +24,90 @@ The guards read the sources, so they need no run of an oracle.
 """
 
 import ast
+import inspect
 import pathlib
 
 import pytest
 
 import dropshock as ds
-from dropshock import fv
+from dropshock import fv, validation
 
 HELPERS = pathlib.Path(__file__).with_name("helpers.py")
-ORACLE = "reference_advance"
-ALLOWED = {"FieldState", "SolverAbort", "VACUUM_ALPHA"}
+FV_GUARD = dict(
+    module=fv,
+    oracles=("reference_advance",),
+    allowed={"FieldState", "SolverAbort", "VACUUM_ALPHA"},
+    calls={"kinetic_flux": 4},
+)
+WEAK_GUARD = dict(
+    module=validation,
+    oracles=("reference_weak_residual", "_reference_value_and_partials"),
+    allowed={"BumpTestFunction", "_bump", "_simpson_weights"},
+    methods={name for name, v in vars(validation.BumpTestFunction).items()
+             if inspect.isfunction(v) and not name.startswith("__")},
+)
 
 
-def _is_fv_object(name):
-    """Whether the package's ``name`` is the object ``dropshock.fv`` exports under it."""
-    return hasattr(fv, name) and getattr(ds, name, None) is getattr(fv, name)
+def _is_module_object(module, name):
+    """Whether the package's ``name`` is the object ``module`` has under it."""
+    return hasattr(module, name) and getattr(ds, name, None) is getattr(module, name)
 
 
-def oracle_fv_uses(source: str) -> list:
-    """Each use of ``dropshock.fv`` by the oracle, and by the module-level
-    functions it reaches, beyond ALLOWED and four-argument ``kinetic_flux``
-    calls without keywords; empty when the oracle is independent."""
+def oracle_uses(source: str, module, oracles, allowed, calls=None, methods=()) -> list:
+    """Each use of ``module`` by the oracles, and by the module-level
+    functions they reach, beyond ``allowed`` and calls of a ``calls`` name
+    with exactly its count of positional arguments and no keywords; also
+    each read of a ``methods`` attribute.  Empty when the oracles are
+    independent."""
+    calls = calls or {}
+    dotted, short = module.__name__, module.__name__.rsplit(".", 1)[-1]
     tree = ast.parse(source)
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    from_fv, fv_aliases, package_aliases = {}, set(), set()
+    imported, module_aliases, package_aliases = {}, set(), set()
     for node in tree.body:
-        if isinstance(node, ast.ImportFrom) and node.module == "dropshock.fv":
-            from_fv.update((a.asname or a.name, a.name) for a in node.names)
+        if isinstance(node, ast.ImportFrom) and node.module == dotted:
+            imported.update((a.asname or a.name, a.name) for a in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module == "dropshock":
-            fv_aliases.update(a.asname or a.name for a in node.names if a.name == "fv")
-            from_fv.update((a.asname or a.name, a.name) for a in node.names if _is_fv_object(a.name))
+            module_aliases.update(a.asname or a.name for a in node.names if a.name == short)
+            imported.update((a.asname or a.name, a.name) for a in node.names if _is_module_object(module, a.name))
         elif isinstance(node, ast.Import):
             for a in node.names:
-                if a.name == "dropshock.fv" and a.asname:
-                    fv_aliases.add(a.asname)
+                if a.name == dotted and a.asname:
+                    module_aliases.add(a.asname)
                 elif a.name.startswith("dropshock"):
                     package_aliases.add(a.asname or "dropshock")
 
-    def is_fv_module(node):
-        return (isinstance(node, ast.Name) and node.id in fv_aliases) or (
-            isinstance(node, ast.Attribute) and node.attr == "fv"
+    def is_module(node):
+        return (isinstance(node, ast.Name) and node.id in module_aliases) or (
+            isinstance(node, ast.Attribute) and node.attr == short
             and isinstance(node.value, ast.Name) and node.value.id in package_aliases
         )
 
     def uses(tree_node):
-        """The fv names that ``tree_node`` touches, with a note for a bad flux call."""
-        found, flux_calls = [], set()
+        """The module's names that ``tree_node`` touches, with a note for a bad call."""
+        found, counted_calls = [], set()
         for node in ast.walk(tree_node):
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "kinetic_flux" and is_fv_module(node.func.value)):
-                flux_calls.add(id(node.func))
-                if len(node.args) != 4 or node.keywords or any(isinstance(a, ast.Starred) for a in node.args):
-                    found.append("fv.kinetic_flux called other than with four positional arguments")
+                    and node.func.attr in calls and is_module(node.func.value)):
+                counted_calls.add(id(node.func))
+                count = calls[node.func.attr]
+                if len(node.args) != count or node.keywords or any(isinstance(a, ast.Starred) for a in node.args):
+                    found.append(f"{short}.{node.func.attr} called other than with {count} positional arguments")
         for node in ast.walk(tree_node):
-            if isinstance(node, ast.Name) and node.id in from_fv and from_fv[node.id] not in ALLOWED:
-                found.append(f"fv.{from_fv[node.id]}")
-            elif isinstance(node, ast.Attribute) and is_fv_module(node.value):
-                if node.attr not in ALLOWED and id(node) not in flux_calls:
-                    found.append(f"fv.{node.attr}")
+            if isinstance(node, ast.Name) and node.id in imported and imported[node.id] not in allowed:
+                found.append(f"{short}.{imported[node.id]}")
+            elif isinstance(node, ast.Attribute) and is_module(node.value):
+                if node.attr not in allowed and id(node) not in counted_calls:
+                    found.append(f"{short}.{node.attr}")
             elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                    and node.value.id in package_aliases and node.attr not in ALLOWED
-                    and _is_fv_object(node.attr)):
-                found.append(f"fv.{node.attr}")
+                    and node.value.id in package_aliases and node.attr not in allowed
+                    and _is_module_object(module, node.attr)):
+                found.append(f"{short}.{node.attr}")
+            elif isinstance(node, ast.Attribute) and node.attr in methods:
+                found.append(f"method {node.attr}")
         return found
 
-    # module-level names bound to something built from fv carry it along
+    # module-level names bound to something built from the module carry it along
     tainted = {}
     for node in tree.body:
         if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None and uses(node.value):
@@ -91,7 +117,7 @@ def oracle_fv_uses(source: str) -> list:
                     if isinstance(name, ast.Name):
                         tainted[name.id] = uses(node.value)
 
-    found, seen, todo = [], set(), [ORACLE]
+    found, seen, todo = [], set(), list(oracles)
     while todo:
         name = todo.pop()
         if name in seen:
@@ -107,19 +133,26 @@ def oracle_fv_uses(source: str) -> list:
 
 
 def test_reference_advance_uses_only_allowed_fv_names():
-    assert oracle_fv_uses(HELPERS.read_text()) == []
+    assert oracle_uses(HELPERS.read_text(), **FV_GUARD) == []
 
 
 FLUX_CALL = "fv.kinetic_flux(a_ext[:-1], u_ext[:-1], a_ext[1:], u_ext[1:])"
 VELOCITY_CALL = "_reference_velocity(alpha, q, ua, bounds, u, vac, any_vacuum)"
 
 
+def _edited(source, edits):
+    for old, new in edits:
+        assert old in source
+        source = source.replace(old, new, 1)
+    return source
+
+
 @pytest.mark.parametrize(
     "edits, use",
     [
         ([(VELOCITY_CALL, "fv._velocity" + VELOCITY_CALL[19:])], "fv._velocity"),
-        ([(FLUX_CALL, FLUX_CALL[:-1] + ", out=(a_ext, u_ext))")], "four positional"),
-        ([(FLUX_CALL, "fv.kinetic_flux(a_ext[:-1], u_ext[:-1])")], "four positional"),
+        ([(FLUX_CALL, FLUX_CALL[:-1] + ", out=(a_ext, u_ext))")], "4 positional"),
+        ([(FLUX_CALL, "fv.kinetic_flux(a_ext[:-1], u_ext[:-1])")], "4 positional"),
         ([("    step = 0\n", "    step = 0\n    _ = ds.advance\n")], "fv.advance"),
         ([("import math\n", "import math\n_velocity = fv._velocity\n"), (VELOCITY_CALL, VELOCITY_CALL[10:])],
          "_velocity = fv._velocity"),
@@ -128,12 +161,44 @@ VELOCITY_CALL = "_reference_velocity(alpha, q, ua, bounds, u, vac, any_vacuum)"
     ids=["private-velocity", "flux-out", "flux-one-sided", "package-advance", "module-alias", "unused-import"],
 )
 def test_guard_flags_each_route_into_fv(edits, use):
-    source = HELPERS.read_text()
-    for old, new in edits:
-        assert old in source
-        source = source.replace(old, new, 1)
-    found = oracle_fv_uses(source)
+    found = oracle_uses(_edited(HELPERS.read_text(), edits), **FV_GUARD)
     if use is None:  # an import the oracle never reads is no route
+        assert found == []
+    else:
+        assert found and all(use in f for f in found), found
+
+
+def test_reference_weak_residual_uses_only_allowed_validation_names():
+    assert oracle_uses(HELPERS.read_text(), **WEAK_GUARD) == []
+
+
+PSI_CALL = "_reference_value_and_partials(psi, x_nodes, t[:, None])"
+VALIDATION_IMPORT = "from dropshock.validation import BumpTestFunction, _bump, _simpson_weights\n"
+MONOMIAL = "p = p + c * x**ix * t**it"
+
+
+@pytest.mark.parametrize(
+    "edits, use",
+    [
+        ([(PSI_CALL, "psi.value_and_partials(x_nodes, t[:, None])")], "method value_and_partials"),
+        ([(VALIDATION_IMPORT, VALIDATION_IMPORT[:-1] + ", _block_nodes\n"),
+          ("    row_weight = t_max / n * w\n", "    row_weight = t_max / n * w\n    _ = _block_nodes\n")],
+         "validation._block_nodes"),
+        ([(VALIDATION_IMPORT, VALIDATION_IMPORT[:-1] + ", _monomial\n"), (MONOMIAL, "p = p + _monomial(c, x, ix, t, it)")],
+         "_reference_value_and_partials: validation._monomial"),
+        ([("    out = np.zeros((len(test_functions), 2))\n    for r, psi",
+           "    out = np.zeros((len(test_functions), 2))\n    _ = ds.weak_residual\n    for r, psi")],
+         "validation.weak_residual"),
+        ([("import math\n", "import math\nfrom dropshock import validation as V\n_rows = V._ROW_BLOCK\n"),
+          ("    w = _simpson_weights(n)\n    row_weight", "    w = _simpson_weights(n)[:_rows]\n    row_weight")],
+         "_rows = validation._ROW_BLOCK"),
+        ([(VALIDATION_IMPORT, VALIDATION_IMPORT[:-1] + ", weak_residual\n")], None),
+    ],
+    ids=["psi-method", "block-nodes", "reached-helper", "package-function", "module-alias", "unused-import"],
+)
+def test_guard_flags_each_route_into_validation(edits, use):
+    found = oracle_uses(_edited(HELPERS.read_text(), edits), **WEAK_GUARD)
+    if use is None:
         assert found == []
     else:
         assert found and all(use in f for f in found), found

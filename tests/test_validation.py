@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -220,10 +222,49 @@ RANDOM_PSI = st.builds(
     ],
     n=10,
 )
+# x-support edges exactly on node columns: at t = 0 the left strip's nodes
+# are -1 + j/16 and the right strip's j/8
+@example(name="delta", psis=[BumpTestFunction(-0.5, 0.25, 0.0, 0.1), BumpTestFunction(1.0, 0.5, 0.0, 0.1)], n=16)
+# an x-support holding every node of the left strip but its box edge: the
+# columns clip to the grid at both ends
+@example(name="delta", psis=[BumpTestFunction(0.5, 1.45, 1.5, 0.45)], n=40)
+# a negative x_halfwidth: the support is |x - x_c| < |x_h|, here wider than
+# the box (the box check reads support_x, reversed), so it also meets the
+# right strip on the rows where its width is negative
+@example(name="delta", psis=[BumpTestFunction(0.5, -1.6, 1.9, 0.08, ((1.0, 1, 1),))], n=40)
 def test_weak_residual_equals_full_grid_reference(name, psis, n):
     sol = RESIDUAL_SOLUTIONS[name]
     r = weak_residual(sol, psis, quad_resolution=n)
     assert np.array_equal(r, reference_weak_residual(sol, psis, quad_resolution=n))
+
+
+def test_weak_residual_columns_cover_rounded_nodes():
+    # a strip 8 ulps wide: its 41 nodes round onto 9 values, so a node's
+    # column can lie 2.5 columns past the one its exact position gives; psi
+    # is as narrow and nonzero on them, so each missed column shows
+    sol = RESIDUAL_SOLUTIONS["delta"]
+    n, k = 40, 30
+    xk = float(sol.position(2.0 * k / n))
+    ulp = float(np.spacing(xk))
+    psi = BumpTestFunction(xk + 4 * ulp, 2.25 * ulp, 2.0 * k / n, 0.01)
+    box = (-1.0, xk + 8 * ulp)
+    r = weak_residual(sol, [psi], quad_resolution=n, x_span=box)
+    assert np.array_equal(r, reference_weak_residual(sol, [psi], quad_resolution=n, x_span=box))
+
+
+def test_weak_residual_builds_no_node_grid():
+    # psi's three full-height grids, 3 (n+1)^2 doubles, are the largest
+    # arrays; an (n+1)^2 node array or a (rows x (n+1)) mask would add to them
+    sol = RESIDUAL_SOLUTIONS["delta"]
+    n = 400
+    weak_residual(sol, PSIS, quad_resolution=n)
+    tracemalloc.start()
+    try:
+        weak_residual(sol, PSIS, quad_resolution=n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 3 * (n + 1) ** 2 * 8
 
 
 def test_compare_self_comparison_is_zero():
