@@ -122,7 +122,8 @@ class BumpTestFunction:
 
     The polynomial is a sum of coef * x**px * t**pt terms; partial
     derivatives are analytic so quadrature errors are purely from the
-    integration rule.
+    integration rule.  A half-width may be negative: the bump is even, so
+    the support is |x - x_center| < |x_halfwidth| either way.
     """
 
     x_center: float
@@ -131,13 +132,22 @@ class BumpTestFunction:
     t_halfwidth: float
     poly: Tuple[Tuple[float, int, int], ...] = ((1.0, 0, 0),)
 
+    def __post_init__(self):
+        for name in ("x_center", "x_halfwidth", "t_center", "t_halfwidth"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if self.x_halfwidth == 0.0 or self.t_halfwidth == 0.0:
+            raise ValueError("half-widths must be nonzero")
+
     @property
     def support_x(self) -> Tuple[float, float]:
-        return self.x_center - self.x_halfwidth, self.x_center + self.x_halfwidth
+        h = abs(self.x_halfwidth)
+        return self.x_center - h, self.x_center + h
 
     @property
     def support_t(self) -> Tuple[float, float]:
-        return self.t_center - self.t_halfwidth, self.t_center + self.t_halfwidth
+        h = abs(self.t_halfwidth)
+        return self.t_center - h, self.t_center + h
 
     def value_and_partials(self, x, t):
         """(psi, psi_x, psi_t) at the broadcast of x and t; each bump is

@@ -154,6 +154,24 @@ FREE = ds.ModelParams(0.0, 0.0)
 EQUAL = LimitStates(alpha_l=_const(0.01), u_l=_const(0.5), alpha_r=_const(0.01), u_r=_const(0.5))
 
 
+def _switch(t0, before, after):
+    return lambda t: np.where(np.asarray(t, float) < t0, before, after) + 0.0
+
+
+# CROSSING at dt = 1e-3 leaves the speed interval at step 699; from t = 0.8 on,
+# steps 800 on of the same 512-step block, a right density of -1e6 drives a
+# stage mass below 0
+SPEED_THEN_STAGE = LimitStates(
+    alpha_l=_const(1.0), u_l=CROSSING.u_l, alpha_r=_switch(0.8, 1.0, -1e6), u_r=_const(0.0)
+)
+
+
+def _negative_right_density_from(t0, alpha_r, u_l=1.5):
+    return LimitStates(
+        alpha_l=_const(0.008), u_l=_switch(t0, 1.5, u_l), alpha_r=_switch(t0, 0.003, alpha_r), u_r=_const(0.5)
+    )
+
+
 def test_monitor_aborts_when_states_cross():
     # the monitor must flag an inadmissible run rather than return a trajectory
     with pytest.raises(GrhMonitorError):
@@ -193,11 +211,20 @@ def _assert_agrees_with_reference(z0, sigma0, t_end, dt, states, params, eps_see
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), t_end=st.floats(0.05, 3.0), dt=st.floats(1e-3, 0.05))
-# 255, 256, 257 and 513 steps: one block short of, at and past a block edge
+# 255, 256, 257 and 513 steps: one block short of, at and past the edge of
+# a 256-step block
 @example(seed=1, t_end=2.55, dt=0.01)
 @example(seed=2, t_end=2.56, dt=0.01)
 @example(seed=3, t_end=2.57, dt=0.01)
 @example(seed=4, t_end=2.565, dt=0.005)
+# 511, 512, 513, 514 and 1025 steps of dt = 2^-7: the steps before the final
+# one fill one 512-step block short of, at and past its edge; the final step
+# is a block of its own
+@example(seed=6, t_end=511 / 128, dt=1 / 128)
+@example(seed=7, t_end=512 / 128, dt=1 / 128)
+@example(seed=8, t_end=513 / 128, dt=1 / 128)
+@example(seed=9, t_end=514 / 128, dt=1 / 128)
+@example(seed=10, t_end=1025 / 128, dt=1 / 128)
 # node 1000 lands on t_end one step before ceil(t_end/dt) = 1001 steps
 @example(seed=5, t_end=0.100000000000001, dt=1e-4)
 def test_integrate_agrees_with_stage_by_stage_loop(seed, t_end, dt):
@@ -228,6 +255,19 @@ OMEGA0_DATA = ds.RiemannData(0.008, 1.5, 0.003, 0.5, omega0=0.01)
         pytest.param(GrhState(1.0, 0.5 + 7e-10), None, 1.0, 1e-2, EQUAL, FREE, None, id="speed-inside-tolerance"),
         pytest.param(GrhState(1.0, 0.5), None, 1.0, 1e-2, NEGATIVE, FREE, None, id="mass-decrease-abort"),
         pytest.param(GrhState(0.0, 0.0), 0.5, 1.0, 1e-2, NEGATIVE, FREE, 1e-3, id="nonpositive-stage-abort"),
+        # the block runs on past the speed abort at step 699 to a stage mass
+        # <= 0 at step 800: the monitor's error is the one raised
+        pytest.param(GrhState(0.0, 0.0), 0.5, 3.0, 1e-3, SPEED_THEN_STAGE, FREE, None, id="speed-abort-before-stage-abort"),
+        # aborts at step 70 and at step 100, the final steps, each a block of its own
+        pytest.param(GrhState(0.0, 0.0), 0.5, 0.7, 1e-2, CROSSING, FREE, None, id="entropy-abort-final-step"),
+        pytest.param(GrhState(0.0, 0.0), None, 1.0, 1e-2, _negative_right_density_from(0.995, -1e6), FREE, None,
+                     id="nonpositive-stage-abort-final-step"),
+        # step 713, in the middle of the second 512-step block
+        pytest.param(GrhState(0.0, 0.0), None, 1.0, 1e-3, _negative_right_density_from(0.7125, -1.0), FREE, None,
+                     id="mass-decrease-abort-late-block"),
+        # the same step also leaves the speed interval, now empty: the mass check comes first
+        pytest.param(GrhState(0.0, 0.0), None, 1.0, 1e-3, _negative_right_density_from(0.7125, -1.0, 0.0), FREE, None,
+                     id="mass-and-speed-abort-same-step"),
     ],
 )
 def test_integrate_agrees_with_stage_by_stage_loop_examples(z0, sigma0, t_end, dt, states, params, eps_seed):

@@ -20,6 +20,13 @@ the test function, so they cannot share the per-block nodes and columns or
 its own f-string and calls nothing from ``dropshock``, so it shares no
 formatter (such as the run formatter) with the plot.
 
+``helpers.reference_integrate``, with ``_reference_rates`` and
+``_default_seed``, is the stage-by-stage RK4 loop that ``grh.integrate``
+must equal byte for byte, abort messages included.  It may take from
+``dropshock.grh`` only the step cap, the monitor exception and the state,
+trajectory and limit-state types, so it cannot share the jump
+coefficients, the block size or the block loop with the code it checks.
+
 The guards read the sources, so they need no run of an oracle.
 """
 
@@ -30,7 +37,7 @@ import pathlib
 import pytest
 
 import dropshock as ds
-from dropshock import fv, validation
+from dropshock import fv, grh, validation
 
 HELPERS = pathlib.Path(__file__).with_name("helpers.py")
 FV_GUARD = dict(
@@ -45,6 +52,12 @@ WEAK_GUARD = dict(
     allowed={"BumpTestFunction", "_bump", "_simpson_weights"},
     methods={name for name, v in vars(validation.BumpTestFunction).items()
              if inspect.isfunction(v) and not name.startswith("__")},
+)
+
+GRH_GUARD = dict(
+    module=grh,
+    oracles=("reference_integrate", "_reference_rates", "_default_seed"),
+    allowed={"MAX_STEPS", "GrhMonitorError", "GrhState", "GrhTrajectory", "LimitStates"},
 )
 
 
@@ -287,3 +300,35 @@ def test_svg_guard_flags_each_route_into_dropshock(edits, fault):
         source = source.replace(old, new, 1)
     found = svg_oracle_faults(source)
     assert found and all(fault in f for f in found), found
+
+
+def test_reference_integrate_uses_only_allowed_grh_names():
+    assert oracle_uses(HELPERS.read_text(), **GRH_GUARD) == []
+
+
+GRH_IMPORT = "from dropshock.grh import MAX_STEPS, GrhMonitorError, GrhState, GrhTrajectory, LimitStates\n"
+COEFFICIENTS = "a, b, c = ar - al, ar * ur - al * ul, ar * ur * ur - al * ul * ul"
+NONPOSITIVE = 'raise GrhMonitorError(f"point mass became nonpositive ({w:g}) at t={t:g}")'
+STEP_COUNT = "    n_steps = max(1, math.ceil(t_end / dt - 1e-12))\n"
+
+
+@pytest.mark.parametrize(
+    "edits, use",
+    [
+        ([(GRH_IMPORT, GRH_IMPORT[:-1] + ", _jump_coefficients\n"),
+          (COEFFICIENTS, "a, b, c = _jump_coefficients(al, ul, ar, ur)")], "_reference_rates: grh._jump_coefficients"),
+        ([(GRH_IMPORT, GRH_IMPORT[:-1] + ", _nonpositive_mass\n"), (NONPOSITIVE, "raise _nonpositive_mass(w, t)")],
+         "grh._nonpositive_mass"),
+        ([(STEP_COUNT, STEP_COUNT + "    _ = ds.integrate\n")], "reference_integrate: grh.integrate"),
+        ([("import math\n", "import math\nfrom dropshock import grh as G\n_block = G._BLOCK\n"),
+          (STEP_COUNT, STEP_COUNT + "    _ = _block\n")], "_block = grh._BLOCK"),
+        ([(GRH_IMPORT, GRH_IMPORT[:-1] + ", integrate\n")], None),
+    ],
+    ids=["private-coefficients", "private-abort", "package-function", "module-alias", "unused-import"],
+)
+def test_guard_flags_each_route_into_grh(edits, use):
+    found = oracle_uses(_edited(HELPERS.read_text(), edits), **GRH_GUARD)
+    if use is None:
+        assert found == []
+    else:
+        assert found and all(use in f for f in found), found

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -183,6 +184,27 @@ def test_weak_residual_rejects_escaping_support():
         weak_residual(sol, [BumpTestFunction(0.5, 3.0, 0.8, 0.7)], quad_resolution=40)
     with pytest.raises(ValueError, match="escapes"):
         weak_residual(sol, [BumpTestFunction(0.5, 0.9, 1.9, 0.5)], quad_resolution=40, t_max=2.0)
+    # a negative half-width spans |half-width| on both sides of the center
+    with pytest.raises(ValueError, match="escapes the quadrature box in t"):
+        weak_residual(sol, [BumpTestFunction(0.5, 0.6, 1.9, -0.2)], quad_resolution=40, t_max=2.0)
+    with pytest.raises(ValueError, match="escapes the quadrature box in x"):
+        weak_residual(sol, [BumpTestFunction(0.5, -1.6, 1.9, 0.08)], quad_resolution=40)
+
+
+@pytest.mark.parametrize(
+    "args, match",
+    [
+        ((0.5, 0.0, 0.8, 0.7), "nonzero"),
+        ((0.5, 0.9, 0.8, -0.0), "nonzero"),
+        ((0.5, math.nan, 0.8, 0.7), "x_halfwidth must be finite"),
+        ((0.5, 0.9, 0.8, math.inf), "t_halfwidth must be finite"),
+        ((math.nan, 0.9, 0.8, 0.7), "x_center must be finite"),
+        ((0.5, 0.9, -math.inf, 0.7), "t_center must be finite"),
+    ],
+)
+def test_bump_test_function_rejects_degenerate_shape(args, match):
+    with pytest.raises(ValueError, match=match):
+        BumpTestFunction(*args)
 
 
 RESIDUAL_SOLUTIONS = {
@@ -228,10 +250,9 @@ RANDOM_PSI = st.builds(
 # an x-support holding every node of the left strip but its box edge: the
 # columns clip to the grid at both ends
 @example(name="delta", psis=[BumpTestFunction(0.5, 1.45, 1.5, 0.45)], n=40)
-# a negative x_halfwidth: the support is |x - x_c| < |x_h|, here wider than
-# the box (the box check reads support_x, reversed), so it also meets the
-# right strip on the rows where its width is negative
-@example(name="delta", psis=[BumpTestFunction(0.5, -1.6, 1.9, 0.08, ((1.0, 1, 1),))], n=40)
+# a negative x_halfwidth: the support is |x - x_c| < |x_h| = (-0.9, 1.9),
+# which meets both strips
+@example(name="delta", psis=[BumpTestFunction(0.5, -1.4, 1.9, 0.08, ((1.0, 1, 1),))], n=40)
 def test_weak_residual_equals_full_grid_reference(name, psis, n):
     sol = RESIDUAL_SOLUTIONS[name]
     r = weak_residual(sol, psis, quad_resolution=n)
