@@ -1,68 +1,56 @@
 """First-order finite-volume solver on a uniform 1-D grid.
 
-Godunov splitting per step: an upwind kinetic transport flux for the
-conserved pair (alpha, q = alpha*u), then the exact exponential update of
-the drag source.  The flux is the first-order moment closure of free
-monokinetic transport, which keeps alpha nonnegative and the
-reconstructed velocity inside the convex hull of the data under CFL <= 1.
+``advance`` steps the model in the free frame of the drag.  With
+c = exp(-mu*(t - t0)), t0 the start of the call, v = (u - ua)/c and
+p = alpha*v obey alpha_t + (alpha*u)_x = 0 and p_t + (p*u)_x = 0 with
+u = ua + c*v: a step is transport alone, with no drag phase.  On entry
+p = q - alpha*ua, on return q = alpha*ua + c*p.  The upwind kinetic flux
+advects with u and carries v in the momentum flux.  In exact arithmetic
+this is transport of (alpha, q) followed by the exact drag; under
+CFL <= 1 it keeps alpha >= 0 and v inside the hull of the data.
 
-``advance`` returns, byte for byte, the state of stepping every cell with
-the four-argument flux; it gets there with less work, as follows.
-
-It steps only a window [lo, hi) of m cells.  Cells 0..lo hold the bits of
-cell lo and cells hi-1..n-1 those of cell hi-1, and the outflow ghosts
-copy the edge cells, so an edge cell whose inner neighbour equals it takes
-the update of the whole uniform far field it stands for.  Before each step
-the window grows by one cell, a copy of the edge cell, on a side whose
-edge cell differs from its inner neighbour (a three-point scheme moves
-information one cell per step).  The far field is filled on return.
+``advance`` returns, byte for byte, the state of the full-grid loop
+``tests/helpers.py`` keeps, with less work.  It steps only a window
+[lo, hi) of m cells: cells 0..lo hold the bits of cell lo and cells
+hi-1..n-1 those of cell hi-1, and the outflow ghosts copy the edge cells,
+so an edge cell takes the update of the uniform far field it stands for.
+Before each step the window grows by one cell, a copy of the edge cell,
+on a side whose edge cell differs from its inner neighbour.  The far field
+is filled on return.
 
 The window lives in one buffer s = [left ghost, alpha (m), right ghost,
-q (m)], and the interface fluxes in one buffer fg = [f_mass (m + 1),
-f_mom (m + 1)], which ``kinetic_flux(..., out=)`` fills.  So one
-difference of fg, one multiply by dt/dx and one in-place subtract update
-both fields: s[1:2m+2] -= (fg[1:2m+2] - fg[:2m+1])*dt/dx.  The middle
-value of that difference, f_mom[0] - f_mass[m], lands on the right ghost,
-which every flux that reads it rewrites first.  Growing the window moves
-the blocks by a slice copy (on the left alpha moves by 1 and q by 2, on
-the right q by 1).  Every buffer is allocated once per call.
+p (m)] and the interface fluxes in fg = [f_mass (m + 1), f_mom (m + 1)],
+which ``kinetic_flux(..., out=)`` fills, so one difference, one multiply
+and one in-place subtract update both fields:
+s[1:2m+2] -= (fg[1:2m+2] - fg[:2m+1])*dt/dx.  Its middle value lands on
+the right ghost, which every flux that reads it rewrites first.  Every
+buffer is allocated once per call.
 
-The velocity is one sequence: u = q/alpha; only if min(alpha) >
-VACUUM_ALPHA fails, u = ua and q = alpha*ua in the vacuum cells; the
-extremes of u; only if they leave the hull of the data and ua, a clip to
-it and the extremes again.  When no cell is vacuum and every velocity has
-one strict sign, ``kinetic_flux`` gets the upwind states only and returns
-their physical flux; the other side would add only zeros, so the flux
-differences are those of the two-sided flux.
+The velocity is one sequence: v = p/alpha; only if min(alpha) >
+VACUUM_ALPHA fails, v = 0 and p = 0 in the vacuum cells (u = ua); only if
+the extremes of v leave the hull, a clip to it.  The hull is that of the
+data's u - ua and 0, widened by _HULL_PAD and fixed for the call; the
+clip takes a NaN to the lower bound, so a bad value aborts at a finite
+time.  Then u = ua + c*v, whose extremes are ua + c times those of v, as
+rounding is monotone.  With no vacuum cell and every velocity of one
+strict sign, ``kinetic_flux`` gets the upwind states only; the other side
+would add only zeros, so the flux differences are the two-sided ones.
 
 No ufunc call of a step takes a Python float, which numpy 2 converts on
-every call: 0.0, VACUUM_ALPHA, ua, dt/dx and exp(-mu*dt) are 0-d float64
-arrays holding the floats' values (the last two rewritten when dt
-changes), so every operation gives the same bits; only the clip keeps its
-float bounds.  Ufuncs take their output positionally, which numpy parses
-with less work than ``out=`` (np.maximum and np.minimum, whose third
-positional argument numpy deprecates, keep ``out=``).  Single cells
-(ghosts, growth tests, extremes) are read and written through
-memoryviews, as Python floats and ints, bit for bit.
+every call: 0.0, VACUUM_ALPHA, ua, c and dt/dx are 0-d float64 arrays
+(c rewritten every step, dt/dx when dt changes); only the clip keeps its
+float bounds.  Ufuncs take their output positionally, except np.maximum
+and np.minimum.  Single cells are read and written through memoryviews.
+An extreme is read at x.argmin() or x.argmax(), which return the first
+NaN, so it is NaN exactly when numpy's reduction is; only a tie of 0.0
+and -0.0 may differ in sign, which no use of an extreme can tell.
 
-A step reads three extremes: min and max of u, which set dt and choose
-the flux, and after the transport update min(alpha), for the next step's
-vacuum test.  Each is read at x.argmin() or x.argmax(), methods bound once
-per view.  They return the index of the first NaN, so an extreme is NaN
-exactly when numpy's reduction is, and +-inf extremes agree; only a tie of
-0.0 and -0.0 may come out with the other sign, and every use of an
-extreme (a comparison, a finiteness test, or a negation beside the floor
-1e-300 in max|u|) gives the same result for either.  The step calls no
-builtin min or max: it makes their comparisons itself, in their order.
-
-After the drag a step takes one dot product alpha.q.  A NaN or inf among
-them makes it non-finite, so a finite dot proves every value finite; only
-a non-finite dot (a bad value, or finite data that overflow it) takes
-max(alpha), min(q) and max(q) to decide the abort.  numpy's divide,
-overflow and invalid warnings are off for the whole of each ``advance``
-call: the checks, not warnings, report a bad state.  A negative density
-names the grid's first cell holding min(alpha): cell 0 when the window's
-argmin is its first cell, else that cell.
+After the update a step takes one dot product alpha.p: a finite dot
+proves every value finite, and only a non-finite one reads the extremes
+to decide the abort.  The conversion back to q is checked the same way,
+since alpha*ua may overflow there.  numpy's divide, overflow and invalid
+warnings are off inside ``advance``: the checks report a bad state.  A
+negative density names the grid's first cell holding min(alpha).
 """
 
 from __future__ import annotations
@@ -99,7 +87,7 @@ MAX_CELLS = 10**7
 # below the rounding of t (t + dt == t) would otherwise never end the loop
 MAX_STEPS = 10**7
 
-# advance clips velocities to the hull of the data and ua widened by this much
+# advance clips v to the hull of the data's u - ua and 0 widened by this much
 _HULL_PAD = 1e-9
 
 
@@ -168,9 +156,12 @@ class FieldState:
 
     @classmethod
     def from_riemann(cls, grid: Grid1D, data: RiemannData) -> "FieldState":
-        """Cell averages of the two constant states; a point mass omega0 > 0 is rejected."""
+        """Cell averages of the two constant states; a point mass omega0 > 0, or a
+        momentum alpha*u that overflows, is rejected."""
         if data.omega0 > 0.0:
             raise ValueError(f"the FV state carries no point mass: omega0 must be 0, got {data.omega0!r}")
+        if not (math.isfinite(data.alpha_l * data.u_l) and math.isfinite(data.alpha_r * data.u_r)):
+            raise ValueError(f"the momentum alpha*u overflows: {data!r}")
         x = grid.centers()
         alpha = np.where(x <= 0.0, data.alpha_l, data.alpha_r)
         u = np.where(x <= 0.0, data.u_l, data.u_r)
@@ -201,15 +192,18 @@ def reconstruct_velocity(state: FieldState, params: ModelParams, bounds=None) ->
     return u
 
 
-def kinetic_flux(alpha_l, u_l, alpha_r=None, u_r=None, out=None):
+def kinetic_flux(alpha_l, u_l, alpha_r=None, u_r=None, out=None, *, v_l=None, v_r=None):
     """Upwind kinetic interface flux (f_mass, f_momentum).
 
     Left cells contribute their rightward-moving content, right cells
-    their leftward-moving content; consistent with (alpha*u, alpha*u^2)
-    for equal states and positivity-preserving under CFL <= 1.
+    their leftward-moving content; consistent with (alpha*u, alpha*u*v)
+    for equal states and positivity-preserving under CFL <= 1.  The
+    keyword-only ``v_l`` and ``v_r`` are the velocities the momentum flux
+    carries (``advance`` passes the free-frame v); each defaults to its
+    side's u, which gives (alpha*u, alpha*u^2).
 
     Called with one side only, it returns the physical flux (alpha*u,
-    alpha*u^2) of those upwind states.  That is the four-argument flux
+    alpha*u*v_l) of those upwind states.  That is the four-argument flux
     whenever every density is positive and every velocity has one strict
     sign: the left states alone for u > 0, the right states alone for
     u < 0.  The other side then adds only zeros, which can flip the sign
@@ -223,28 +217,16 @@ def kinetic_flux(alpha_l, u_l, alpha_r=None, u_r=None, out=None):
     f_mass, f_mom = (None, None) if out is None else out
     if alpha_r is None:
         f_mass = np.multiply(u_l, alpha_l, f_mass)
-        return f_mass, np.multiply(f_mass, u_l, f_mom)
+        return f_mass, np.multiply(f_mass, u_l if v_l is None else v_l, f_mom)
     fl = np.maximum(u_l, _ZERO, out=f_mom, dtype=float)
     fl *= alpha_l
     fr = np.minimum(u_r, _ZERO, dtype=float)
     fr *= alpha_r
     f_mass = np.add(fl, fr, f_mass)
-    fl *= u_l
-    fr *= u_r
+    fl *= u_l if v_l is None else v_l
+    fr *= u_r if v_r is None else v_r
     fl += fr
     return f_mass, fl
-
-
-def _drag(q, alpha, ua, decay, q_eq) -> np.ndarray:
-    """Exact drag relaxation in place: q <- q_eq + (q - q_eq)*decay, q_eq = alpha*ua.
-
-    ``ua`` and ``decay`` are floats or 0-d arrays; ``q_eq`` is scratch for
-    alpha*ua.
-    """
-    q_eq = np.multiply(alpha, ua, q_eq)
-    np.subtract(q, q_eq, q)
-    np.multiply(q, decay, q)
-    return np.add(q, q_eq, q)
 
 
 def source_step(state: FieldState, params: ModelParams, dt: float) -> FieldState:
@@ -253,14 +235,8 @@ def source_step(state: FieldState, params: ModelParams, dt: float) -> FieldState
         raise ValueError("dt must be positive")
     if params.mu == 0.0:
         return state
-    q = np.array(state.q, dtype=float)
-    return replace(state, q=_drag(q, state.alpha, params.ua, math.exp(-params.mu * dt), np.empty_like(q)))
-
-
-def _hull_bounds(state: FieldState, params: ModelParams):
-    """Hull of the data's velocities and ua (drag relaxes toward it), widened by _HULL_PAD."""
-    u = reconstruct_velocity(state, params)
-    return min(float(np.min(u)), params.ua) - _HULL_PAD, max(float(np.max(u)), params.ua) + _HULL_PAD
+    q_eq = state.alpha * params.ua
+    return replace(state, q=(state.q - q_eq) * math.exp(-params.mu * dt) + q_eq)
 
 
 def _window(a_bits: np.ndarray, q_bits: np.ndarray):
@@ -295,7 +271,7 @@ def advance(
     cfl: float = 0.15,
     fixed_dt: float = None,
 ) -> FieldState:
-    """March the state to t_end with transport-then-source splitting.
+    """March the state to t_end by transport in the free frame (see the module docstring).
 
     Each step uses dt = min(cfl*dx/max|u|, remaining time), or the given
     positive, finite ``fixed_dt`` (aborting if it violates CFL <= 1).
@@ -324,36 +300,43 @@ def advance(
     grid = state.grid
     n, dx = grid.n_cells, grid.dx
     alpha, q = np.array(state.alpha, dtype=float), np.array(state.q, dtype=float)
+    t = t0 = state.time
+    t_stop = t_end - 1e-14 * max(1.0, abs(t_end))
+    if not t < t_stop:  # no step: the state's own bytes, not their round trip through p
+        return FieldState(grid=grid, alpha=alpha, q=q, time=t_end)
     a_lo = float(alpha.min())
-    t = state.time
-    b_lo, b_hi = _hull_bounds(state, params)
-    mu = params.mu
-    # 0-d float64 operands (see the module docstring); lam and decay are rewritten when dt changes
-    ua, lam, decay = np.array(params.ua, dtype=float), np.empty(()), np.empty(())
+    mu, ua_f = params.mu, params.ua
+    # the hull of v: the data's u - ua and 0, a vacuum cell's; 0.0 comes first, so a NaN leaves a finite bound
+    u0 = reconstruct_velocity(state, params)
+    b_lo, b_hi = min(0.0, float(np.min(u0)) - ua_f) - _HULL_PAD, max(0.0, float(np.max(u0)) - ua_f) + _HULL_PAD
+    # 0-d float64 operands (see the module docstring); c is rewritten every step, lam when dt changes
+    ua, lam, c = np.array(ua_f, dtype=float), np.empty(()), np.empty(())
     # the window [lo, hi) of m cells: cells 0..lo hold the bits of cell lo and
     # cells hi-1..n-1 those of cell hi-1, so the edge cells stand for the far field
     lo, hi = _window(alpha.view(np.int64), q.view(np.int64))
     m = hi - lo
-    # s = [left ghost, alpha window, right ghost, q window] and fg = [f_mass, f_mom]
-    # (m + 1 interfaces each) in buffers sized for the whole grid; u_ext = [ghost, u window, ghost]
+    # s = [left ghost, alpha window, right ghost, p window] and fg = [f_mass, f_mom]
+    # (m + 1 interfaces each) in buffers sized for the whole grid; u_ext and
+    # v_ext = [ghost, window, ghost]
     s, fg, d = np.empty(2 * n + 2), np.empty(2 * n + 2), np.empty(2 * n + 1)
-    u_ext = np.empty(n + 2)
+    u_ext, v_ext = np.empty(n + 2), np.empty(n + 2)
     vac = np.empty(n, dtype=bool)
-    s[1 : m + 1], s[m + 2 : 2 * m + 2] = alpha[lo:hi], q[lo:hi]
+    s[1 : m + 1] = alpha[lo:hi]
+    p0 = s[m + 2 : 2 * m + 2]
+    np.subtract(q[lo:hi], np.multiply(alpha[lo:hi], ua, p0), p0)  # p = q - alpha*ua
     # single cells are read and written as Python floats and ints, bit for bit
-    sv, sb, uv = memoryview(s), memoryview(s.view(np.int64)), memoryview(u_ext)
+    sv, sb, uv, vv = memoryview(s), memoryview(s.view(np.int64)), memoryview(u_ext), memoryview(v_ext)
     moved = True
     dt_prev = None
 
     step, max_steps = 0, MAX_STEPS
-    t_stop = t_end - 1e-14 * max(1.0, abs(t_end))
     while t < t_stop:
         step += 1
         if step > max_steps:
             raise SolverAbort(f"no end after {max_steps} steps (t={t:.6g} of t_end={t_end:.6g})")
         # a cell moves information one cell per step: grow the window on a
         # side whose edge cell differs from its inner neighbour, repeating the
-        # edge cell; on the left alpha moves by 1 and q by 2, on the right q by 1
+        # edge cell; on the left alpha moves by 1 and p by 2, on the right p by 1
         if lo > 0 and (sb[1] != sb[2] or sb[m + 2] != sb[m + 3]):
             lo -= 1
             s[m + 4 : 2 * m + 4] = s[m + 2 : 2 * m + 2]
@@ -369,29 +352,33 @@ def advance(
             moved = True
         if moved:
             moved = False
-            aw, qw, uw, dw, vw = s[1 : m + 1], s[m + 2 : 2 * m + 2], u_ext[1 : m + 1], d[:m], vac[:m]
-            awv, uwv = memoryview(aw), memoryview(uw)
-            aw_argmin, uw_argmin, uw_argmax = aw.argmin, uw.argmin, uw.argmax
-            a_left, u_left = s[: m + 1], u_ext[: m + 1]
-            a_right, u_right = s[1 : m + 2], u_ext[1 : m + 2]
+            aw, pw, uw, vw, mw = s[1 : m + 1], s[m + 2 : 2 * m + 2], u_ext[1 : m + 1], v_ext[1 : m + 1], vac[:m]
+            awv, vwv = memoryview(aw), memoryview(vw)
+            aw_argmin, vw_argmin, vw_argmax = aw.argmin, vw.argmin, vw.argmax
+            a_left, u_left, v_left = s[: m + 1], u_ext[: m + 1], v_ext[: m + 1]
+            a_right, u_right, v_right = s[1 : m + 2], u_ext[1 : m + 2], v_ext[1 : m + 2]
             flux = (fg[: m + 1], fg[m + 1 : 2 * m + 2])
-            # one transport update of alpha and q; its middle value,
+            # one transport update of alpha and p; its middle value,
             # f_mom[0] - f_mass[m], lands on the right ghost, which every
             # flux that reads it rewrites first
             s_upd, f_upper, f_lower, d_upd = s[1 : 2 * m + 2], fg[1 : 2 * m + 2], fg[: 2 * m + 1], d[: 2 * m + 1]
-        np.divide(qw, aw, uw)
+        np.divide(pw, aw, vw)
         # a_lo is min(alpha) (NaN if any alpha is NaN), carried over from the checks below
         any_vacuum = not a_lo > VACUUM_ALPHA
         if any_vacuum:
-            # a cell is vacuum unless alpha > VACUUM_ALPHA (NaN is vacuum); zeroing its q
-            # instead of alpha*ua would leave q/alpha outside the hull once mass flows in
-            np.logical_not(np.greater(aw, _VACUUM_ALPHA, vw), vw)
-            np.copyto(uw, ua, where=vw)
-            np.multiply(aw, ua, qw, where=vw)
-        u_lo, u_hi = uwv[uw_argmin()], uwv[uw_argmax()]
-        if not (u_lo >= b_lo and u_hi <= b_hi):  # rounding left the hull; also taken on NaN
-            np.clip(uw, b_lo, b_hi, uw)
-            u_lo, u_hi = uwv[uw_argmin()], uwv[uw_argmax()]
+            # a cell is vacuum unless alpha > VACUUM_ALPHA (NaN is vacuum): it
+            # moves with the carrier, v = 0, and holds no free-frame momentum
+            np.logical_not(np.greater(aw, _VACUUM_ALPHA, mw), mw)
+            np.copyto(vw, _ZERO, where=mw)
+            np.copyto(pw, _ZERO, where=mw)
+        v_lo, v_hi = vwv[vw_argmin()], vwv[vw_argmax()]
+        if not (v_lo >= b_lo and v_hi <= b_hi):  # rounding left the hull, or a NaN, which goes to b_lo
+            np.fmin(np.fmax(vw, b_lo, vw), b_hi, vw)
+            v_lo, v_hi = vwv[vw_argmin()], vwv[vw_argmax()]
+        cf = math.exp(-mu * (t - t0))
+        c[()] = cf
+        np.add(np.multiply(vw, c, uw), ua, uw)
+        u_lo, u_hi = ua_f + cf * v_lo, ua_f + cf * v_hi
         # max(-u_lo, u_hi, 1e-300), min(fixed_dt, remaining) and
         # min(cfl*dx/umax, remaining) as the builtins compare, NaN included
         umax = -u_lo
@@ -415,25 +402,24 @@ def advance(
         # with every density positive and every velocity of one strict sign,
         # the flux is the physical flux of the upwind side: refresh its ghost only
         if not any_vacuum and u_lo > 0.0:
-            sv[0], uv[0] = sv[1], uv[1]
-            kinetic_flux(a_left, u_left, out=flux)
+            sv[0], uv[0], vv[0] = sv[1], uv[1], vv[1]
+            kinetic_flux(a_left, u_left, out=flux, v_l=v_left)
         elif not any_vacuum and u_hi < 0.0:
-            sv[m + 1], uv[m + 1] = sv[m], uv[m]
-            kinetic_flux(a_right, u_right, out=flux)
+            sv[m + 1], uv[m + 1], vv[m + 1] = sv[m], uv[m], vv[m]
+            kinetic_flux(a_right, u_right, out=flux, v_l=v_right)
         else:
             sv[0], sv[m + 1] = sv[1], sv[m]
             uv[0], uv[m + 1] = uv[1], uv[m]
-            kinetic_flux(a_left, u_left, a_right, u_right, out=flux)
+            vv[0], vv[m + 1] = vv[1], vv[m]
+            kinetic_flux(a_left, u_left, a_right, u_right, out=flux, v_l=v_left, v_r=v_right)
         if dt != dt_prev:
             dt_prev = dt
             lam[()] = dt / dx
-            if mu > 0.0:
-                decay[()] = math.exp(-mu * dt)
         np.subtract(s_upd, np.multiply(np.subtract(f_upper, f_lower, d_upd), lam, d_upd), s_upd)
 
         a_lo = awv[aw_argmin()]
         if a_lo < -1e-13:
-            if _nonfinite(aw, qw, a_lo):  # a -inf or a bad q aborts as non-finite, not negative
+            if _nonfinite(aw, pw, a_lo):  # a -inf or a bad p aborts as non-finite, not negative
                 raise SolverAbort(f"non-finite state at step {step} (t={t + dt:.6g})")
             k = int(aw_argmin())  # the grid's first such cell: cells 0..lo repeat window cell 0
             raise SolverAbort(
@@ -441,15 +427,17 @@ def advance(
             )
         if a_lo <= 0.0:
             np.maximum(aw, _ZERO, out=aw)
-
-        if mu > 0.0:
-            _drag(qw, aw, ua, decay, dw)
-        # after the drag, so a step's own drag overflow is reported at that step
-        if _nonfinite(aw, qw, a_lo):
+        if _nonfinite(aw, pw, a_lo):
             raise SolverAbort(f"non-finite state at step {step} (t={t + dt:.6g})")
         t = t_end if remaining <= dt * (1.0 + 1e-12) else t + dt
 
-    alpha[lo:hi], q[lo:hi] = s[1 : m + 1], s[m + 2 : 2 * m + 2]
+    # q = alpha*ua + c*p at the final time; alpha*ua may overflow here
+    c[()] = math.exp(-mu * (t - t0))
+    qw = q[lo:hi]
+    alpha[lo:hi] = aw
+    np.add(np.multiply(aw, ua, qw), np.multiply(pw, c, pw), qw)
+    if _nonfinite(aw, qw, a_lo):
+        raise SolverAbort(f"non-finite state at step {step} (t={t:.6g})")
     for arr in (alpha, q):  # the far field repeats the window's edge cells
         arr[:lo] = arr[lo]
         arr[hi:] = arr[hi - 1]

@@ -108,6 +108,9 @@ class GrhTrajectory:
     position: np.ndarray
 
 
+# limit states near 1e300 overflow the jump coefficients, and the steps after
+# a failed one may overflow: the monitors, not numpy's warnings, report it
+@np.errstate(over="ignore", invalid="ignore")
 def integrate(
     z0: GrhState,
     sigma0: Optional[float],
@@ -302,9 +305,8 @@ def integrate(
         # the steps' monitors as the loop would have checked them: the
         # comparisons are False on NaN, and a mass <= 0 gives a NaN speed;
         # garbage after a failed step may overflow, which Python floats allow
-        with np.errstate(over="ignore", invalid="ignore"):
-            dropped = w_new < w_old - 1e-13 * np.where(w_old > 1.0, w_old, 1.0)
-            s_new = np.divide(m_new, w_new, out=np.full(j, math.nan), where=w_new > 0.0)
+        dropped = w_new < w_old - 1e-13 * np.where(w_old > 1.0, w_old, 1.0)
+        s_new = np.divide(m_new, w_new, out=np.full(j, math.nan), where=w_new > 0.0)
         failed = dropped | ~((ur[:j] - tol[:j] <= s_new) & (s_new <= ul[:j] + tol[:j]))
         if failed.any():
             i = int(failed.argmax())

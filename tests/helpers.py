@@ -122,11 +122,12 @@ def _reference_velocity(alpha, q, ua, bounds, out, vac, any_vacuum=True):
     return lo, hi
 
 
-# The full-grid time loop of ``fv.advance`` before it stepped only a window
-# of cells, kept as the oracle its output must equal byte for byte.  It
-# calls ``fv.kinetic_flux`` directly and has its own copies of the velocity,
-# hull and drag helpers, so a change inside them shows as a difference; its
-# vacuum cells take momentum alpha*ua, as in ``advance``.
+# The split-step loop of ``fv.advance`` before it stepped in the free frame:
+# transport of (alpha, q), then the exact drag.  It was the byte oracle
+# before the free-frame step; the same scheme in exact arithmetic, it is
+# kept as a second oracle that ``advance`` stays within a rounding bound of.
+# It calls ``fv.kinetic_flux`` directly and has its own copies of the
+# velocity, hull and drag helpers; its vacuum cells take momentum alpha*ua.
 def reference_advance(
     state: FieldState,
     params: ModelParams,
@@ -214,6 +215,107 @@ def reference_advance(
             raise SolverAbort(f"non-finite state at step {step} (t={t + dt:.6g})")
         t = t_end if remaining <= dt * (1.0 + 1e-12) else t + dt
 
+    return FieldState(grid=grid, alpha=alpha, q=q, time=t_end)
+
+
+# The full-grid time loop of ``fv.advance`` in the free frame of the drag,
+# kept as the oracle its output must equal byte for byte, abort messages
+# included.  It computes its own two-sided upwind flux and has its own
+# velocity, hull and conversion steps, so it shares no code with ``advance``.
+def reference_free_advance(
+    state: FieldState,
+    params: ModelParams,
+    t_end: float,
+    cfl: float = 0.15,
+    fixed_dt: float = None,
+) -> FieldState:
+    """March (alpha, p) to t_end by free transport, p = alpha*v.
+
+    Here v = (u - ua)/c and c = exp(-mu*(t - t0)), t0 the state's time:
+    p = q - alpha*ua on entry and q = alpha*ua + c*p on return.  Each step
+    advects with u = ua + c*v and carries v in the momentum flux.  A
+    vacuum cell (alpha not above VACUUM_ALPHA) takes v = 0 and p = 0, and
+    v is clipped to the hull of the data's u - ua and 0, widened by 1e-9,
+    a NaN going to its lower bound.  A run that takes no step returns the
+    state's own bytes.
+    """
+    if not math.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end!r}")
+    if t_end < state.time:
+        raise ValueError("t_end must not precede the state time")
+    if fixed_dt is None and not 0.0 < cfl <= 1.0:
+        raise ValueError("cfl must lie in (0, 1]")
+    if fixed_dt is not None and not (fixed_dt > 0.0 and math.isfinite(fixed_dt)):
+        raise ValueError(f"fixed_dt must be positive and finite, got {fixed_dt!r}")
+    grid = state.grid
+    n, dx = grid.n_cells, grid.dx
+    t = t0 = state.time
+    t_stop = t_end - 1e-14 * max(1.0, abs(t_end))
+    if not t < t_stop:
+        alpha, q = np.array(state.alpha, dtype=float), np.array(state.q, dtype=float)
+        return FieldState(grid=grid, alpha=alpha, q=q, time=t_end)
+    mu, ua = params.mu, params.ua
+    # the hull of v: the data's u - ua, and 0 for a vacuum cell; a NaN velocity leaves 0
+    u_lo, u_hi = _reference_velocity(state.alpha, state.q, ua, None, np.empty(n), np.empty(n, dtype=bool))
+    v_bounds = min(0.0, u_lo - ua) - 1e-9, max(0.0, u_hi - ua) + 1e-9
+    # ghost-extended buffers: the interior is a view, each step refreshes
+    # the two outflow ghosts (copies of the adjacent interior cells)
+    a_ext, u_ext, v_ext = np.empty(n + 2), np.empty(n + 2), np.empty(n + 2)
+    alpha, u, v = a_ext[1:-1], u_ext[1:-1], v_ext[1:-1]
+    alpha[:] = state.alpha
+    p = np.array(state.q, dtype=float) - alpha * ua
+
+    step = 0
+    while t < t_stop:
+        step += 1
+        vacuum = ~(alpha > VACUUM_ALPHA)
+        v[:] = 0.0
+        np.divide(p, alpha, out=v, where=~vacuum)
+        p[vacuum] = 0.0
+        if not (v.min() >= v_bounds[0] and v.max() <= v_bounds[1]):
+            np.clip(v, v_bounds[0], v_bounds[1], out=v)
+            v[np.isnan(v)] = v_bounds[0]
+        c = math.exp(-mu * (t - t0))
+        u[:] = ua + c * v
+        umax = max(-float(u.min()), float(u.max()), 1e-300)
+        remaining = t_end - t
+        if fixed_dt is not None:
+            dt = min(fixed_dt, remaining)
+            if dt * umax / dx > 1.0 + 1e-12:
+                raise SolverAbort(
+                    f"fixed dt={fixed_dt:g} violates CFL at step {step} "
+                    f"(t={t:.6g}, max|u|={umax:g}, dx={dx:g})"
+                )
+        else:
+            dt = min(cfl * dx / umax, remaining)
+
+        for ext in (a_ext, u_ext, v_ext):
+            ext[0], ext[-1] = ext[1], ext[-2]
+        # each interface takes the rightward content of its left cell and the leftward content of its right cell
+        right_moving = np.maximum(u_ext[:-1], 0.0) * a_ext[:-1]
+        left_moving = np.minimum(u_ext[1:], 0.0) * a_ext[1:]
+        f_mass = right_moving + left_moving
+        f_mom = right_moving * v_ext[:-1] + left_moving * v_ext[1:]
+        alpha -= (f_mass[1:] - f_mass[:-1]) * (dt / dx)
+        p -= (f_mom[1:] - f_mom[:-1]) * (dt / dx)
+
+        a_lo = float(alpha.min())
+        if a_lo < -1e-13:
+            if not _finite(alpha, p):
+                raise SolverAbort(f"non-finite state at step {step} (t={t + dt:.6g})")
+            j = int(np.argmin(alpha))
+            raise SolverAbort(
+                f"negative volume fraction {alpha[j]:g} in cell {j} at step {step} (t={t + dt:.6g})"
+            )
+        if a_lo <= 0.0:
+            np.maximum(alpha, 0.0, out=alpha)
+        if not _finite(alpha, p):
+            raise SolverAbort(f"non-finite state at step {step} (t={t + dt:.6g})")
+        t = t_end if remaining <= dt * (1.0 + 1e-12) else t + dt
+
+    q = alpha * ua + math.exp(-mu * (t - t0)) * p
+    if not _finite(alpha, q):
+        raise SolverAbort(f"non-finite state at step {step} (t={t:.6g})")
     return FieldState(grid=grid, alpha=alpha, q=q, time=t_end)
 
 

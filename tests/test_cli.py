@@ -518,6 +518,45 @@ def test_compare_one_zero_density_reports_warning(tmp_path):
     assert {k: compared[k] for k in exact} == exact  # the report head is the exact report
 
 
+def test_exact_at_subnormal_mu_keeps_the_drag_free_fronts(tmp_path):
+    # decay_integral returned 0 at mu = 5e-324: a delta shock of weight 0
+    # and a vacuum (0.1, 0.1), written with exit 0
+    cfg = tmp_path / "s.json"
+    params = {"mu": 5e-324, "ua": 1.0}
+    write_config(cfg, dict(DELTA_SCENARIO, name="tiny", params=params, t_snapshots=[0.1]))
+    assert main(["exact", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    snap = json.loads((tmp_path / "tiny_exact_report.json").read_text())["snapshots"][0]
+    free = ds.solve(ds.RiemannData(0.008, 1.5, 0.003, 0.5), ds.ModelParams(0.0, 1.0))
+    assert snap["omega"] > 0.0 and snap["omega"] == pytest.approx(free.weight(0.1), rel=1e-12)
+    riemann = {"alpha_l": 0.008, "u_l": 0.5, "alpha_r": 0.003, "u_r": 1.5}
+    write_config(cfg, dict(DELTA_SCENARIO, name="tinyvac", params=params, riemann=riemann, t_snapshots=[0.1]))
+    assert main(["exact", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    snap = json.loads((tmp_path / "tinyvac_exact_report.json").read_text())["snapshots"][0]
+    assert snap["X1"] == pytest.approx(0.05, rel=1e-15) and snap["X2"] == pytest.approx(0.15, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "command, changes, code, prefix",
+    [
+        ("grh", {"riemann": {"alpha_l": 0.008, "u_l": 1e300, "alpha_r": 0.003, "u_r": 0.5}}, 3, "numerical abort:"),
+        ("grh", {"riemann": {"alpha_l": 0.008, "u_l": 1.5, "alpha_r": 0.003, "u_r": -1e300}}, 3, "numerical abort:"),
+        ("simulate", {"riemann": {"alpha_l": 1.7e308, "u_l": 1.5, "alpha_r": 0.003, "u_r": 0.5}}, 2, "config error:"),
+        ("simulate", {"riemann": {"alpha_l": 0.008, "u_l": 1.5, "alpha_r": 2.0, "u_r": -1e308}}, 2, "config error:"),
+    ],
+    ids=["grh-u_l", "grh-u_r", "simulate-alpha_l", "simulate-u_r"],
+)
+def test_overflowing_data_ends_without_a_warning(tmp_path, capsys, command, changes, code, prefix):
+    # numpy warned "overflow encountered in multiply" before these ended,
+    # from grh's jump coefficients and from alpha*u of the initial state;
+    # the suite turns any such warning into an error
+    cfg = tmp_path / "s.json"
+    scenario = dict(DELTA_SCENARIO, n_cells=40, t_snapshots=[0.1], t_end=0.01, dt=1e-3)
+    write_config(cfg, dict(scenario, **changes))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == code
+    assert capsys.readouterr().err.startswith(prefix)
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_missing_and_malformed_config_exit_2(tmp_path):
     assert main(["exact", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
     bad = tmp_path / "bad.json"

@@ -47,6 +47,20 @@ def test_decay_integral_accuracy_over_range():
         assert decay_integral(mu, t) == pytest.approx(exact, rel=4 * EPS)
 
 
+@pytest.mark.parametrize("mu", [5e-324, 1e-310, 2.3e-308, 1e-300, 1e-20])
+def test_decay_integral_tiny_mu_against_mpmath(mu):
+    # mu*t underflowed before expm1: mu = 5e-324 gave 0.0 at t = 0.1, and
+    # 1e-310 was ~220 ulps off; 1.1e4 and 1.2e4 straddle mu*t = 2**-53 at 1e-20
+    from mpmath import mp, mpf, expm1
+
+    mp.dps = 60
+    ts = [0.0, 1e-300, 1e-10, 0.1, 1.0, 1.1e4, 1.2e4, 1e10, 1e300]
+    got = decay_integral(mu, np.array(ts))
+    for t, g in zip(ts, got):
+        exact = float(-expm1(-mpf(mu) * mpf(t)) / mpf(mu))
+        assert decay_integral(mu, t) == g == pytest.approx(exact, rel=4 * EPS, abs=0.0)
+
+
 def test_decay_integral_continuous_at_mu_zero():
     # series bound |phi - t| <= mu t^2 / 2 for mu t <= 1
     for mu in (1e-9, 1e-4, 0.1, 0.5):

@@ -18,7 +18,15 @@ from dropshock.fv import (
     source_step,
 )
 
-from helpers import DELTA_DATA, PARAMS_02, RELAX_15, VACUUM_DATA, _reference_velocity, reference_advance
+from helpers import (
+    DELTA_DATA,
+    PARAMS_02,
+    RELAX_15,
+    VACUUM_DATA,
+    _reference_velocity,
+    reference_advance,
+    reference_free_advance,
+)
 
 
 def test_grid_geometry():
@@ -70,6 +78,22 @@ def test_kinetic_flux_consistency():
     # an underflowing flux is zero in both forms, only the sign of the zero may differ
     f1, f4 = kinetic_flux(2e-12, -1e-320)[0], kinetic_flux(0.01, -0.5, 2e-12, -1e-320)[0]
     assert f1 == f4 == 0.0
+
+
+def test_kinetic_flux_carries_given_velocities():
+    # the momentum flux carries v_l and v_r; each left out is its side's u, bit for bit
+    rng = np.random.default_rng(3)
+    a_l, a_r = rng.uniform(0.0, 0.05, (2, 50))
+    u_l, u_r, v_l, v_r = rng.uniform(-2.0, 2.0, (4, 50))
+    up, down = np.maximum(u_l, 0.0) * a_l, np.minimum(u_r, 0.0) * a_r
+    f_mass, f_mom = kinetic_flux(a_l, u_l, a_r, u_r, v_l=v_l, v_r=v_r)
+    assert f_mass.tobytes() == (up + down).tobytes()
+    assert f_mom.tobytes() == (up * v_l + down * v_r).tobytes()
+    f_mass, f_mom = kinetic_flux(a_l, u_l, v_l=v_l)
+    assert f_mass.tobytes() == (u_l * a_l).tobytes() and f_mom.tobytes() == (u_l * a_l * v_l).tobytes()
+    for args in ((a_l, u_l, a_r, u_r), (a_l, u_l)):
+        explicit = kinetic_flux(*args, v_l=args[1], v_r=args[3] if len(args) == 4 else None)
+        assert [f.tobytes() for f in explicit] == [f.tobytes() for f in kinetic_flux(*args)]
 
 
 def test_kinetic_flux_compressive_against_particle_oracle():
@@ -434,13 +458,13 @@ def _outcome(run, *args, **kw):
 
 
 def _reference_outcome(*args, **kw):
-    """``_outcome`` of ``reference_advance``, whose loop warns as it computes with bad values.
+    """``_outcome`` of ``reference_free_advance``, whose loop warns as it computes with bad values.
 
     ``advance`` itself must not warn: the suite turns warnings into errors.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        return _outcome(reference_advance, *args, **kw)
+        return _outcome(reference_free_advance, *args, **kw)
 
 
 STATE = st.tuples(st.sampled_from([0.0, 1e-13, 0.002, 0.01, 0.03]), st.floats(-2.0, 2.0))
@@ -560,8 +584,9 @@ def test_advance_nonfinite_interior_value_aborts_as_reference(field, value):
 
 @pytest.mark.parametrize("t_end, step", [(0.01, 1), (0.05, 1)])
 def test_advance_aborts_on_nonfinite_last_drag(t_end, step):
-    # alpha*ua overflows in the first step's drag, so every momentum turns
-    # NaN; the check after the drag reports that step, last or not
+    # alpha*ua overflows, so the free-frame momentum p = q - alpha*ua is
+    # -inf from the start; the check after the first step reports that
+    # step, last or not
     g = Grid1D(0.0, 1.0, 16)
     alpha = np.full(16, 1e308)
     st = FieldState(g, alpha, 0.5 * alpha, 0.0)
@@ -597,6 +622,56 @@ def test_advance_aborts_when_density_overflows():
     message = _outcome(advance, st, params, 0.5, cfl=1.0)
     assert message == _reference_outcome(st, params, 0.5, cfl=1.0)
     assert message.startswith("non-finite state at step 1 (")
+
+
+def test_advance_aborts_when_the_momentum_overflows_on_return():
+    # the jump cells gain mass, so alpha*ua first overflows in the
+    # conversion back to q after the last step, while alpha and p stay
+    # finite: that check names the step, as the drag's did
+    g = Grid1D(-1.0, 1.0, 16)
+    alpha = np.full(16, 1.7e307)
+    st = FieldState(g, alpha, alpha * np.where(np.arange(16) < 8, 10.5, 9.5), 0.0)
+    for mu in (0.0, 0.5):
+        params = ds.ModelParams(mu, 10.0)
+        message = _outcome(advance, st, params, 0.01, fixed_dt=0.01)
+        assert message == _reference_outcome(st, params, 0.01, fixed_dt=0.01)
+        assert message == "non-finite state at step 1 (t=0.01)"
+
+
+SPLIT_CASES = {
+    "delta": DELTA_DATA,
+    "vacuum": VACUUM_DATA,
+    "left-moving": ds.RiemannData(0.004, 0.3, 0.009, -0.8),
+    "sign-changing": ds.RiemannData(0.004, -0.8, 0.009, 0.6),
+}
+
+
+@pytest.mark.parametrize("t0", [0.0, 0.4])
+@pytest.mark.parametrize("mode", [{"cfl": 0.5}, {"fixed_dt": 1e-3}], ids=["cfl", "fixed_dt"])
+@pytest.mark.parametrize("mu", [0.0, 0.2, 4.0])
+@pytest.mark.parametrize("case", list(SPLIT_CASES))
+def test_advance_within_rounding_of_split_step_reference(case, mu, mode, t0):
+    # the free-frame step is transport then exact drag in exact arithmetic:
+    # the split loop it replaced stays within rounding of it (measured
+    # <= 3e-13 relative on these cases); a start at t0 > 0 checks that the
+    # frame starts with the call
+    st = FieldState.from_riemann(Grid1D(-1.0, 2.0, 600), SPLIT_CASES[case])
+    st = FieldState(st.grid, st.alpha, st.q, t0)
+    params = ds.ModelParams(mu, 1.0)
+    got, want = advance(st, params, t0 + 0.5, **mode), reference_advance(st, params, t0 + 0.5, **mode)
+    assert np.max(np.abs(got.alpha - want.alpha)) <= 1e-10 * np.max(want.alpha)
+    assert np.max(np.abs(got.q - want.q)) <= 1e-10 * np.max(np.abs(want.q))
+
+
+@pytest.mark.parametrize("mode", [{"cfl": 0.5}, {"fixed_dt": 1e-3}], ids=["cfl", "fixed_dt"])
+def test_advance_decay_underflow_matches_split_step_reference(mode):
+    # exp(-mu*(t - t0)) underflows to 0 from t ~ 0.75 on: u = ua exactly,
+    # as the split loop's drag reaches it (measured max |delta| <= 9e-19)
+    st = FieldState.from_riemann(Grid1D(-1.0, 2.0, 600), DELTA_DATA)
+    params = ds.ModelParams(1000.0, 1.0)
+    got, want = advance(st, params, 1.0, **mode), reference_advance(st, params, 1.0, **mode)
+    assert np.max(np.abs(got.alpha - want.alpha)) <= 6e-17
+    assert np.max(np.abs(got.q - want.q)) <= 6e-17
 
 
 def test_advance_window_grows_one_cell_per_side(monkeypatch):

@@ -1,12 +1,14 @@
 """The byte oracles stay independent of the code they check.
 
-``helpers.reference_advance`` is the full-grid loop that ``fv.advance``
-must equal byte for byte.  It may take from ``dropshock.fv`` only the state
-type, the abort exception and the vacuum threshold, and it calls
-``fv.kinetic_flux`` only in its four-argument, allocating form.  A speed-up
-that routed the oracle through ``advance``'s own helpers (``_velocity``,
-``_drag``, the ``out=`` flux) would make the byte-identity property compare
-that code with itself.
+``helpers.reference_free_advance`` is the full-grid free-frame loop that
+``fv.advance`` must equal byte for byte.  It may take from ``dropshock.fv``
+only the state type, the abort exception and the vacuum threshold, and it
+computes its own flux: a speed-up that routed it through ``advance``'s
+helpers (``reconstruct_velocity``, ``kinetic_flux`` with ``out=``) would make the
+byte-identity property compare that code with itself.
+``helpers.reference_advance``, the split-step loop ``advance`` stays within
+rounding of, takes the same three names and calls ``fv.kinetic_flux`` only
+in its four-argument, allocating form.
 
 ``helpers.reference_weak_residual`` and ``_reference_value_and_partials``
 evaluate psi on every node, the oracle ``validation.weak_residual`` must
@@ -45,6 +47,11 @@ FV_GUARD = dict(
     oracles=("reference_advance",),
     allowed={"FieldState", "SolverAbort", "VACUUM_ALPHA"},
     calls={"kinetic_flux": 4},
+)
+FREE_FV_GUARD = dict(
+    module=fv,
+    oracles=("reference_free_advance",),
+    allowed={"FieldState", "SolverAbort", "VACUUM_ALPHA"},
 )
 WEAK_GUARD = dict(
     module=validation,
@@ -179,6 +186,31 @@ def test_guard_flags_each_route_into_fv(edits, use):
         assert found == []
     else:
         assert found and all(use in f for f in found), found
+
+
+def test_reference_free_advance_uses_only_allowed_fv_names():
+    assert oracle_uses(HELPERS.read_text(), **FREE_FV_GUARD) == []
+
+
+FREE_FLUX = "        f_mass = right_moving + left_moving\n"
+
+
+@pytest.mark.parametrize(
+    "edits, use",
+    [
+        ([(FREE_FLUX, "        f_mass, f_mom = fv.kinetic_flux(a_ext[:-1], u_ext[:-1], a_ext[1:], u_ext[1:], "
+                      "out=(right_moving, left_moving), v_l=v_ext[:-1], v_r=v_ext[1:])\n")], "fv.kinetic_flux"),
+        ([(FREE_FLUX, "        f_mass = fv.kinetic_flux(a_ext[:-1], u_ext[:-1], a_ext[1:], u_ext[1:])[0]\n")],
+         "fv.kinetic_flux"),
+        ([("    u_lo, u_hi = _reference_velocity(state.alpha, state.q, ua, None, np.empty(n), np.empty(n, dtype=bool))\n"
+           "    v_bounds", "    u_lo, u_hi = fv.reconstruct_velocity(state, params)[[0, -1]]\n    v_bounds")],
+         "fv.reconstruct_velocity"),
+    ],
+    ids=["flux-out", "flux-allocating", "public-velocity"],
+)
+def test_guard_flags_each_route_from_free_frame_oracle_into_fv(edits, use):
+    found = oracle_uses(_edited(HELPERS.read_text(), edits), **FREE_FV_GUARD)
+    assert found and all(use in f for f in found), found
 
 
 def test_reference_weak_residual_uses_only_allowed_validation_names():
