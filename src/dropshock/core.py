@@ -153,6 +153,15 @@ class SmoothProfile:
             )
 
 
+def _no_overflow(mu: float, tt: np.ndarray) -> np.ndarray:
+    """``tt`` with every time past 1000/mu cut to it, so mu*t stays finite.
+
+    Only mu > 1 can overflow mu*t, as t is finite.  Past the cut mu*t is
+    above 745, where exp(-mu*t) is 0 and expm1(-mu*t) is -1 either way.
+    """
+    return np.minimum(tt, 1e3 / mu) if mu > 1.0 else tt
+
+
 def decay_integral(mu: float, t):
     """Integral of exp(-mu*s) over [0, t]: (1 - exp(-mu*t))/mu, with limit t at mu = 0.
 
@@ -165,7 +174,7 @@ def decay_integral(mu: float, t):
     if not (mu >= 0.0 and math.isfinite(mu)):
         raise ValueError(f"mu must be finite and nonnegative, got {mu!r}")
     tt = _times(t)
-    mt = mu * tt
+    mt = mu * _no_overflow(mu, tt)
     return _scalar_or_array(np.divide(-np.expm1(-mt), mu, out=tt.copy(), where=mt >= 2.0**-53))
 
 
@@ -174,7 +183,8 @@ def relax_velocity(u0, params: ModelParams, t):
 
     Monotone in t toward ``ua``; the identity for mu = 0.
     """
-    out = params.ua + (np.asarray(u0, dtype=float) - params.ua) * np.exp(-params.mu * _times(t))
+    decay = np.exp(-params.mu * _no_overflow(params.mu, _times(t)))
+    out = params.ua + (np.asarray(u0, dtype=float) - params.ua) * decay
     return _scalar_or_array(out)
 
 

@@ -23,8 +23,18 @@ p (m)] and the interface fluxes in fg = [f_mass (m + 1), f_mom (m + 1)],
 which ``kinetic_flux(..., out=)`` fills, so one difference, one multiply
 and one in-place subtract update both fields:
 s[1:2m+2] -= (fg[1:2m+2] - fg[:2m+1])*dt/dx.  Its middle value lands on
-the right ghost, which every flux that reads it rewrites first.  Every
-buffer is allocated once per call.
+the right ghost, which every flux that reads it rewrites first.  The
+difference goes to d, which until then holds the two-sided flux's
+right-state share, so a step allocates no array that grows with the grid.
+
+s, fg, d and the velocity rows u_ext and v_ext are views of one arena,
+allocated once per call by ``_work_buffers``: view k starts on pages of
+its own, _STAGGER*k bytes past a _PAGE boundary.  Separate arrays would
+start wherever the heap leaves them, which depends on everything
+allocated before the call, and the step's speed depends on their offsets
+within a page (likely 4K aliasing between a ufunc's loads and stores).
+Fixed, staggered offsets give every process the same layout.  alpha, q
+and the vacuum mask stay arrays of their own.
 
 The velocity is one sequence: v = p/alpha; only if min(alpha) >
 VACUUM_ALPHA fails, v = 0 and p = 0 in the vacuum cells (u = ua); only if
@@ -89,6 +99,10 @@ MAX_STEPS = 10**7
 
 # advance clips v to the hull of the data's u - ua and 0 widened by this much
 _HULL_PAD = 1e-9
+
+# advance's work buffers start _STAGGER*k bytes past a _PAGE boundary, k = 0, 1, ...
+_PAGE = 4096
+_STAGGER = 64
 
 
 def _constant(value: float) -> np.ndarray:
@@ -192,7 +206,7 @@ def reconstruct_velocity(state: FieldState, params: ModelParams, bounds=None) ->
     return u
 
 
-def kinetic_flux(alpha_l, u_l, alpha_r=None, u_r=None, out=None, *, v_l=None, v_r=None):
+def kinetic_flux(alpha_l, u_l, alpha_r=None, u_r=None, out=None, *, v_l=None, v_r=None, scratch=None):
     """Upwind kinetic interface flux (f_mass, f_momentum).
 
     Left cells contribute their rightward-moving content, right cells
@@ -212,7 +226,8 @@ def kinetic_flux(alpha_l, u_l, alpha_r=None, u_r=None, out=None, *, v_l=None, v_
     ``out``, a pair (f_mass, f_momentum) of interface-length float64
     arrays, receives the flux in either form and is returned; the values
     are those of the allocating call.  The four-argument form then still
-    allocates one array, the right states' share.
+    allocates one array, the right states' share, unless the keyword-only
+    ``scratch``, one more such array, takes it.
     """
     f_mass, f_mom = (None, None) if out is None else out
     if alpha_r is None:
@@ -220,7 +235,7 @@ def kinetic_flux(alpha_l, u_l, alpha_r=None, u_r=None, out=None, *, v_l=None, v_
         return f_mass, np.multiply(f_mass, u_l if v_l is None else v_l, f_mom)
     fl = np.maximum(u_l, _ZERO, out=f_mom, dtype=float)
     fl *= alpha_l
-    fr = np.minimum(u_r, _ZERO, dtype=float)
+    fr = np.minimum(u_r, _ZERO, out=scratch, dtype=float)
     fr *= alpha_r
     f_mass = np.add(fl, fr, f_mass)
     fl *= u_l if v_l is None else v_l
@@ -237,6 +252,23 @@ def source_step(state: FieldState, params: ModelParams, dt: float) -> FieldState
         return state
     q_eq = state.alpha * params.ua
     return replace(state, q=(state.q - q_eq) * math.exp(-params.mu * dt) + q_eq)
+
+
+def _work_buffers(*sizes: int) -> list:
+    """float64 views of the given lengths from one allocation (see the module docstring).
+
+    View k starts _STAGGER*k bytes past a _PAGE boundary, on a page that
+    no earlier view reaches.  Over separate arrays this costs less than a
+    page plus _STAGGER*k bytes before view k, and under a page to align.
+    """
+    page, stagger = _PAGE // 8, _STAGGER // 8
+    starts, end = [], 0
+    for k, size in enumerate(sizes):
+        starts.append(-(-end // page) * page + k * stagger)
+        end = starts[-1] + size
+    arena = np.empty(end + page - 1)
+    base = -(arena.ctypes.data // 8) % page  # to the first page boundary
+    return [arena[base + a : base + a + size] for a, size in zip(starts, sizes)]
 
 
 def _window(a_bits: np.ndarray, q_bits: np.ndarray):
@@ -317,9 +349,8 @@ def advance(
     m = hi - lo
     # s = [left ghost, alpha window, right ghost, p window] and fg = [f_mass, f_mom]
     # (m + 1 interfaces each) in buffers sized for the whole grid; u_ext and
-    # v_ext = [ghost, window, ghost]
-    s, fg, d = np.empty(2 * n + 2), np.empty(2 * n + 2), np.empty(2 * n + 1)
-    u_ext, v_ext = np.empty(n + 2), np.empty(n + 2)
+    # v_ext = [ghost, window, ghost]; all five from one arena
+    s, fg, d, u_ext, v_ext = _work_buffers(2 * n + 2, 2 * n + 2, 2 * n + 1, n + 2, n + 2)
     vac = np.empty(n, dtype=bool)
     s[1 : m + 1] = alpha[lo:hi]
     p0 = s[m + 2 : 2 * m + 2]
@@ -357,7 +388,7 @@ def advance(
             aw_argmin, vw_argmin, vw_argmax = aw.argmin, vw.argmin, vw.argmax
             a_left, u_left, v_left = s[: m + 1], u_ext[: m + 1], v_ext[: m + 1]
             a_right, u_right, v_right = s[1 : m + 2], u_ext[1 : m + 2], v_ext[1 : m + 2]
-            flux = (fg[: m + 1], fg[m + 1 : 2 * m + 2])
+            flux, right_share = (fg[: m + 1], fg[m + 1 : 2 * m + 2]), d[: m + 1]  # d is free until the update
             # one transport update of alpha and p; its middle value,
             # f_mom[0] - f_mass[m], lands on the right ghost, which every
             # flux that reads it rewrites first
@@ -411,7 +442,7 @@ def advance(
             sv[0], sv[m + 1] = sv[1], sv[m]
             uv[0], uv[m + 1] = uv[1], uv[m]
             vv[0], vv[m + 1] = vv[1], vv[m]
-            kinetic_flux(a_left, u_left, a_right, u_right, out=flux, v_l=v_left, v_r=v_right)
+            kinetic_flux(a_left, u_left, a_right, u_right, out=flux, v_l=v_left, v_r=v_right, scratch=right_share)
         if dt != dt_prev:
             dt_prev = dt
             lam[()] = dt / dx

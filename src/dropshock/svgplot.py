@@ -6,6 +6,7 @@ without pulling in a plotting dependency.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Sequence, Tuple
 
@@ -21,6 +22,17 @@ _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
 def _escape(text) -> str:
     """``str(text)`` as SVG character data: ``&``, ``<`` and ``>`` as entities."""
     return str(text).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+@functools.lru_cache(maxsize=1)
+def _x_template(x_bytes: bytes, x_lo: float, x_hi: float, ml: int, pw: int) -> str:
+    """The points text of every x pixel with a ``%s`` for each y text.
+
+    Kept for the last x and plot width: a command draws several plots over
+    one grid, and this text is most of a plot's formatting.
+    """
+    px = ml + (np.frombuffer(x_bytes) - x_lo) / (x_hi - x_lo) * pw
+    return ",%s ".join(run_text(px, fmt="%.2f").tolist()) + ",%s"
 
 
 def line_plot(
@@ -39,8 +51,9 @@ def line_plot(
     zero span of x or of y is widened by 1 on each side.  Title, axis
     labels and series labels are written as text, with ``&``, ``<`` and
     ``>`` escaped.  Each point is the ``%.2f,%.2f`` text of its pixel
-    coordinates; the x text is formatted once for all series, and each
-    series' y text once per run of equal values.
+    coordinates; the x text is formatted once for all series, and again
+    only when x or the plot width differs from the last plot's; each
+    series' y text is formatted once per run of equal values.
     """
     width, height = size
     ml, mr, mt, mb = 70, 20, 40, 50
@@ -116,8 +129,8 @@ def line_plot(
             f'transform="rotate(-90 18 {mt + ph / 2:.1f})">{_escape(ylabel)}</text>'
         )
 
-    # the x texts, written once into a template that every series fills with its y texts
-    template = ",%s ".join(run_text(sx(x), fmt="%.2f").tolist()) + ",%s"
+    # the x texts, in a template that every series fills with its y texts
+    template = _x_template(x.tobytes(), x_lo, x_hi, ml, pw)
     for k, ((label, _), y) in enumerate(zip(series, ys)):
         color = _COLORS[k % len(_COLORS)]
         pts = template % tuple(run_text(sy(y), fmt="%.2f").tolist())

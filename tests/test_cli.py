@@ -535,6 +535,20 @@ def test_exact_at_subnormal_mu_keeps_the_drag_free_fronts(tmp_path):
     assert snap["X1"] == pytest.approx(0.05, rel=1e-15) and snap["X2"] == pytest.approx(0.15, rel=1e-15)
 
 
+def test_exact_with_overflowing_mu_t_writes_the_limits_without_a_warning(tmp_path):
+    # mu*t = 1e309 overflowed in decay_integral and relax_velocity, which
+    # warned twice (a traceback under -W error) before writing the right values
+    cfg = tmp_path / "s.json"
+    write_config(cfg, dict(DELTA_SCENARIO, name="stiff", params={"mu": 1e308, "ua": 1.0}, t_snapshots=[10.0]))
+    assert main(["exact", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    snap = json.loads((tmp_path / "stiff_exact_report.json").read_text())["snapshots"][0]
+    sol = ds.solve(ds.RiemannData(0.008, 1.5, 0.003, 0.5), ds.ModelParams(1e308, 1.0))
+    assert snap["omega"] == sol.weight(10.0) and snap["omega"] > 0.0
+    rows = np.loadtxt(tmp_path / "stiff_exact_t10.csv", delimiter=",", skiprows=1)
+    assert np.isfinite(rows).all()
+    assert (rows[:, 2] == 1.0).all()  # every velocity has relaxed to ua
+
+
 @pytest.mark.parametrize(
     "command, changes, code, prefix",
     [

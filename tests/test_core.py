@@ -61,6 +61,36 @@ def test_decay_integral_tiny_mu_against_mpmath(mu):
         assert decay_integral(mu, t) == g == pytest.approx(exact, rel=4 * EPS, abs=0.0)
 
 
+@pytest.mark.parametrize("mu, t", [(1e308, 10.0), (1e300, 1e10), (2.0, 1e308), (1.5, 1.7e308)])
+def test_overflowing_mu_t_gives_the_limits_without_a_warning(mu, t):
+    # mu*t overflowed and numpy warned "overflow encountered in multiply"
+    # (an error in this suite); the values were already the limits
+    params = ds.ModelParams(mu, 0.25)
+    assert decay_integral(mu, t) == 1.0 / mu
+    assert relax_velocity(3.0, params, t) == 0.25
+    times = np.array([0.0, t])
+    assert decay_integral(mu, times).tolist() == [0.0, 1.0 / mu]
+    assert relax_velocity(np.array([3.0, -3.0]), params, times).tolist() == [3.0, 0.25]
+
+
+def test_overflow_guard_keeps_the_bytes_of_the_plain_formulas():
+    # the times are cut to 1000/mu for mu > 1 only where mu*t is past 745:
+    # every value equals the uncut formula's, evaluated with warnings off
+    ua, u0 = 0.25, np.array([3.0, -3.0, 0.25, 1e300])
+    for mu in [0.5, 1.0, np.nextafter(1.0, 2.0), 1.3, 7.0, 1e5, 1e150, 1e308]:
+        cut = 1e3 / mu
+        t = np.array([0.0, 1e-300, 0.7 * 745.0 / mu, 745.0 / mu, 746.0 / mu, 0.999 * cut, cut, 1.001 * cut,
+                      2.0 * cut, 1e10, 1.7e308])
+        with np.errstate(over="ignore"):
+            mt = mu * t
+            want_tau = np.where(mt >= 2.0**-53, -np.expm1(-mt) / mu, t)
+            want_u = ua + (u0[:, None] - ua) * np.exp(-mu * t)
+        assert decay_integral(mu, t).tobytes() == want_tau.tobytes()
+        assert relax_velocity(u0[:, None], ds.ModelParams(mu, ua), t).tobytes() == want_u.tobytes()
+        for tk, want in zip(t, want_tau):
+            assert decay_integral(mu, float(tk)) == want
+
+
 def test_decay_integral_continuous_at_mu_zero():
     # series bound |phi - t| <= mu t^2 / 2 for mu t <= 1
     for mu in (1e-9, 1e-4, 0.1, 0.5):

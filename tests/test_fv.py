@@ -850,3 +850,98 @@ def test_shock_mass_recovers_lumped_delta():
     st = ds.sample_exact(sol, g, 1.0, lump_delta=True)
     m = shock_mass(st, sol.position(1.0), 0.05, DELTA_DATA.alpha_l, DELTA_DATA.alpha_r)
     assert m == pytest.approx(sol.weight(1.0), rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    states=st.lists(st.tuples(VALUE, VALUE, VALUE, VALUE, VALUE, VALUE), min_size=1, max_size=12),
+    carried=st.booleans(),
+)
+@example(states=[(0.0, -0.0, -0.0, 0.0, 1.0, 1.0), (5e-324, -5e-324, np.inf, -np.inf, np.nan, 0.0)], carried=True)
+def test_kinetic_flux_scratch_takes_the_right_share(states, carried):
+    # advance's two-sided step hands the four-argument flux a scratch array
+    # for the right states' share, so the step allocates no array; the flux
+    # keeps the allocating call's bytes and the scratch holds that share
+    a_l, u_l, a_r, u_r, v_l, v_r = (np.array(column) for column in zip(*states))
+    velocities = {"v_l": v_l, "v_r": v_r} if carried else {}
+    out = (np.full(len(a_l), 7.0), np.full(len(a_l), 7.0))
+    scratch = np.full(len(a_l), 7.0)
+    with np.errstate(all="ignore"):
+        want = kinetic_flux(a_l, u_l, a_r, u_r, **velocities)
+        got = kinetic_flux(a_l, u_l, a_r, u_r, out=out, scratch=scratch, **velocities)
+        share = np.minimum(u_r, 0.0) * a_r * (v_r if carried else u_r)
+    assert got[0] is out[0] and got[1] is out[1]
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    assert scratch.tobytes() == share.tobytes()
+
+
+# the sizes advance takes from the arena for an n-cell grid: s, fg, d, u_ext, v_ext
+def _buffer_sizes(n):
+    return 2 * n + 2, 2 * n + 2, 2 * n + 1, n + 2, n + 2
+
+
+@pytest.mark.parametrize("pad", [0, 1, 24, 1000, 4097, 40000, 65536])
+@pytest.mark.parametrize("n", [1, 2, 3000, 12000])
+def test_work_buffers_sit_at_fixed_page_offsets(n, pad):
+    # the five views are contiguous float64 of the given sizes, disjoint and
+    # on pages of their own, and view k starts 64*k bytes past a page
+    # boundary whatever the heap held before the call
+    filler = bytearray(pad)
+    sizes = _buffer_sizes(n)
+    views = fv._work_buffers(*sizes)
+    assert [v.shape for v in views] == [(size,) for size in sizes]
+    assert all(v.dtype == np.float64 and v.flags.c_contiguous and v.flags.writeable for v in views)
+    starts = [v.ctypes.data for v in views]
+    assert [a % 4096 for a in starts] == [0, 64, 128, 192, 256]
+    for v, w in zip(views, views[1:]):
+        last_page = (v.ctypes.data + v.nbytes - 1) // 4096
+        assert last_page < w.ctypes.data // 4096
+    for j, v in enumerate(views):
+        assert not any(np.shares_memory(v, w) for w in views[j + 1 :])
+    # one allocation, at most six pages above the views' own bytes
+    base = views[0].base
+    assert all(v.base is base for v in views)
+    assert base.nbytes <= sum(v.nbytes for v in views) + 6 * 4096
+    assert len(filler) == pad
+
+
+# (data, params): every velocity positive takes the one-sided flux; the
+# other two take the four-argument one, a delta shock on a narrow window and
+# a vacuum across u = 0 whose window widens by two cells a step
+PEAK_CASES = {
+    "one-sided": (DELTA_DATA, PARAMS_02),
+    "two-sided-delta": (ds.RiemannData(0.008, 0.5, 0.003, -0.5), ds.ModelParams(0.2, 0.0)),
+    "two-sided-vacuum": (ds.RiemannData(0.008, -0.5, 0.003, 0.5), ds.ModelParams(0.2, 0.0)),
+}
+
+
+@pytest.mark.parametrize("fixed", [True, False], ids=["fixed_dt", "cfl"])
+@pytest.mark.parametrize("case", list(PEAK_CASES))
+def test_advance_peak_memory_does_not_grow_with_steps(monkeypatch, case, fixed):
+    # a step allocates no array: the traced peak of a 2000-step call is
+    # within 4 KiB of a 10-step call's on 3000 cells (a per-step array of
+    # the window would add up to 24 KB)
+    import tracemalloc
+
+    data, params = PEAK_CASES[case]
+    state = FieldState.from_riemann(Grid1D(-1.0, 2.0, 3000), data)
+    # fixed dt 2e-4, or the initial adaptive dt = 0.15*dx/max|u| of these
+    # data, which grows as the drag slows the two-sided data toward ua = 0
+    dt = 2e-4 if fixed else 0.15 * 1e-3 / max(abs(data.u_l), abs(data.u_r))
+    kwargs = {"fixed_dt": 2e-4} if fixed else {"cfl": 0.15}
+
+    def run(steps):
+        advance(state, params, steps * dt, **kwargs)  # warm-up: numpy's small-block cache
+        tracemalloc.start()
+        try:
+            advance(state, params, steps * dt, **kwargs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = run(10), run(2000)
+    calls = []
+    monkeypatch.setattr(fv, "kinetic_flux", lambda *a, **k: calls.append(1) or kinetic_flux(*a, **k))
+    advance(state, params, 2000 * dt, **kwargs)
+    assert 1850 <= len(calls) <= 2001
+    assert long - short <= 4096, (short, long)

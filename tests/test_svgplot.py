@@ -4,6 +4,7 @@ from xml.dom import minidom
 import numpy as np
 import pytest
 
+from dropshock import svgplot
 from dropshock.svgplot import line_plot
 
 
@@ -53,6 +54,26 @@ def test_line_plot_points_equal_per_point_formatting(tmp_path, x, ys, size):
     ys = [np.asarray(y, dtype=float) for y in ys]
     points = re.findall(r'<polyline points="([^"]*)"', path.read_text())
     assert points == reference_points(x, ys, size)
+
+
+def test_x_text_is_formatted_once_per_x_and_plot_width(tmp_path):
+    # compare draws four plots over one grid and size: the x pixels are
+    # formatted for the first only, and a new x, size or span formats them
+    # again; every plot keeps the per-point bytes
+    ys = [SNAPSHOT, np.where(X < 0.5, 0.008, 0.003)]
+    line_plot(str(tmp_path / "warm.svg"), X[::-1], [("s", ys[0])])  # another x before the sequence
+    misses = svgplot._x_template.cache_info().misses
+    plots = [
+        (X, (720, 480), 1), (X.copy(), (720, 480), 0), (X, (720, 300), 0),  # height alone keeps the x text
+        (X, (700, 480), 1), (X, (700, 480), 0), (-X, (700, 480), 1), (X, (700, 480), 1), (2.0 * X, (700, 480), 1),
+    ]
+    for k, (x, size, miss) in enumerate(plots):
+        path = tmp_path / f"p{k}.svg"
+        line_plot(str(path), x, [(f"s{j}", y) for j, y in enumerate(ys)], size=size)
+        assert svgplot._x_template.cache_info().misses == misses + miss, k
+        misses += miss
+        points = re.findall(r'<polyline points="([^"]*)"', path.read_text())
+        assert points == reference_points(x, ys, size)
 
 
 @pytest.mark.parametrize(
