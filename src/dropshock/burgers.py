@@ -48,64 +48,36 @@ def blowup_time_for_slope(slope, mu: float):
     return -1.0 / slope if mu == 0.0 else -np.log1p(mu / slope) / mu
 
 
-def _slope_time_or_inf(slope: float, mu: float) -> float:
-    return float(blowup_time_for_slope(slope, mu)) if slope < -mu else math.inf
-
-
-def _golden_refine(profile: SmoothProfile, mu: float, a: float, b: float, iters: int = 90):
-    """Golden-section minimization of the per-foot blowup time over [a, b].
-
-    The objective is +inf where the slope condition fails; it diverges
-    continuously toward the boundary of the qualifying set, so the search
-    stays well behaved around an interior minimum.
-    """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-
-    def f(x: float) -> float:
-        return _slope_time_or_inf(float(profile.u0_prime(x)), mu)
-
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    best_x, best_t = (c, fc) if fc <= fd else (d, fd)
-    for _ in range(iters):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-        x, t = (c, fc) if fc <= fd else (d, fd)
-        if t < best_t:
-            best_x, best_t = x, t
-    return best_x, best_t
+# rescans between the neighbours of the last scan's steepest point, and their points
+_REFINE_PASSES = 3
+_REFINE_POINTS = 2001
 
 
 def blowup(profile: SmoothProfile, params: ModelParams) -> BlowupReport:
     """Scan u0' over the profile samples for the loss-of-regularity condition.
 
-    A smooth solution breaks down iff some slope drops below -mu; the
-    report carries the earliest breakdown time and its foot point,
-    refined by a golden-section search around the discrete argmin.
+    A smooth solution breaks down iff some slope drops below -mu.  The
+    report carries the earliest breakdown time and its foot: the steepest
+    such slope over the samples and over repeated scans of evenly spaced
+    points between the two neighbours of the last scan's steepest point.
+    A NaN slope never qualifies.
     """
-    x = profile.samples()
-    slopes = np.asarray(profile.u0_prime(x), dtype=float)
     mu = params.mu
-    qualifying = slopes < -mu
-    if not np.any(qualifying):
+    x = profile.samples()
+    slope, x_star = math.inf, None
+    for _ in range(1 + _REFINE_PASSES):
+        slopes = np.broadcast_to(np.asarray(profile.u0_prime(x), dtype=float), x.shape)
+        steep = np.where(slopes < -mu, slopes, np.inf)
+        i = int(np.argmin(steep))
+        if steep[i] == math.inf:
+            break
+        if steep[i] < slope:
+            slope, x_star = float(steep[i]), float(x[i])
+        x = np.linspace(x[max(i - 1, 0)], x[min(i + 1, len(x) - 1)], _REFINE_POINTS)
+    if x_star is None:
         return BlowupReport(blows_up=False)
-
-    times = np.full_like(slopes, np.inf)
-    times[qualifying] = blowup_time_for_slope(slopes[qualifying], mu)
-    i = int(np.argmin(times))
-    lo = x[max(i - 1, 0)]
-    hi = x[min(i + 1, len(x) - 1)]
-    x_star, t_star = _golden_refine(profile, mu, float(lo), float(hi))
-    if times[i] < t_star:
-        x_star, t_star = float(x[i]), float(times[i])
-    return BlowupReport(blows_up=True, t_star=t_star, x0_star=x_star)
+    # the blowup time falls as the slope falls
+    return BlowupReport(blows_up=True, t_star=float(blowup_time_for_slope(slope, mu)), x0_star=x_star)
 
 
 def smooth_fields(x0: float, t: float, profile: SmoothProfile, params: ModelParams):

@@ -430,8 +430,6 @@ def cmd_grh(args, cfg: dict, raw: str, out: str) -> int:
     dt = _number(cfg, "dt", 1e-4)
     sigma0 = cfg.get("sigma0")
     sigma0 = None if sigma0 is None else _finite(sigma0, "sigma0")
-    if t_end <= 0 or dt <= 0:
-        raise ConfigError("t_end and dt must be positive")
     states = grh.LimitStates.from_riemann(data, params)
     solution = solve(data, params)
     # the closed form's speed: sqrt-density-weighted, or u of the non-empty

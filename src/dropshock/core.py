@@ -181,7 +181,11 @@ def decay_integral(mu: float, t):
 def relax_velocity(u0, params: ModelParams, t):
     """Velocity along a characteristic: ua + (u0 - ua) * exp(-mu*t).
 
-    Monotone in t toward ``ua``; the identity for mu = 0.
+    Monotone in t toward ``ua``.  Where the decay factor is 1.0 (every t
+    for mu = 0, and t = 0 for any mu) the value is ua + (u0 - ua)*1.0, not
+    u0 bit for bit: it can move by up to one ulp of max(|u0|, |ua|).  At
+    ua = 1, 145 of the 601 values u0 = -3, -2.99, ..., 3 move; 0.1 becomes
+    0.09999999999999998.
     """
     decay = np.exp(-params.mu * _no_overflow(params.mu, _times(t)))
     out = params.ua + (np.asarray(u0, dtype=float) - params.ua) * decay

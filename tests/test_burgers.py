@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import dropshock as ds
-from dropshock.burgers import blowup, smooth_fields
+from dropshock.burgers import blowup, blowup_time_for_slope, smooth_fields
 
 from helpers import (
     DENOM_05,
@@ -227,6 +227,8 @@ def test_blowup_subcritical_slope():
     # min slope -0.5 stays above -mu = -1
     rep = blowup(make_tanh_profile(-0.5), ds.ModelParams(1.0, 0.0))
     assert not rep.blows_up
+    with pytest.raises(ValueError, match="slope < -mu"):
+        blowup_time_for_slope(-0.5, 1.0)
 
 
 def test_blowup_constant_profile():
@@ -260,6 +262,36 @@ def test_blowup_agrees_with_crossing_oracle():
         assert abs(rep.t_star - oracle) <= 1e-6
 
 
+def test_blowup_coarse_samples_find_the_foot():
+    # the samples -4, 0 and 4 lie far from the foot at 0.3, where u0' = -5
+    p = ds.ModelParams(0.3, 0.0)
+    coarse = blowup(make_tanh_profile(-1.0, 0.2, center=0.3, sample_count=3), p)
+    fine = blowup(make_tanh_profile(-1.0, 0.2, center=0.3), p)
+    oracle = ds.first_crossing_time(make_tanh_profile(-1.0, 0.2, center=0.3), p, 50.0, n_feet=40001)
+    assert coarse.t_star == fine.t_star == blowup_time_for_slope(-5.0, 0.3)
+    assert abs(coarse.t_star - oracle) <= 1e-6
+    assert coarse.x0_star == pytest.approx(0.3, abs=1e-9)
+
+
+def test_blowup_scalar_and_nan_slopes():
+    def linear(u0_prime):
+        return ds.SmoothProfile(
+            u0=lambda x: -2.0 * np.asarray(x, float),
+            u0_prime=u0_prime,
+            alpha0=lambda x: 1.0 + 0.0 * np.asarray(x, float),
+            domain=(-1.0, 1.0),
+        )
+
+    p = ds.ModelParams(0.5, 0.0)
+    # a u0_prime that returns a scalar for an array of points
+    rep = blowup(linear(lambda x: -2.0), p)
+    assert rep.blows_up and rep.t_star == blowup_time_for_slope(-2.0, 0.5) == 0.5753641449035618
+    # a NaN slope never qualifies
+    rep = blowup(linear(lambda x: np.where(np.asarray(x) < 0.0, np.nan, -2.0)), p)
+    assert rep.t_star == 0.5753641449035618 and rep.x0_star >= 0.0
+    assert not blowup(linear(lambda x: np.full(np.shape(x), np.nan)), p).blows_up
+
+
 def test_smooth_fields_flat_slope_transports_alpha():
     prof = make_tanh_profile(-2.0)
     p = ds.ModelParams(1.0, 0.0)
@@ -284,6 +316,8 @@ def test_smooth_fields_blowup_divergence_and_error():
     assert alpha > 1e6 * float(prof.alpha0(0.0))
     with pytest.raises(ds.BlowupError):
         smooth_fields(0.0, t_star + 1e-6, prof, p)
+    with pytest.raises(ValueError, match="nonnegative"):
+        smooth_fields(0.0, -1e-3, prof, p)
 
 
 def test_smooth_fields_against_characteristic_strip_oracle():

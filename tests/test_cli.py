@@ -147,6 +147,28 @@ def test_blowup_report(tmp_path):
     assert report["t_star_oracle"] == pytest.approx(LN2, abs=1e-5)
 
 
+@pytest.mark.parametrize(
+    "profile, domain, mu",
+    [
+        # the samples -4, 0 and 4 lie far from the foot at 0.3
+        pytest.param({"kind": "tanh", "amplitude": -1.0, "width": 0.2, "center": 0.3}, [-4.0, 4.0], 0.3, id="tanh"),
+        pytest.param({"kind": "cubic", "c1": -1.5, "c3": 0.3}, [-2.0, 2.0], 0.4, id="cubic"),
+    ],
+)
+def test_blowup_three_samples_match_default_sampling(tmp_path, profile, domain, mu):
+    reports = {}
+    for count in (3, 2001):
+        cfg = tmp_path / f"n{count}.json"
+        scenario = {"name": f"n{count}", "params": {"mu": mu, "ua": 0.0}, "profile": profile,
+                    "domain": domain, "sample_count": count, "n_feet": 40001}
+        write_config(cfg, scenario)
+        assert main(["blowup", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        reports[count] = json.loads((tmp_path / f"n{count}_blowup_report.json").read_text())
+    assert reports[3]["blows_up"] is True
+    assert reports[3]["t_star_formula"] == reports[2001]["t_star_formula"]
+    assert abs(reports[3]["t_star_formula"] - reports[3]["t_star_oracle"]) <= 1e-6
+
+
 def test_grh_trajectory_csv(tmp_path):
     cfg = tmp_path / "g.json"
     write_config(
@@ -381,6 +403,9 @@ def with_flags(command, *flags):
         pytest.param(run_as("grh", t_end=None), id="grh-t_end-null"),
         pytest.param(run_as("grh", dt="a"), id="grh-dt-text"),
         pytest.param(run_as("grh", dt=1e-320), id="grh-dt-subnormal"),
+        # grh.integrate rejects both before any output
+        pytest.param(run_as("grh", t_end=0), id="grh-t_end-zero"),
+        pytest.param(run_as("grh", dt=-1), id="grh-dt-negative"),
         pytest.param(run_as("blowup", profile=TANH, n_feet=None), id="blowup-n_feet-null"),
         pytest.param(run_as("blowup", profile=TANH, n_feet=4000.5), id="blowup-n_feet-fraction"),
         pytest.param(run_as("blowup", profile=TANH, n_feet=10**9), id="blowup-n_feet-huge"),
@@ -388,6 +413,7 @@ def with_flags(command, *flags):
         pytest.param(run_as("blowup", profile=TANH, domain=[1]), id="blowup-domain-short"),
         pytest.param(run_as("blowup", profile=TANH, t_max=float("inf")), id="blowup-t_max-inf"),
         pytest.param(run_as("blowup", profile=dict(TANH, width=None)), id="blowup-width-null"),
+        pytest.param(run_as("blowup", profile=dict(TANH, width=0)), id="blowup-width-zero"),
         *[
             pytest.param(run_as(command, **{block: value}), id=f"{block}-{json.dumps(value)}")
             for command, block in (("exact", "params"), ("exact", "riemann"), ("blowup", "profile"))
@@ -410,6 +436,7 @@ def with_flags(command, *flags):
         *[pytest.param(with_flags(command, "--cells", "20000000000000"), id=f"{command}-cells-flag-2e13")
           for command in ("exact", "simulate", "compare")],
         pytest.param(run_as("blowup", profile=TANH, sample_count=1e13), id="blowup-sample_count-1e13"),
+        pytest.param(run_as("batch"), id="batch-no-runs"),
         pytest.param(run_as("batch", runs=[1]), id="batch-run-not-object"),
         pytest.param(run_as("batch", runs=[{"command": "exact", "scenario": 5}]), id="batch-scenario-not-object"),
         pytest.param(run_as("batch", runs=[{"command": [], "scenario": {}}]), id="batch-command-list"),

@@ -222,6 +222,22 @@ def test_smooth_profile_accepts_consistent_derivative():
     assert prof.samples().shape == (101,)
 
 
+@pytest.mark.parametrize(
+    "domain, sample_count, match",
+    [((1.0, -1.0), 11, "nonempty interval"), ((-1.0, np.inf), 11, "nonempty interval"), ((-1.0, 1.0), 1, "at least 2")],
+    ids=["domain-reversed", "domain-inf", "sample_count-1"],
+)
+def test_smooth_profile_rejects_bad_domain_and_count(domain, sample_count, match):
+    with pytest.raises(ValueError, match=match):
+        ds.SmoothProfile(
+            u0=lambda x: np.sin(x),
+            u0_prime=lambda x: np.cos(x),
+            alpha0=lambda x: 1.0 + 0.0 * np.asarray(x, float),
+            domain=domain,
+            sample_count=sample_count,
+        )
+
+
 def test_smooth_profile_rejects_wrong_derivative():
     with pytest.raises(ValueError, match="central differences"):
         ds.SmoothProfile(
@@ -238,6 +254,8 @@ def test_model_params_validation():
         ds.ModelParams(-0.1, 1.0)
     with pytest.raises(ValueError):
         ds.ModelParams(float("nan"), 1.0)
+    with pytest.raises(ValueError, match="ua must be finite"):
+        ds.ModelParams(0.1, float("inf"))
 
 
 def test_riemann_data_validation():
@@ -245,3 +263,5 @@ def test_riemann_data_validation():
         ds.RiemannData(-0.1, 1.0, 0.1, 0.5)
     with pytest.raises(ValueError):
         ds.RiemannData(0.1, 1.0, 0.1, 0.5, omega0=-1.0)
+    with pytest.raises(ValueError, match="u_l and u_r must be finite"):
+        ds.RiemannData(0.1, float("nan"), 0.1, 0.5)

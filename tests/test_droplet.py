@@ -311,6 +311,20 @@ def test_vacuum_rejects_point_mass():
         VacuumSolution(d, PARAMS_02)
 
 
+@pytest.mark.parametrize(
+    "kind, data, match",
+    [
+        (DeltaShockSolution, VACUUM_DATA, "u_l > u_r"),
+        (VacuumSolution, DELTA_DATA, "u_l < u_r"),
+        (ContactSolution, DELTA_DATA, "u_l == u_r"),
+    ],
+    ids=["delta-on-opening-jump", "vacuum-on-closing-jump", "contact-on-jump"],
+)
+def test_solution_rejects_data_of_another_kind(kind, data, match):
+    with pytest.raises(ValueError, match=match):
+        kind(data, PARAMS_02)
+
+
 def test_degenerate_density_routes_to_numeric():
     d = ds.RiemannData(0.008, 1.5, 0.0, 0.5)
     sol = solve(d, PARAMS_02)

@@ -47,8 +47,11 @@ def test_grid_geometry():
         (0.0, 5e-324, 10, "dx=0.0"),  # the cell width underflows
         (0.0, 1.0, 10.5, "integer"),  # 11 centres, and no FieldState fits them
         (0.0, 1.0, 10.0, "integer"),  # np.empty(n + 2) in advance rejects a float
+        (0.0, 1.0, 0, "positive"),
+        (1.0, 1.0, 10, "x_max must exceed x_min"),
     ],
-    ids=["x_min-inf", "dx-overflow", "dx-underflow", "n_cells-fraction", "n_cells-float"],
+    ids=["x_min-inf", "dx-overflow", "dx-underflow", "n_cells-fraction", "n_cells-float", "n_cells-zero",
+         "empty-interval"],
 )
 def test_grid_rejects_unrepresentable_grid(x_min, x_max, n_cells, message):
     with pytest.raises(ValueError, match=message):
@@ -230,6 +233,10 @@ def test_advance_rejects_bad_inputs():
         advance(st, PARAMS_02, -1.0)
     with pytest.raises(ValueError):
         advance(st, PARAMS_02, 1.0, cfl=1.5)
+    with pytest.raises(ValueError, match="one value per cell"):
+        FieldState(g, np.full(31, 0.01), np.full(32, 0.01), 0.0)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        source_step(st, PARAMS_02, 0.0)
 
 
 @pytest.mark.parametrize("t_end", [np.inf, np.nan], ids=["inf", "nan"])
@@ -754,6 +761,8 @@ def test_shock_mass_window_must_fit_domain():
     st = FieldState.from_riemann(g, DELTA_DATA)
     with pytest.raises(ValueError):
         shock_mass(st, 1.9, 0.5, DELTA_DATA.alpha_l, DELTA_DATA.alpha_r)
+    with pytest.raises(ValueError, match="nonnegative"):
+        shock_mass(st, 0.5, -0.1, DELTA_DATA.alpha_l, DELTA_DATA.alpha_r)
 
 
 @pytest.mark.parametrize("center, half_width", [(np.nan, 0.1), (0.5, np.nan), (np.inf, 0.1)],

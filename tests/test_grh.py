@@ -113,6 +113,10 @@ def test_integrate_validates_inputs():
         integrate(GrhState(0.0, 0.0), None, -1.0, 1e-3, STATES, PARAMS_02)
     with pytest.raises(ValueError):
         integrate(GrhState(0.0, 0.0), None, 1.0, -1e-3, STATES, PARAMS_02)
+    with pytest.raises(ValueError, match="initial point mass must be nonnegative"):
+        integrate(GrhState(-1e-3, 0.0), None, 1.0, 1e-3, STATES, PARAMS_02)
+    with pytest.raises(ValueError, match="eps_seed must be positive"):
+        integrate(GrhState(0.0, 0.0), None, 1.0, 1e-3, STATES, PARAMS_02, eps_seed=0.0)
     # step guard: dt must resolve the relaxation scale
     p4 = ds.ModelParams(4.0, 1.0)
     st4 = LimitStates.from_riemann(DELTA_DATA, p4)
@@ -148,6 +152,8 @@ CROSSING = LimitStates(
 )
 # a negative right density: the mass shrinks while the speed stays inside (u_r, u_l)
 NEGATIVE = LimitStates(alpha_l=_const(0.0), u_l=_const(1.0), alpha_r=_const(-1.0), u_r=_const(0.0))
+# from w = 1, m = 0.5 and one step of 0.75: stage masses 0.8125 and 0.4231, then -1.216 at stage 4
+STAGE4_NEGATIVE = LimitStates(alpha_l=_const(1.0), u_l=_const(1.0), alpha_r=_const(-2.0), u_r=_const(0.0))
 FREE = ds.ModelParams(0.0, 0.0)
 # equal constant states: the point mass keeps its speed, here 7e-10 above
 # u_l = 0.5, inside the monitor's tolerance 1e-9 * max(1, |u_l|, |u_r|)
@@ -255,6 +261,8 @@ OMEGA0_DATA = ds.RiemannData(0.008, 1.5, 0.003, 0.5, omega0=0.01)
         pytest.param(GrhState(1.0, 0.5 + 7e-10), None, 1.0, 1e-2, EQUAL, FREE, None, id="speed-inside-tolerance"),
         pytest.param(GrhState(1.0, 0.5), None, 1.0, 1e-2, NEGATIVE, FREE, None, id="mass-decrease-abort"),
         pytest.param(GrhState(0.0, 0.0), 0.5, 1.0, 1e-2, NEGATIVE, FREE, 1e-3, id="nonpositive-stage-abort"),
+        pytest.param(GrhState(1.0, 0.5), None, 0.75, 0.75, STAGE4_NEGATIVE, FREE, None,
+                     id="nonpositive-stage-4-abort"),
         # the block runs on past the speed abort at step 699 to a stage mass
         # <= 0 at step 800: the monitor's error is the one raised
         pytest.param(GrhState(0.0, 0.0), 0.5, 3.0, 1e-3, SPEED_THEN_STAGE, FREE, None, id="speed-abort-before-stage-abort"),

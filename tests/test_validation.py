@@ -178,6 +178,12 @@ def test_weak_residual_quadrature_order():
     assert r40 / r160 >= 256.0
 
 
+def test_weak_residual_rejects_zero_resolution():
+    sol = ds.solve(DELTA_DATA, PARAMS_02)
+    with pytest.raises(ValueError, match="even, positive interval count"):
+        weak_residual(sol, [BumpTestFunction(0.5, 0.9, 0.8, 0.7)], quad_resolution=0)
+
+
 def test_weak_residual_rejects_escaping_support():
     sol = ds.solve(DELTA_DATA, PARAMS_02)
     with pytest.raises(ValueError, match="escapes"):
@@ -297,6 +303,14 @@ def test_compare_self_comparison_is_zero():
     assert rep.l1_alpha_regular <= 1e-12
     assert rep.shock_position_error == 0.0
     assert rep.excess_mass_rel_error <= 1e-12
+
+
+def test_compare_rejects_shock_off_the_grid():
+    # at t = 1 the shock sits at x = 1.1, right of the grid
+    sol = ds.solve(DELTA_DATA, PARAMS_02)
+    st = sample_exact(sol, ds.Grid1D(-1.0, 0.5, 300), 1.0)
+    with pytest.raises(ValueError, match="shock location left the grid"):
+        compare(st, sol, 0.05)
 
 
 def test_sample_exact_lumps_contact_point_mass():
