@@ -57,24 +57,23 @@ def blowup(profile: SmoothProfile, params: ModelParams) -> BlowupReport:
     """Scan u0' over the profile samples for the loss-of-regularity condition.
 
     A smooth solution breaks down iff some slope drops below -mu.  The
-    report carries the earliest breakdown time and its foot: the steepest
-    such slope over the samples and over repeated scans of evenly spaced
-    points between the two neighbours of the last scan's steepest point.
-    A NaN slope never qualifies.
+    scan keeps the steepest slope over the samples and over repeated scans
+    of evenly spaced points between the two neighbours of the last scan's
+    steepest point, whether or not that point's slope is below -mu, and a
+    NaN slope counts as +inf.  If the slope kept is below -mu, the report
+    carries the earliest breakdown time and its foot.
     """
     mu = params.mu
     x = profile.samples()
     slope, x_star = math.inf, None
     for _ in range(1 + _REFINE_PASSES):
         slopes = np.broadcast_to(np.asarray(profile.u0_prime(x), dtype=float), x.shape)
-        steep = np.where(slopes < -mu, slopes, np.inf)
-        i = int(np.argmin(steep))
-        if steep[i] == math.inf:
-            break
-        if steep[i] < slope:
-            slope, x_star = float(steep[i]), float(x[i])
+        slopes = np.where(np.isnan(slopes), np.inf, slopes)
+        i = int(np.argmin(slopes))
+        if slopes[i] < slope:
+            slope, x_star = float(slopes[i]), float(x[i])
         x = np.linspace(x[max(i - 1, 0)], x[min(i + 1, len(x) - 1)], _REFINE_POINTS)
-    if x_star is None:
+    if not slope < -mu:
         return BlowupReport(blows_up=False)
     # the blowup time falls as the slope falls
     return BlowupReport(blows_up=True, t_star=float(blowup_time_for_slope(slope, mu)), x0_star=x_star)

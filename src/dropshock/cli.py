@@ -425,30 +425,18 @@ def cmd_grh(args, cfg: dict, raw: str, out: str) -> int:
     name = _name_from(cfg, "grh")
     params = _params_from(cfg)
     data = _riemann_from(cfg)
+    solution = solve(data, params)
+    if solution.kind == "vacuum":
+        raise ConfigError("grh needs u_l >= u_r: an opening jump forms a vacuum and carries no point mass")
     outputs = _outputs_from(cfg)
     t_end = _number(cfg, "t_end", 1.0)
     dt = _number(cfg, "dt", 1e-4)
     sigma0 = cfg.get("sigma0")
-    sigma0 = None if sigma0 is None else _finite(sigma0, "sigma0")
+    sigma0 = solution.initial_speed if sigma0 is None else _finite(sigma0, "sigma0")
     states = grh.LimitStates.from_riemann(data, params)
-    solution = solve(data, params)
-    # the closed form's speed: sqrt-density-weighted, or u of the non-empty
-    # side when one density is 0 (flagged by the warning), where integrate's
-    # own initial speed fails
-    if sigma0 is None and (data.omega0 > 0.0 or solution.warning):
-        sigma0 = solution.initial_speed
-    # a zero mass is seeded by integrate, at sigma0 or its own initial speed
-    z0 = grh.GrhState(mass=0.0, momentum=0.0)
-    if data.omega0 > 0.0:
-        z0 = grh.GrhState(mass=data.omega0, momentum=data.omega0 * sigma0)
-    traj = grh.integrate(
-        z0,
-        sigma0,
-        t_end,
-        dt,
-        states,
-        params,
-    )
+    # a zero mass is seeded by integrate at sigma0
+    z0 = grh.GrhState(mass=data.omega0, momentum=data.omega0 * sigma0)
+    traj = grh.integrate(z0, sigma0, t_end, dt, states, params)
     u_l = np.asarray(states.u_l(traj.t), dtype=float)
     u_r = np.asarray(states.u_r(traj.t), dtype=float)
     entropy_ok = ((u_r < traj.speed) & (traj.speed < u_l)).astype(float)

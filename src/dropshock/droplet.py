@@ -59,6 +59,9 @@ class DeltaVariant(Enum):
 
 
 def _sqrt_weighted_speed(alpha_l: float, u_l: float, alpha_r: float, u_r: float) -> float:
+    # with one density 0 the mean is the other side's u, which the quotient may round
+    if alpha_l == 0.0 or alpha_r == 0.0:
+        return u_r if alpha_l == 0.0 else u_l
     sl, sr = math.sqrt(alpha_l), math.sqrt(alpha_r)
     return (sr * u_r + sl * u_l) / (sr + sl)
 
@@ -167,13 +170,15 @@ class DeltaShockSolution(_Front):
 
     @property
     def warning(self) -> Optional[str]:
-        """Why the data lie outside the existence hypotheses, or None."""
+        """Why the data lie outside the existence hypotheses and what this variant does there, or None."""
         if self.data.alpha_l > 0.0 and self.data.alpha_r > 0.0:
             return None
-        return (
-            "one side has zero density: outside the closed-form existence hypotheses; "
-            "the full-system shock keeps weight omega0 and moves with the other side"
-        )
+        if self.variant is DeltaVariant.FULL_SYSTEM:
+            how = "the full-system shock keeps weight omega0 and moves with the other side"
+        else:
+            how = ("the subsystem shock moves with the mean velocity and its weight grows by "
+                   "(alpha_l + alpha_r)(u_l - u_r)/2 per unit of decay_integral(mu, t)")
+        return f"one side has zero density: outside the closed-form existence hypotheses; {how}"
 
     @property
     def initial_speed(self) -> float:

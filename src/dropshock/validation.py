@@ -255,8 +255,8 @@ def weak_residual(
         if psi.support_t[1] >= t_max:
             raise ValueError("test function support escapes the quadrature box in t")
 
-    t = np.linspace(0.0, t_max, n + 1)
     w = _simpson_weights(n)
+    t = np.linspace(0.0, t_max, n + 1)
     row_weight = t_max / n * w
     frac = np.arange(n + 1) / n
 

@@ -150,23 +150,24 @@ def test_blowup_report(tmp_path):
 @pytest.mark.parametrize(
     "profile, domain, mu",
     [
-        # the samples -4, 0 and 4 lie far from the foot at 0.3
+        # the samples -4 and 4 (and 0 at count 3) lie far from the foot at 0.3
         pytest.param({"kind": "tanh", "amplitude": -1.0, "width": 0.2, "center": 0.3}, [-4.0, 4.0], 0.3, id="tanh"),
         pytest.param({"kind": "cubic", "c1": -1.5, "c3": 0.3}, [-2.0, 2.0], 0.4, id="cubic"),
     ],
 )
 def test_blowup_three_samples_match_default_sampling(tmp_path, profile, domain, mu):
     reports = {}
-    for count in (3, 2001):
+    for count in (2, 3, 2001):
         cfg = tmp_path / f"n{count}.json"
         scenario = {"name": f"n{count}", "params": {"mu": mu, "ua": 0.0}, "profile": profile,
                     "domain": domain, "sample_count": count, "n_feet": 40001}
         write_config(cfg, scenario)
         assert main(["blowup", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         reports[count] = json.loads((tmp_path / f"n{count}_blowup_report.json").read_text())
-    assert reports[3]["blows_up"] is True
-    assert reports[3]["t_star_formula"] == reports[2001]["t_star_formula"]
-    assert abs(reports[3]["t_star_formula"] - reports[3]["t_star_oracle"]) <= 1e-6
+    for count in (2, 3):
+        assert reports[count]["blows_up"] is True
+        assert reports[count]["t_star_formula"] == reports[2001]["t_star_formula"]
+        assert abs(reports[count]["t_star_formula"] - reports[count]["t_star_oracle"]) <= 1e-6
 
 
 def test_grh_trajectory_csv(tmp_path):
@@ -212,6 +213,24 @@ def test_grh_with_initial_point_mass(tmp_path, alpha_l, alpha_r, omega0):
     assert report["final"]["omega"] == pytest.approx(exact.weight(1.0), abs=1e-8)
     assert report["final"]["sigma"] == pytest.approx(exact.speed(1.0), abs=1e-8)
     assert report.get("warning") == exact.warning
+
+
+def test_grh_seeds_at_the_closed_form_initial_speed(tmp_path):
+    # the limit state u_l at t = 0 is relax_velocity(0.9, ...) = 0.9000000000000001,
+    # from which integrate's own seed speed is 0.6341428720207102; the closed
+    # form's is 0.6341428720207101
+    data, params = ds.RiemannData(0.008, 0.9, 0.003, 0.2), ds.ModelParams(0.2, 0.3)
+    cfg = tmp_path / "g.json"
+    riemann = {"alpha_l": 0.008, "u_l": 0.9, "alpha_r": 0.003, "u_r": 0.2}
+    write_config(cfg, {"name": "run", "params": {"mu": 0.2, "ua": 0.3}, "riemann": riemann, "t_end": 1.0, "dt": 1e-3})
+    assert main(["grh", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    states = ds.LimitStates.from_riemann(data, params)
+    traj = ds.integrate(ds.GrhState(0.0, 0.0), ds.solve(data, params).initial_speed, 1.0, 1e-3, states, params)
+    u_l, u_r = states.u_l(traj.t), states.u_r(traj.t)
+    entropy_ok = ((u_r < traj.speed) & (traj.speed < u_l)).astype(float)
+    write_csv(str(tmp_path / "expected.csv"), ("t", "omega", "sigma", "u_l", "u_r", "entropy_ok"),
+              (traj.t, traj.mass, traj.speed, u_l, u_r, entropy_ok))
+    assert (tmp_path / "run_grh.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
 
 def test_parser_built_once_and_still_rejects_bad_arguments(capsys):
@@ -367,6 +386,12 @@ def out_is_file(command):
     return lambda s: (command, "afile", [])
 
 
+def with_message(mutate, message):
+    """``mutate``, whose config error must also contain ``message``."""
+    mutate.message = message
+    return mutate
+
+
 def with_flags(command, *flags):
     """A mutation that keeps the scenario and runs ``command`` with extra flags."""
     return lambda s: (command, None, list(flags))
@@ -406,6 +431,9 @@ def with_flags(command, *flags):
         # grh.integrate rejects both before any output
         pytest.param(run_as("grh", t_end=0), id="grh-t_end-zero"),
         pytest.param(run_as("grh", dt=-1), id="grh-dt-negative"),
+        # an opening jump forms a vacuum, with no point mass to integrate
+        pytest.param(with_message(run_as("grh", riemann={"alpha_l": 0.008, "u_l": 0.5, "alpha_r": 0.003, "u_r": 1.5}),
+                                  "grh needs u_l >= u_r"), id="grh-opening-jump"),
         pytest.param(run_as("blowup", profile=TANH, n_feet=None), id="blowup-n_feet-null"),
         pytest.param(run_as("blowup", profile=TANH, n_feet=4000.5), id="blowup-n_feet-fraction"),
         pytest.param(run_as("blowup", profile=TANH, n_feet=10**9), id="blowup-n_feet-huge"),
@@ -484,7 +512,9 @@ def test_config_errors_exit_2(tmp_path, mutate, capsys):
         out.write_text("")
     command = command if command in ("exact", "simulate", "compare", "grh", "blowup", "batch") else "exact"
     assert main([command, "--config", str(cfg), "--out", str(out), *flags]) == 2
-    assert capsys.readouterr().err.startswith("config error:")
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert getattr(mutate, "message", "") in err
     assert not list(tmp_path.glob("*.csv"))
 
 

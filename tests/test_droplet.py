@@ -347,16 +347,18 @@ def test_closed_form_requires_positive_densities():
 
 
 # one side density zero; in the first case the front speed starts on the
-# edge of the entropy interval
+# edge of the entropy interval; the third case's weighted quotient
+# 0.1*1.5/0.1 rounds to 1.5000000000000002
 ONE_EMPTY_SIDE = [
     (ds.RiemannData(0.0, 2.0, 0.05, -1.0), -0.5),
     (ds.RiemannData(0.008, 1.5, 0.0, 0.5), 1.0),
+    (ds.RiemannData(0.01, 1.5, 0.0, 0.5), 1.0),
 ]
 
 
 @pytest.mark.parametrize("omega0", [0.0, 0.01])
 @pytest.mark.parametrize("mu", [0.0, 0.2, 3.0])
-@pytest.mark.parametrize("case", ONE_EMPTY_SIDE, ids=["alpha_l=0", "alpha_r=0"])
+@pytest.mark.parametrize("case", ONE_EMPTY_SIDE, ids=["alpha_l=0", "alpha_r=0", "alpha_r=0-rounding-quotient"])
 def test_one_zero_density_closed_form(case, mu, omega0):
     base, ua = case
     d = ds.RiemannData(base.alpha_l, base.u_l, base.alpha_r, base.u_r, omega0)
@@ -369,6 +371,41 @@ def test_one_zero_density_closed_form(case, mu, omega0):
         assert sol.weight(t) == omega0
         assert sol.speed(t) == ds.relax_velocity(u_side, p, t)
     assert np.max(np.abs(weak_residual(sol, CRITERION9_PSIS, quad_resolution=400))) <= 1e-6
+
+
+@given(
+    alpha=st.floats(1e-6, 1.0),
+    u_side=st.floats(-3.0, 3.0),
+    gap=st.floats(1e-3, 4.0),
+    left_empty=st.booleans(),
+    mu=st.sampled_from([0.0, 0.2, 3.0]),
+    ua=st.floats(-2.0, 2.0),
+)
+def test_one_empty_side_starts_at_the_other_side_velocity(alpha, u_side, gap, left_empty, mu, ua):
+    # the weighted mean with one weight 0 is the other side's u, bit for bit,
+    # so the gap on that side is 0 and never a rounding below it
+    if left_empty:
+        d = ds.RiemannData(0.0, u_side + gap, alpha, u_side)
+    else:
+        d = ds.RiemannData(alpha, u_side, 0.0, u_side - gap)
+    sol = solve(d, ds.ModelParams(mu, ua))
+    assert sol.initial_speed == u_side
+    for t in (0.0, 0.3, 1.0, 7.0):
+        gap_l, gap_r = sol.entropy_gaps(t)
+        assert gap_l >= 0.0 and gap_r >= 0.0
+
+
+def test_subsystem_warning_describes_the_growing_weight():
+    # the subsystem's weight grows beside an empty side; only the full
+    # system keeps omega0
+    for d in (ds.RiemannData(0.01, 1.5, 0.0, 0.5), ds.RiemannData(0.0, 2.0, 0.05, -1.0),
+              ds.RiemannData(0.0, 1.5, 0.0, 0.5, omega0=0.02)):
+        sub = DeltaShockSolution(d, PARAMS_02, DeltaVariant.SUBSYSTEM)
+        assert "zero density" in sub.warning
+        assert "keeps weight" not in sub.warning and "(alpha_l + alpha_r)(u_l - u_r)/2" in sub.warning
+    sub = DeltaShockSolution(ds.RiemannData(0.01, 1.5, 0.0, 0.5), PARAMS_02, DeltaVariant.SUBSYSTEM)
+    assert sub.weight(1.0) == pytest.approx(0.5 * 0.01 * 1.0 * ds.decay_integral(0.2, 1.0), rel=1e-15)
+    assert "keeps weight omega0" in solve(ds.RiemannData(0.01, 1.5, 0.0, 0.5), PARAMS_02).warning
 
 
 def test_contact_regular_fields_scalar_equals_array():

@@ -178,10 +178,12 @@ def test_weak_residual_quadrature_order():
     assert r40 / r160 >= 256.0
 
 
-def test_weak_residual_rejects_zero_resolution():
+@pytest.mark.parametrize("resolution", [0, -3, -4])
+def test_weak_residual_rejects_zero_resolution(resolution):
+    # a negative count is rejected by the rule, not inside np.linspace
     sol = ds.solve(DELTA_DATA, PARAMS_02)
     with pytest.raises(ValueError, match="even, positive interval count"):
-        weak_residual(sol, [BumpTestFunction(0.5, 0.9, 0.8, 0.7)], quad_resolution=0)
+        weak_residual(sol, [BumpTestFunction(0.5, 0.9, 0.8, 0.7)], quad_resolution=resolution)
 
 
 def test_weak_residual_rejects_escaping_support():
