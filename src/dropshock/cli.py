@@ -193,6 +193,9 @@ def _scenario_from(cfg: dict, raw: str, args) -> Scenario:
     snaps = [_finite(t, "t_snapshots entry") for t in snaps]
     if any(t < 0 for t in snaps) or any(b <= a for a, b in zip(snaps, snaps[1:])):
         raise ConfigError("t_snapshots must be nonnegative and strictly increasing")
+    for row in (_exact_snapshot_row(solution, t) for t in snaps):  # before any output: no inf to write
+        if not all(map(math.isfinite, row.values())):
+            raise ConfigError(f"the exact solution leaves the float range at t={row['t']:g}: {row}")
     cfl = _number(cfg, "cfl", 0.15)
     fixed_dt = cfg.get("fixed_dt")
     if getattr(args, "fixed_dt", None) is not None:
@@ -428,6 +431,8 @@ def cmd_grh(args, cfg: dict, raw: str, out: str) -> int:
     solution = solve(data, params)
     if solution.kind == "vacuum":
         raise ConfigError("grh needs u_l >= u_r: an opening jump forms a vacuum and carries no point mass")
+    if solution.kind == "contact" and data.omega0 == 0.0:
+        raise ConfigError("grh on a contact needs omega0 > 0: with u_l == u_r no point mass forms")
     outputs = _outputs_from(cfg)
     t_end = _number(cfg, "t_end", 1.0)
     dt = _number(cfg, "dt", 1e-4)

@@ -192,10 +192,12 @@ def relax_velocity(u0, params: ModelParams, t):
     return _scalar_or_array(out)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def characteristic_position(x0, u0_at_x0, params: ModelParams, t):
     """Position at time t of the characteristic leaving x0 with velocity u0_at_x0.
 
     x0 + ua*t + (u0 - ua) * decay_integral(mu, t); a straight line for mu = 0.
+    A position past the float range is +-inf or NaN, without a warning.
     """
     tau = decay_integral(params.mu, t)
     out = (

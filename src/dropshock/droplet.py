@@ -63,7 +63,10 @@ def _sqrt_weighted_speed(alpha_l: float, u_l: float, alpha_r: float, u_r: float)
     if alpha_l == 0.0 or alpha_r == 0.0:
         return u_r if alpha_l == 0.0 else u_l
     sl, sr = math.sqrt(alpha_l), math.sqrt(alpha_r)
-    return (sr * u_r + sl * u_l) / (sr + sl)
+    mean = (sr * u_r + sl * u_l) / (sr + sl)
+    # the weighted sum may overflow although the mean cannot; only then are the
+    # weights normalised first, which would change the bits of a finite mean
+    return mean if math.isfinite(mean) else sr / (sr + sl) * u_r + sl / (sr + sl) * u_l
 
 
 def initial_shock_speed(alpha_l: float, u_l: float, alpha_r: float, u_r: float) -> float:
@@ -88,8 +91,8 @@ def weight_lower_bound(t, data: RiemannData, params: ModelParams):
 class _Solution:
     """Riemann data and parameters, with the relaxed one-sided limit states.
 
-    Every solution has a ``kind``, a ``warning`` (None when the closed
-    form's hypotheses hold) and the ``bounds`` of its wave.
+    Every solution has a ``kind``, a ``warning`` (None when the closed form's
+    hypotheses hold), the ``bounds`` of its wave and its ``_wave_fields`` there.
     """
 
     data: RiemannData
@@ -103,16 +106,27 @@ class _Solution:
     def right_state(self, t) -> Tuple[float, float]:
         return self.data.alpha_r, relax_velocity(self.data.u_r, self.params, t)
 
+    def regular_fields(self, x, t):
+        """Regular (alpha, u) arrays at time t; a Dirac mass is not included.
+
+        The left state where x < x1 and the right state elsewhere (a NaN x
+        too), with (x1, x2) = ``bounds(t)``; x1 <= x <= x2 gets ``_wave_fields``.
+        """
+        xx = np.asarray(x, dtype=float)
+        x1, x2 = self.bounds(t)
+        (al, ul), (ar, ur) = self.left_state(t), self.right_state(t)
+        alpha = np.where(xx < x1, al, ar)
+        u = np.where(xx < x1, ul, ur)
+        on = (x1 <= xx) & (xx <= x2)
+        alpha[on], u[on] = self._wave_fields(xx[on], t)
+        return alpha, u
+
 
 @dataclass(frozen=True)
 class _Front(_Solution):
     """A single discontinuity leaving x = 0 with ``initial_speed``.
 
     It carries a point mass omega0 + ``_weight_rate`` * decay_integral(mu, t).
-
-    The side states hold on either side of the curve; exactly on it the
-    velocity is the front speed and the regular density is reported as
-    the mean of the one-sided limits (a measure-zero convention).
     """
 
     def speed(self, t):
@@ -132,17 +146,9 @@ class _Front(_Solution):
         """Point mass at time t, starting from omega0."""
         return self.data.omega0 + self._weight_rate * decay_integral(self.params.mu, t)
 
-    def regular_fields(self, x, t):
-        """Regular (alpha, u) arrays at time t; a Dirac mass is not included."""
-        xx = np.asarray(x, dtype=float)
-        xi = self.position(t)
-        al, ul = self.left_state(t)
-        ar, ur = self.right_state(t)
-        alpha = np.where(xx < xi, al, ar)
-        u = np.where(xx < xi, ul, ur)
-        alpha = np.where(xx == xi, 0.5 * (al + ar), alpha)
-        u = np.where(xx == xi, self.speed(t), u)
-        return alpha, u
+    def _wave_fields(self, x, t):
+        """On the curve, a measure-zero convention: the mean of the side densities and the front speed."""
+        return 0.5 * (self.data.alpha_l + self.data.alpha_r), self.speed(t)
 
 
 @dataclass(frozen=True)
@@ -226,22 +232,11 @@ class VacuumSolution(_Solution):
         """Continuous velocity inside the vacuum region (t > 0)."""
         return fan_velocity(x, t, self.params)
 
-    def regular_fields(self, x, t):
-        """(alpha, u) arrays at time t; alpha is identically zero in the vacuum."""
-        xx = np.asarray(x, dtype=float)
-        al, ul = self.left_state(t)
-        ar, ur = self.right_state(t)
+    def _wave_fields(self, x, t):
+        """Density 0 and the fan velocity; at t = 0, on the jump, alpha_l and the mean velocity."""
         if t == 0.0:
-            alpha = np.where(xx <= 0.0, al, ar)
-            u = np.where(xx < 0.0, ul, ur)
-            u = np.where(xx == 0.0, 0.5 * (ul + ur), u)
-            return alpha, u
-        x1, x2 = self.bounds(t)
-        alpha = np.where(xx < x1, al, np.where(xx > x2, ar, 0.0))
-        u = np.asarray(self.fan_velocity(xx, t))
-        u = np.where(xx < x1, ul, u)
-        u = np.where(xx > x2, ur, u)
-        return alpha, u
+            return self.data.alpha_l, 0.5 * (self.left_state(t)[1] + self.right_state(t)[1])
+        return 0.0, self.fan_velocity(x, t)
 
 
 @dataclass(frozen=True)

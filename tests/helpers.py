@@ -13,7 +13,7 @@ import numpy as np
 
 import dropshock as ds
 from dropshock import fv
-from dropshock.core import ModelParams, characteristic_position
+from dropshock.core import ModelParams, decay_integral
 from dropshock.droplet import initial_shock_speed
 from dropshock.fv import VACUUM_ALPHA, FieldState, SolverAbort
 from dropshock.grh import MAX_STEPS, GrhMonitorError, GrhState, GrhTrajectory, LimitStates
@@ -441,6 +441,44 @@ def reference_integrate(
     return GrhTrajectory(t=ts, mass=ws, momentum=ms, speed=ms / ws, position=xs)
 
 
+# ``regular_fields`` before one method on every solution chose the side
+# states, kept as the oracle it must equal bit for bit.  It differs only at
+# a NaN x, where the vacuum gave (0, NaN) and every solution now gives the
+# right state.
+def reference_front_fields(solution, x, t):
+    """Side states of a delta shock or contact off its curve; on it the mean
+    density and the front speed."""
+    xx = np.asarray(x, dtype=float)
+    xi = solution.position(t)
+    al, ul = solution.left_state(t)
+    ar, ur = solution.right_state(t)
+    alpha = np.where(xx < xi, al, ar)
+    u = np.where(xx < xi, ul, ur)
+    alpha = np.where(xx == xi, 0.5 * (al + ar), alpha)
+    u = np.where(xx == xi, solution.speed(t), u)
+    return alpha, u
+
+
+def reference_vacuum_fields(solution, x, t):
+    """Side states of a vacuum outside [X1, X2] and (0, fan velocity) inside,
+    the fan evaluated on every x; at t = 0 the jump gets (alpha_l, mean u)."""
+    xx = np.asarray(x, dtype=float)
+    al, ul = solution.left_state(t)
+    ar, ur = solution.right_state(t)
+    if t == 0.0:
+        alpha = np.where(xx <= 0.0, al, ar)
+        u = np.where(xx < 0.0, ul, ur)
+        u = np.where(xx == 0.0, 0.5 * (ul + ur), u)
+        return alpha, u
+    x1, x2 = solution.bounds(t)
+    alpha = np.where(xx < x1, al, np.where(xx > x2, ar, 0.0))
+    with np.errstate(over="ignore", invalid="ignore"):  # the fan far outside [X1, X2] may overflow
+        u = np.asarray(solution.fan_velocity(xx, t))
+    u = np.where(xx < x1, ul, u)
+    u = np.where(xx > x2, ur, u)
+    return alpha, u
+
+
 # ``first_crossing_time`` before its bisection dropped the pairs that can no
 # longer hold the minimum, kept as the oracle it must equal bit for bit.
 def reference_first_crossing_time(profile, params, t_max, n_feet=2001):
@@ -452,7 +490,7 @@ def reference_first_crossing_time(profile, params, t_max, n_feet=2001):
     v2 = np.asarray(profile.u0(x2), dtype=float)
 
     def gap(s):
-        return characteristic_position(x2, v2, params, s) - characteristic_position(x1, v1, params, s)
+        return (x2 - x1) + (v2 - v1) * decay_integral(params.mu, s)
 
     crossing = gap(t_max) < 0.0
     if not np.any(crossing):

@@ -4,11 +4,12 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import dropshock as ds
 from dropshock.cli import _run_text, build_parser, main, write_csv
@@ -213,6 +214,18 @@ def test_grh_with_initial_point_mass(tmp_path, alpha_l, alpha_r, omega0):
     assert report["final"]["omega"] == pytest.approx(exact.weight(1.0), abs=1e-8)
     assert report["final"]["sigma"] == pytest.approx(exact.speed(1.0), abs=1e-8)
     assert report.get("warning") == exact.warning
+
+
+def test_grh_on_a_contact_with_a_point_mass_keeps_it(tmp_path):
+    # no mass is swept into a contact, so omega0 rides it unchanged
+    cfg = tmp_path / "g.json"
+    riemann = {"alpha_l": 0.008, "u_l": 0.7, "alpha_r": 0.003, "u_r": 0.7, "omega0": 0.01}
+    write_config(cfg, {"name": "c", "params": {"mu": 0.2, "ua": 1.0}, "riemann": riemann, "t_end": 1.0, "dt": 1e-3})
+    assert main(["grh", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    final = json.loads((tmp_path / "c_grh_report.json").read_text())["final"]
+    exact = ds.solve(ds.RiemannData(0.008, 0.7, 0.003, 0.7, omega0=0.01), PARAMS_02)
+    assert final["omega"] == pytest.approx(0.01, rel=1e-12)
+    assert final["sigma"] == pytest.approx(exact.speed(1.0), abs=1e-8)
 
 
 def test_grh_seeds_at_the_closed_form_initial_speed(tmp_path):
@@ -434,6 +447,13 @@ def with_flags(command, *flags):
         # an opening jump forms a vacuum, with no point mass to integrate
         pytest.param(with_message(run_as("grh", riemann={"alpha_l": 0.008, "u_l": 0.5, "alpha_r": 0.003, "u_r": 1.5}),
                                   "grh needs u_l >= u_r"), id="grh-opening-jump"),
+        # a contact without a point mass forms none: grh wrote its seed, 1.03e-10
+        pytest.param(with_message(run_as("grh", riemann={"alpha_l": 0.008, "u_l": 0.7, "alpha_r": 0.003, "u_r": 0.7}),
+                                  "grh on a contact needs omega0 > 0"), id="grh-contact-no-mass"),
+        # ua*t overflows: the shock position was written to the report as Infinity
+        *[pytest.param(with_message(run_as(command, params={"mu": 0.2, "ua": 2.0}, t_snapshots=[1.7e308]),
+                                    "leaves the float range"), id=f"{command}-position-inf")
+          for command in ("exact", "simulate", "compare")],
         pytest.param(run_as("blowup", profile=TANH, n_feet=None), id="blowup-n_feet-null"),
         pytest.param(run_as("blowup", profile=TANH, n_feet=4000.5), id="blowup-n_feet-fraction"),
         pytest.param(run_as("blowup", profile=TANH, n_feet=10**9), id="blowup-n_feet-huge"),
@@ -808,6 +828,75 @@ def test_wrong_typed_field_never_raises(tmp_path, capsys):
                 assert rc == 0 or err.startswith("config error:"), case
                 cases += 1
     assert cases == 642
+
+
+FUZZ_BASE = dict(
+    DELTA_SCENARIO,
+    name="fuzz",
+    n_cells=40,
+    t_snapshots=[0.05, 0.1],
+    t_end=0.1,
+    dt=1e-3,
+    outputs={"csv": True, "svg": True, "report": True},
+)
+FUZZ_FIELDS = [("params", "mu"), ("params", "ua"), ("riemann", "alpha_l"), ("riemann", "u_l"),
+               ("riemann", "alpha_r"), ("riemann", "u_r"), ("riemann", "omega0"), ("domain", 0), ("domain", 1),
+               ("cfl",), ("fixed_dt",), ("exclusion_half_width",), ("t_snapshots", 0), ("t_snapshots", 1),
+               ("t_end",), ("dt",), ("sigma0",)]
+FUZZ_VALUES = [0.0, -0.0, 5e-324, 1e-300, -1e-300, 1e-12, 1e-9, 0.5, 1.0, 2.0, -1.0, 1e12, 1e150, 1e300, -1e300,
+               1.7e308]
+VACUUM_CHANGES = [(("riemann", "u_l"), 0.5), (("riemann", "u_r"), 1.5)]
+
+
+def _no_constant(name):
+    raise AssertionError(f"a report holds {name}")
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    command=st.sampled_from(["exact", "simulate", "compare", "grh"]),
+    changes=st.lists(st.tuples(st.sampled_from(FUZZ_FIELDS), st.sampled_from(FUZZ_VALUES)), min_size=1, max_size=3),
+)
+# each warned "overflow encountered in divide" (the fan on every cell) or
+# "in multiply" (the shock position) and exited 0
+@example(command="exact", changes=VACUUM_CHANGES + [(("t_snapshots",), [5e-324])])
+@example(command="compare", changes=VACUUM_CHANGES + [(("t_snapshots",), [5e-324, 0.1])])
+@example(command="exact", changes=VACUUM_CHANGES + [(("domain", 1), 1.7e308)])
+@example(command="exact", changes=[(("params", "ua"), 2.0), (("t_snapshots",), [1.7e308])])
+# an L1 error past the float range warned; a relative mass error over a
+# subnormal point mass was written as inf; the sqrt-weighted initial speed
+# overflowed to inf, and relaxing it warned
+@example(command="compare", changes=[(("params", "ua"), 1e150), (("domain", 1), 1e300)])
+@example(command="compare", changes=[(("params", "mu"), 1.7e308), (("riemann", "alpha_r"), 1e12)])
+@example(command="exact", changes=[(("params", "mu"), 1e150), (("riemann", "u_l"), 1.7e308),
+                                   (("riemann", "alpha_l"), 1e150)])
+def test_extreme_values_end_cleanly(monkeypatch, capsys, command, changes):
+    # a run that could only end at the step cap ends at 2,000 steps instead
+    monkeypatch.setattr(ds.fv, "MAX_STEPS", 2000)
+    scenario = json.loads(json.dumps(FUZZ_BASE))
+    for path, value in changes:
+        block = scenario
+        for key in path[:-1]:
+            block = block[key]
+        block[path[-1]] = value
+    with tempfile.TemporaryDirectory() as out:
+        cfg = Path(out) / "s.json"
+        write_config(cfg, scenario)
+        rc = main([command, "--config", str(cfg), "--out", out])
+        err = capsys.readouterr().err
+        assert rc in (0, 2, 3)
+        assert err == "" if rc == 0 else err.startswith(("config error:", "numerical abort:"))
+        if rc != 0:
+            return
+        for path in Path(out).glob("*.csv"):
+            rows = list(csv.reader(io.StringIO(path.read_text())))[1:]
+            values = np.array([row[1:] if path.name.endswith("_errors.csv") else row for row in rows], dtype=float)
+            assert np.isfinite(values).all(), path.name
+            if "_t" in path.name and not path.name.endswith("_errors.csv"):
+                assert (values[:, 1] >= 0.0).all(), path.name
+        for path in Path(out).glob("*.json"):
+            if path.name != "s.json":
+                json.loads(path.read_text(), parse_constant=_no_constant)
 
 
 def test_python_m_dropshock_help(tmp_path):

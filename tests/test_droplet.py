@@ -25,6 +25,8 @@ from helpers import (
     SIGMA1_FULL,
     VACUUM_DATA,
     XI1_FULL,
+    reference_front_fields,
+    reference_vacuum_fields,
 )
 
 FULL = DeltaShockSolution(DELTA_DATA, PARAMS_02)
@@ -395,6 +397,13 @@ def test_one_empty_side_starts_at_the_other_side_velocity(alpha, u_side, gap, le
         assert gap_l >= 0.0 and gap_r >= 0.0
 
 
+def test_initial_speed_stays_finite_when_the_weighted_sum_overflows():
+    # sqrt(1e150) * 1.7e308 overflows; the mean itself lies between u_r and u_l
+    speed = initial_shock_speed(1e150, 1.7e308, 1e148, 0.5)
+    assert speed == pytest.approx(1.7e308 / 1.1, rel=1e-15) and 0.5 < speed < 1.7e308
+    assert initial_shock_speed(1e150, 1.7e308, 1e150, -1.7e308) == 0.0
+
+
 def test_subsystem_warning_describes_the_growing_weight():
     # the subsystem's weight grows beside an empty side; only the full
     # system keeps omega0
@@ -421,3 +430,53 @@ def test_contact_regular_fields_scalar_equals_array():
     for xk, ak in zip(x, alpha):
         assert sol.regular_fields(float(xk), t) == (ak, speed)
     assert sol.weight(t) == 0.0  # no point mass rides a contact
+
+
+SIDE_ALPHAS = st.sampled_from([0.0, 1e-3, 0.008, 0.5]) | st.floats(0.0, 10.0)
+
+
+@st.composite
+def any_solution(draw):
+    """A delta shock of either variant, a contact or a vacuum, from random data."""
+    kind = draw(st.sampled_from(["full", "subsystem", "contact", "vacuum"]))
+    alpha_l, alpha_r = draw(SIDE_ALPHAS), draw(SIDE_ALPHAS)
+    u_a, u_b = sorted(draw(st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2, unique=True)))
+    params = ds.ModelParams(draw(st.sampled_from([0.0, 0.2, 4.0]) | st.floats(0.0, 10.0)), draw(st.floats(-2.0, 2.0)))
+    omega0 = 0.0 if kind == "vacuum" else draw(st.sampled_from([0.0, 0.01]))
+    if kind == "vacuum":
+        return VacuumSolution(ds.RiemannData(alpha_l, u_a, alpha_r, u_b), params)
+    if kind == "contact":
+        return ContactSolution(ds.RiemannData(alpha_l, u_a, alpha_r, u_a, omega0), params)
+    if kind == "full" and alpha_l == alpha_r == 0.0:
+        alpha_r = 0.5
+    variant = DeltaVariant.FULL_SYSTEM if kind == "full" else DeltaVariant.SUBSYSTEM
+    return DeltaShockSolution(ds.RiemannData(alpha_l, u_b, alpha_r, u_a, omega0), params, variant)
+
+
+@given(
+    sol=any_solution(),
+    t=st.sampled_from([0.0, 5e-324, 1e-310, 0.1, 0.4, 1.0, 3.0]) | st.floats(0.0, 5.0),
+    n=st.integers(1, 3000),
+    span=st.sampled_from([1e-300, 1e-3, 1.0, 10.0]),
+    scalar=st.booleans(),
+    pick=st.integers(0, 3),
+)
+@settings(max_examples=300, deadline=None)
+def test_regular_fields_equal_the_per_kind_formulas_bit_for_bit(sol, t, n, span, scalar, pick):
+    # the shared method against the two per-kind bodies it replaced: on the
+    # bounds, at +-0, on grids that straddle the wave and for a scalar x
+    x1, x2 = sol.bounds(t)
+    x = np.concatenate([np.linspace(x1 - span, x2 + span, n), [x1, x2, 0.0, -0.0]])
+    if scalar:
+        x = float(x[-1 - pick])
+    reference = reference_vacuum_fields if sol.kind == "vacuum" else reference_front_fields
+    for got, want in zip(sol.regular_fields(x, t), reference(sol, x, t)):
+        assert got.dtype == want.dtype == np.float64 and got.shape == want.shape == np.shape(x)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_regular_fields_give_the_right_state_at_a_nan_x():
+    # the one documented change: the vacuum gave (0, NaN) at a NaN x
+    for sol, t in ((FULL, 1.0), (VAC, 1.0), (VAC, 0.0)):
+        alpha, u = sol.regular_fields(np.array([np.nan]), t)
+        assert (alpha[0], u[0]) == sol.right_state(t)

@@ -29,6 +29,12 @@ must equal byte for byte, abort messages included.  It may take from
 trajectory and limit-state types, so it cannot share the jump
 coefficients, the block size or the block loop with the code it checks.
 
+``helpers.reference_front_fields`` and ``reference_vacuum_fields`` are the
+two per-kind bodies that ``regular_fields`` replaced and must equal bit for
+bit.  They take nothing from ``dropshock.droplet`` and read neither
+``regular_fields`` nor ``_wave_fields``, so they cannot share the side-state
+selection with the method they check.
+
 The guards read the sources, so they need no run of an oracle.
 """
 
@@ -39,7 +45,7 @@ import pathlib
 import pytest
 
 import dropshock as ds
-from dropshock import fv, grh, validation
+from dropshock import droplet, fv, grh, validation
 
 HELPERS = pathlib.Path(__file__).with_name("helpers.py")
 FV_GUARD = dict(
@@ -65,6 +71,13 @@ GRH_GUARD = dict(
     module=grh,
     oracles=("reference_integrate", "_reference_rates", "_default_seed"),
     allowed={"MAX_STEPS", "GrhMonitorError", "GrhState", "GrhTrajectory", "LimitStates"},
+)
+
+FIELDS_GUARD = dict(
+    module=droplet,
+    oracles=("reference_front_fields", "reference_vacuum_fields"),
+    allowed=set(),
+    methods={"regular_fields", "_wave_fields"},
 )
 
 
@@ -364,3 +377,28 @@ def test_guard_flags_each_route_into_grh(edits, use):
         assert found == []
     else:
         assert found and all(use in f for f in found), found
+
+
+def test_reference_fields_use_no_droplet_name():
+    assert oracle_uses(HELPERS.read_text(), **FIELDS_GUARD) == []
+
+
+FRONT_SPEED = "    u = np.where(xx == xi, solution.speed(t), u)\n"
+FAN = "        u = np.asarray(solution.fan_velocity(xx, t))\n"
+
+
+@pytest.mark.parametrize(
+    "edits, use",
+    [
+        ([(FRONT_SPEED, FRONT_SPEED + "    alpha, u = solution.regular_fields(x, t)\n")], "method regular_fields"),
+        ([(FAN, "        u = np.asarray(solution._wave_fields(xx, t)[1])\n")], "method _wave_fields"),
+        ([(FRONT_SPEED, FRONT_SPEED + "    _ = ds.solve\n")], "droplet.solve"),
+        ([("from dropshock.droplet import initial_shock_speed\n",
+           "from dropshock.droplet import initial_shock_speed, VacuumSolution\n"),
+          (FAN, "        u = np.asarray(VacuumSolution.fan_velocity(solution, xx, t))\n")], "droplet.VacuumSolution"),
+    ],
+    ids=["method", "wave-fields", "package-function", "imported-class"],
+)
+def test_guard_flags_each_route_into_droplet(edits, use):
+    found = oracle_uses(_edited(HELPERS.read_text(), edits), **FIELDS_GUARD)
+    assert found and all(use in f for f in found), found

@@ -74,6 +74,16 @@ def test_crossing_oracle_rejects_bad_t_max(t_max):
         first_crossing_time(make_tanh_profile(-2.0), PARAMS_02, t_max)
 
 
+@pytest.mark.parametrize("ua", [1e9, 1e12, 1e300])
+def test_crossing_oracle_does_not_depend_on_a_large_ua(ua):
+    # the gap of two lab-frame positions lost itself in their shared ua*t:
+    # 0.5753275 at ua 1e9, 0.1007152 at 1e15 and None at 1e300
+    prof = make_tanh_profile(-2.0, domain=(-3.0, 3.0))
+    want = first_crossing_time(prof, ds.ModelParams(0.5, 0.2), 50.0, n_feet=4001)
+    assert want == pytest.approx(0.5753641, abs=1e-6)
+    assert first_crossing_time(prof, ds.ModelParams(0.5, ua), 50.0, n_feet=4001) == want
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     cubic=st.booleans(),
@@ -305,6 +315,24 @@ def test_compare_self_comparison_is_zero():
     assert rep.l1_alpha_regular <= 1e-12
     assert rep.shock_position_error == 0.0
     assert rep.excess_mass_rel_error <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "params, data, domain, error",
+    [
+        # mu*t past 745: the point mass is 1/mu, subnormal, and the excess over it overflows
+        (ds.ModelParams(1.7e308, 1.0), ds.RiemannData(0.008, 1.5, 1e12, 0.5), (-1.0, 2.0), "excess_mass_rel_error"),
+        # |u_num - u_ex| summed, times a cell width of 2.5e298
+        (ds.ModelParams(0.2, 1e150), DELTA_DATA, (-1.0, 1e300), "l1_u"),
+    ],
+    ids=["subnormal-weight", "l1-overflow"],
+)
+def test_compare_rejects_an_error_past_the_float_range(params, data, domain, error):
+    # the report held inf (a JSON report then held Infinity), or numpy warned first
+    sol = ds.solve(data, params)
+    state = ds.advance(ds.FieldState.from_riemann(ds.Grid1D(*domain, 40), data), params, 0.05, cfl=0.15)
+    with pytest.raises(ValueError, match=f"leave the float range: .*'{error}': inf"):
+        compare(state, sol, 0.05)
 
 
 def test_compare_rejects_shock_off_the_grid():
