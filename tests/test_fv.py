@@ -37,6 +37,26 @@ def test_grid_geometry():
     assert x[-1] == pytest.approx(2.0 - 0.5e-3)
     assert g.cell_index(x[17]) == 17
     assert g.cell_index(-5.0) == 0 and g.cell_index(5.0) == 2999
+    assert g.cell_index(-np.inf) == 0 and g.cell_index(np.inf) == 2999
+    assert g.cell_index(-1e308) == 0 and g.cell_index(1.7e308) == 2999  # x - x_min overflows to inf
+    assert g.cell_index(-0.0) == 1000 and g.cell_index(2.0) == 2999 and g.cell_index(-1.0) == 0
+    with pytest.raises(ValueError, match="x=nan"):
+        g.cell_index(float("nan"))
+
+
+@pytest.mark.parametrize(
+    "alpha, q, message",
+    [
+        ([0.1] * 4, np.full(4, 0.1), "alpha .* got a list"),
+        (np.full(4, 0.1), (0.1,) * 4, "q .* got a tuple"),
+        (np.full(4, 0.1), np.full((4, 1), 0.1), r"q .* got shape \(4, 1\)"),
+        (np.float64(0.1), np.full(4, 0.1), "alpha .* got a float64"),
+    ],
+    ids=["list", "tuple", "column", "scalar"],
+)
+def test_field_state_rejects_anything_but_one_value_per_cell(alpha, q, message):
+    with pytest.raises(ValueError, match="one value per cell: " + message):
+        FieldState(Grid1D(0.0, 1.0, 4), alpha, q)
 
 
 @pytest.mark.parametrize(
@@ -545,6 +565,19 @@ POISON = st.none() | st.tuples(
          poison=None, mu=0.3, ua=0.2, fixed=True, courant=0.9, t_end=0.4)
 @example(n=16, cuts=[8], states=[(0.01, 1.0), (0.02, 0.5), (0, 0), (0, 0), (0, 0)],
          poison=None, mu=0.5, ua=1.0, fixed=True, courant=0.8, t_end=0.525)
+# growth in chunks of _GROW = 16 on 100 cells, with velocities of both signs
+# (the two-sided flux): jumps 5 cells from either end, whose first chunks are
+# cut at the grid ends, and a vacuum opening at cell 40, whose window
+# [39, 41) grows by full chunks on both sides and then by a cut one at each
+# end; in both dt modes
+@example(n=100, cuts=[5, 95], states=[(0.01, 1.0), (0.02, -1.0), (0.01, 0.5), (0, 0), (0, 0)],
+         poison=None, mu=0.2, ua=0.3, fixed=True, courant=0.9, t_end=0.4)
+@example(n=100, cuts=[5, 95], states=[(0.01, 1.0), (0.02, -1.0), (0.01, 0.5), (0, 0), (0, 0)],
+         poison=None, mu=0.2, ua=0.3, fixed=False, courant=0.5, t_end=0.4)
+@example(n=100, cuts=[40], states=[(0.01, -1.0), (0.02, 1.0), (0, 0), (0, 0), (0, 0)],
+         poison=None, mu=0.2, ua=0.0, fixed=True, courant=0.9, t_end=0.4)
+@example(n=100, cuts=[40], states=[(0.01, -1.0), (0.02, 1.0), (0, 0), (0, 0), (0, 0)],
+         poison=None, mu=0.2, ua=0.0, fixed=False, courant=0.5, t_end=0.4)
 # a negative density is named by the grid's first cell holding min(alpha):
 # cell 0 when it is the window's left edge (the window starts at cell 19),
 # and cell 21 inside the window [9, 31)
@@ -681,10 +714,8 @@ def test_advance_decay_underflow_matches_split_step_reference(mode):
     assert np.max(np.abs(got.q - want.q)) <= 6e-17
 
 
-def test_advance_window_grows_one_cell_per_side(monkeypatch):
-    # one jump: the first step covers the two jump cells and one cell on
-    # each side, and each later step adds at most one cell per side
-    n = 200
+def _flux_lengths(monkeypatch):
+    """The interface count of each kinetic_flux call, and its ``out`` buffers."""
     sizes, outs = [], []
     original = fv.kinetic_flux
 
@@ -694,16 +725,41 @@ def test_advance_window_grows_one_cell_per_side(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(fv, "kinetic_flux", counting)
+    return sizes, outs
+
+
+def test_advance_window_grows_a_chunk_per_side(monkeypatch):
+    # one jump: the first step covers the two jump cells and _GROW cells on
+    # each side, and each later growth adds at most _GROW cells per side;
+    # 200 steps on 1000 cells never reach the far field
+    n = 1000
+    sizes, outs = _flux_lengths(monkeypatch)
     st = FieldState.from_riemann(Grid1D(-1.0, 2.0, n), DELTA_DATA)
-    advance(st, PARAMS_02, 0.3, cfl=0.15)
-    assert sizes[0] == 5
+    advance(st, PARAMS_02, 0.06, fixed_dt=3e-4)
+    assert len(sizes) == 200
+    assert sizes[0] == 2 + 2 * fv._GROW + 1
     steps = np.diff(sizes)
-    assert np.all(steps >= 0) and np.all(steps <= 2)
-    assert max(sizes) <= n + 1
+    assert np.all(steps >= 0) and np.all(steps <= 2 * fv._GROW)
     assert sizes[-1] < n + 1  # the far field was never stepped
     # steps on an unchanged window write their flux into the same memory
     assert all(a == b for a, b in zip(outs, outs[1:]) if a[2] == b[2])
     assert 0 in steps  # and there are such steps
+
+
+def test_advance_window_grows_rarely_on_the_readme_scenario(monkeypatch):
+    # the README delta data: 10,000 steps and a last one on the rounding of
+    # t, whose window grows by about one cell every nine steps; in chunks of
+    # _GROW its width changes at most ceil(growth/_GROW) + 2 times (the last
+    # chunk on each side may be cut), and on under one step in 100
+    sizes, _ = _flux_lengths(monkeypatch)
+    st = FieldState.from_riemann(Grid1D(-1.0, 2.0, 3000), DELTA_DATA)
+    lo, hi = fv._window(st.alpha.view(np.int64), st.q.view(np.int64))
+    advance(st, PARAMS_02, 1.0, fixed_dt=1e-4)
+    assert len(sizes) == 10001
+    growth = sizes[-1] - 1 - (hi - lo)
+    changes = int(np.count_nonzero(np.diff(sizes)))
+    assert 0 < changes <= -(-growth // fv._GROW) + 2, (changes, growth)
+    assert changes < len(sizes) // 100
 
 
 @settings(max_examples=100, deadline=None)
@@ -916,7 +972,7 @@ def test_work_buffers_sit_at_fixed_page_offsets(n, pad):
 
 # (data, params): every velocity positive takes the one-sided flux; the
 # other two take the four-argument one, a delta shock on a narrow window and
-# a vacuum across u = 0 whose window widens by two cells a step
+# a vacuum across u = 0 whose window widens on both sides
 PEAK_CASES = {
     "one-sided": (DELTA_DATA, PARAMS_02),
     "two-sided-delta": (ds.RiemannData(0.008, 0.5, 0.003, -0.5), ds.ModelParams(0.2, 0.0)),
