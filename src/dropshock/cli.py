@@ -36,7 +36,9 @@ class ConfigError(Exception):
     """The scenario file is missing, malformed, or inconsistent."""
 
 
-_CSV_CHUNK_ROWS = 1024  # rows formatted per % operation: bounds the transient string and tuple
+_CSV_CHUNK_ROWS = 1024  # rows formatted per % operation or join: bounds the transient string and tuple
+# rows in a run joined as one text; a shorter run saves less than splitting the template costs
+_CSV_MIN_RUN = 16
 
 
 def write_csv(path: str, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
@@ -46,29 +48,59 @@ def write_csv(path: str, header: Sequence[str], columns: Sequence[np.ndarray]) -
     bit patterns and written as text; a column with none goes through the
     %.17g row template.  A column may also be text that ``_run_text``
     returned, so a command formats a shared x column once for all its files.
-    Floats become Python lists one chunk of rows at a time.
+    When every column is text and those after the first are runs found
+    here, each run of at least ``_CSV_MIN_RUN`` rows whose columns after the
+    first repeat is written as the first column's text joined by the rest
+    of the row; the other rows go through the template.  Floats become
+    Python lists, and runs are joined, one chunk of rows at a time.
     """
     n = len(columns[0])
-    cells = []
-    for col in columns:
+    cells, breaks = [], []
+    for j, col in enumerate(columns):
         if not (isinstance(col, np.ndarray) and col.dtype == object):
             col = np.ascontiguousarray(col, dtype=float)
             starts = _run_starts(col)
             if len(starts) < len(col):
                 col = _run_text(col, starts)
+                if j:
+                    breaks.append(starts)
         if len(col) != n:
             raise ValueError(f"CSV columns differ in length: {len(col)} != {n}")
         cells.append(col)
     width = len(cells)
     row = ",".join("%s" if col.dtype == object else "%.17g" for col in cells) + "\n"
+    # the rows [i0, i1) of each run whose columns after the first repeat
+    runs = ()
+    if cells[0].dtype == object and len(breaks) == width - 1:
+        # a flag per row that starts a run (np.unique would import numpy.ma, 1.1 MB)
+        first = np.zeros(n + 1, dtype=bool)
+        first[[0, n]] = True
+        for starts in breaks:
+            first[starts] = True
+        bounds = np.flatnonzero(first)
+        long = np.flatnonzero(np.diff(bounds) >= _CSV_MIN_RUN)
+        runs = zip(bounds[long].tolist(), bounds[long + 1].tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for k in range(0, n, _CSV_CHUNK_ROWS):
-            m = min(_CSV_CHUNK_ROWS, n - k)
-            flat = [None] * (m * width)
-            for j, col in enumerate(cells):
-                flat[j::width] = col[k : k + m].tolist()
-            fh.write(row * m % tuple(flat))
+        done = 0
+        for i0, i1 in runs:
+            _template_rows(fh, row, cells, done, i0)
+            suffix = "".join("," + col[i0] for col in cells[1:]) + "\n"
+            for k in range(i0, i1, _CSV_CHUNK_ROWS):
+                fh.write(suffix.join(cells[0][k : min(k + _CSV_CHUNK_ROWS, i1)].tolist()) + suffix)
+            done = i1
+        _template_rows(fh, row, cells, done, n)
+
+
+def _template_rows(fh, row: str, cells: list, i0: int, i1: int) -> None:
+    """Rows i0 to i1 of the cells through the row template, a chunk of rows per % operation."""
+    width = len(cells)
+    for k in range(i0, i1, _CSV_CHUNK_ROWS):
+        m = min(_CSV_CHUNK_ROWS, i1 - k)
+        flat = [None] * (m * width)
+        for j, col in enumerate(cells):
+            flat[j::width] = col[k : k + m].tolist()
+        fh.write(row * m % tuple(flat))
 
 
 def _load_config(path: str):
@@ -160,6 +192,7 @@ class Scenario:
     solution: RiemannSolution  # carries the scenario's params and Riemann data
     grid: Grid1D
     t_snapshots: List[float]
+    snapshot_rows: List[dict]  # the exact solution's report row at each snapshot time
     cfl: float
     fixed_dt: Optional[float]
     outputs: dict
@@ -193,7 +226,8 @@ def _scenario_from(cfg: dict, raw: str, args) -> Scenario:
     snaps = [_finite(t, "t_snapshots entry") for t in snaps]
     if any(t < 0 for t in snaps) or any(b <= a for a, b in zip(snaps, snaps[1:])):
         raise ConfigError("t_snapshots must be nonnegative and strictly increasing")
-    for row in (_exact_snapshot_row(solution, t) for t in snaps):  # before any output: no inf to write
+    rows = [_exact_snapshot_row(solution, t) for t in snaps]
+    for row in rows:  # before any output: no inf to write
         if not all(map(math.isfinite, row.values())):
             raise ConfigError(f"the exact solution leaves the float range at t={row['t']:g}: {row}")
     cfl = _number(cfg, "cfl", 0.15)
@@ -217,6 +251,7 @@ def _scenario_from(cfg: dict, raw: str, args) -> Scenario:
         solution=solution,
         grid=grid,
         t_snapshots=snaps,
+        snapshot_rows=rows,
         cfl=cfl,
         fixed_dt=fixed_dt,
         outputs=_outputs_from(cfg),
@@ -243,7 +278,7 @@ def _report_head(sc: Scenario) -> dict:
     head = {
         "scenario": sc.raw,
         "solution_kind": solution.kind,
-        "snapshots": [_exact_snapshot_row(solution, t) for t in sc.t_snapshots],
+        "snapshots": sc.snapshot_rows,
     }
     if solution.warning:
         head["warning"] = solution.warning
@@ -370,6 +405,12 @@ def cmd_compare(args, cfg: dict, raw: str, out: str) -> int:
     return 0
 
 
+def _sech2(z):
+    """1/cosh(z)**2 as (2e/(1 + e*e))**2 with e = exp(-|z|): no overflow, where cosh overflows past |z| ~ 710."""
+    e = np.exp(-np.abs(z))
+    return (2.0 * e / (1.0 + e * e)) ** 2
+
+
 def _profile_from(cfg: dict) -> SmoothProfile:
     p = _object(_require(cfg, "profile"), "profile")
     kind = _require(p, "kind", "profile")
@@ -384,7 +425,7 @@ def _profile_from(cfg: dict) -> SmoothProfile:
         if width <= 0:
             raise ConfigError("profile width must be positive")
         u0 = lambda x: offset + amp * np.tanh((np.asarray(x) - center) / width)
-        u0p = lambda x: amp / width / np.cosh((np.asarray(x) - center) / width) ** 2
+        u0p = lambda x: amp / width * _sech2((np.asarray(x) - center) / width)
     elif kind == "cubic":
         c1 = _number(p, "c1", where="profile")
         c3 = _number(p, "c3", 0.0, "profile")

@@ -25,6 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._runs import run_starts
 from .core import ModelParams, RiemannData, relax_velocity
 from .droplet import initial_shock_speed
 
@@ -39,14 +40,19 @@ __all__ = [
 
 # Largest RK4 step count integrate accepts.  Memory: four float64 output
 # arrays of MAX_STEPS + 1 nodes (320 MB at the cap; the returned speed adds
-# a fifth) plus one block of stage times, limit states and their float
-# lists (~0.24 MB, measured with tracemalloc).
+# a fifth) plus one chunk's arrays and one run's float lists (~0.5 MB,
+# measured with tracemalloc).
 MAX_STEPS = 10**7
-# RK4 steps whose limit states are evaluated in one call of each callable.
-# A block holds 9 Python floats per step (6 new ones); traced block memory
-# 256: 0.12 MB, 512: 0.24 MB, 1024: 0.48 MB.  512 ran the integrate-only
-# timings 8-10% faster than 256, and 1024 only 3-5% faster again at twice
-# the memory.
+# RK4 steps whose limit states are evaluated in one call of each callable
+# and whose monitors run as one pass.  Traced memory beyond the outputs,
+# one run of floats included: 512: 0.15 MB, 1024: 0.27 MB, 2048: 0.51 MB,
+# 4096: 1.0 MB, 8192: 1.9 MB.  2048 makes one chunk of a 1,000-step run
+# and five of a 10,000-step one; 8192 timed the same within noise.
+_CHUNK = 2048
+# RK4 steps whose coefficients are Python floats at one time.  A run holds
+# 9 floats per step (6 new ones); traced run memory 256: 0.12 MB, 512:
+# 0.24 MB, 1024: 0.48 MB.  512 ran the integrate-only timings 8-10% faster
+# than 256, and 1024 only 3-5% faster again at twice the memory.
 _BLOCK = 512
 
 
@@ -63,14 +69,127 @@ def _jump_coefficients(al, ul, ar, ur):
     return ar - al, ar * ur - al * ul, ar * ur * ur - al * ul * ul
 
 
+def _chunk_states(limits, ts, c0: int, dt: float, t_end: float):
+    """The h of each step of the chunk from node c0 and its limit states,
+    one row per callable, at the chunk's first node, each step's stage-4
+    time t + h, each step's midpoint t + h/2 and the chunk's last node.
+    """
+    nodes = ts[c0 : c0 + _CHUNK + 1]
+    starts = nodes[:-1]
+    hs = np.minimum(dt, t_end - starts)
+    times = np.concatenate((nodes[:1], starts + hs, starts + 0.5 * hs, nodes[-1:]))
+    # each limit state on all of them; assignment broadcasts a constant
+    lim = np.empty((4, times.size))
+    for row, f in zip(lim, limits):
+        row[...] = f(times)
+    return hs, lim
+
+
+def _run_chunk(ts, ws, ms, xs, params: ModelParams, c0: int, hs: np.ndarray, lim: np.ndarray) -> None:
+    """The RK4 steps of the chunk from node c0 into ws, ms and xs; see ``_chunk_states``.
+
+    The steps run in runs of at most ``_BLOCK`` steps with one h, then the
+    monitors check them all; see ``integrate``, whose numpy error state
+    this runs under.
+    """
+    nc = hs.size
+    mu, ua = params.mu, params.ua
+    w, m, x = float(ws[c0]), float(ms[c0]), float(xs[c0])
+    a, b, c = _jump_coefficients(*lim)
+    # the monitor's speed bounds at the nodes that end the steps: the
+    # stage-4 times but for the last, which may be the final node t_end
+    ul, ur = (np.concatenate((v[1:nc], v[-1:])) for v in lim[1::2])
+    tol = 1e-9 * np.maximum(np.maximum(np.abs(ul), np.abs(ur)), 1.0)
+    # runs of at most _BLOCK steps with one h; a tail step has its own
+    cuts = sorted({*range(0, nc, _BLOCK), *run_starts(hs).tolist()}) + [nc]
+    k = c0  # the steps completed
+    held = None
+    for r0, r1 in zip(cuts, cuts[1:]):
+        h = float(hs[r0])
+        h2, h6 = 0.5 * h, h / 6.0
+        out_w, out_m, out_x = [], [], []
+        # (a, b, c) of stage 1 at columns r0 to r1, of stage 4 at the same
+        # lists shifted by one and of stages 2-3 at the midpoints
+        at_nodes = [v[r0 : r1 + 1].tolist() for v in (a, b, c)]
+        mids = slice(nc + 1 + r0, nc + 1 + r1)
+        per_step = zip(*at_nodes, *(v[1:] for v in at_nodes), *(v[mids].tolist() for v in (a, b, c)))
+
+        # w > 0 at a step whose predecessors pass the monitors: see
+        # ``integrate``; a later step of a chunk that failed one may divide
+        # by a zero mass
+        try:
+            for a1, b1, c1, a4, b4, c4, a2, b2, c2 in per_step:
+                s1 = m / w
+                k1w = a1 * s1 - b1
+                k1m = b1 * s1 + mu * (ua * w - m) - c1
+                w2 = w + h2 * k1w
+                m2 = m + h2 * k1m
+                if w2 <= 0.0:
+                    raise _nonpositive_mass(w2, float(ts[k + len(out_w)]) + h2)
+                s2 = m2 / w2
+                k2w = a2 * s2 - b2
+                k2m = b2 * s2 + mu * (ua * w2 - m2) - c2
+                w3 = w + h2 * k2w
+                m3 = m + h2 * k2m
+                if w3 <= 0.0:
+                    raise _nonpositive_mass(w3, float(ts[k + len(out_w)]) + h2)
+                s3 = m3 / w3
+                k3w = a2 * s3 - b2
+                k3m = b2 * s3 + mu * (ua * w3 - m3) - c2
+                w4 = w + h * k3w
+                m4 = m + h * k3m
+                if w4 <= 0.0:
+                    raise _nonpositive_mass(w4, float(ts[k + len(out_w)]) + h)
+                s4 = m4 / w4
+                k4w = a4 * s4 - b4
+                k4m = b4 * s4 + mu * (ua * w4 - m4) - c4
+                w = w + h6 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+                m = m + h6 * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
+                x = x + h6 * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
+                out_w.append(w)
+                out_m.append(m)
+                out_x.append(x)
+        except (GrhMonitorError, ZeroDivisionError) as exc:
+            held = exc  # an earlier step's monitor error comes first
+        j = len(out_w)
+        ws[k + 1 : k + j + 1], ms[k + 1 : k + j + 1], xs[k + 1 : k + j + 1] = out_w, out_m, out_x
+        k += j
+        del at_nodes, per_step  # the run's floats, before the next run makes its own
+        if held is not None:
+            break
+
+    j = k - c0  # the chunk's steps completed
+    w_old, w_new, m_new = ws[c0:k], ws[c0 + 1 : k + 1], ms[c0 + 1 : k + 1]
+    # the steps' monitors as the loop would have checked them: the
+    # comparisons are False on NaN, and a mass <= 0 gives a NaN speed;
+    # garbage after a failed step may overflow, which Python floats allow
+    dropped = w_new < w_old - 1e-13 * np.where(w_old > 1.0, w_old, 1.0)
+    s_new = np.divide(m_new, w_new, out=np.full(j, math.nan), where=w_new > 0.0)
+    failed = dropped | ~((ur[:j] - tol[:j] <= s_new) & (s_new <= ul[:j] + tol[:j]))
+    if failed.any():
+        i = int(failed.argmax())
+        step, t_node = c0 + i + 1, float(ts[c0 + i + 1])
+        if dropped[i]:
+            raise GrhMonitorError(
+                f"point mass decreased from {w_old[i]:.12g} to {w_new[i]:.12g} at step {step} "
+                f"(t={t_node:g}); inputs are inadmissible or dt is too large"
+            )
+        raise GrhMonitorError(
+            f"entropy monitor: speed {s_new[i]:.12g} left the interval "
+            f"({ur[i]:.12g}, {ul[i]:.12g}) at step {step} (t={t_node:g})"
+        )
+    if held is not None:
+        raise held
+
+
 @dataclass(frozen=True)
 class LimitStates:
     """One-sided limit states as functions of time, continuous and bounded.
 
     Each callable takes a float time or a numpy array of times and returns
     a value of the same shape or a constant, which is broadcast.
-    ``integrate`` calls each once per block of steps on an array of stage
-    times, and at t = 0 with a float.
+    ``integrate`` calls each once per chunk of steps on an array of times,
+    the first of which is t = 0.
     """
 
     alpha_l: Callable
@@ -147,24 +266,27 @@ def integrate(
     and the final step ends on t_end.  The trajectory ends at the first
     node equal to t_end, so no step has h = 0.
 
-    The steps then run in blocks, and each limit-state callable is called
-    once per block on an array of times.  The steps before the tail, short
-    of the final step, run in blocks of ``_BLOCK``.  Their h = dt is a block
-    constant, and a step's stage-4 time t + dt is the next node bit for
-    bit, so the block's times are its nodes and midpoints, and the stage-4
-    coefficients (a, b, c) are the next step's stage-1 floats.  Each tail
-    step and the final step, whose node is forced to t_end, is a block of
-    its own, with its own h, the stage-4 time t + h and the node.  The RK4
-    stages are float arithmetic on these coefficients.  The monitors are
-    checked after a block's steps, as array comparisons on the new masses
-    and speeds against the bounds at the nodes that end the steps; the
-    first step that fails raises the message a step-by-step loop would
-    have, with the mass check before the speed check.  A stage-mass error
-    in the block is raised only if no earlier step of it failed a monitor.
-    Node times are therefore those of a step-by-step loop bit for bit, and
-    so are mass, momentum, speed, position and abort messages whenever the
-    callables give the same bits for a float time as for that time in an
-    array, as those of ``from_riemann`` do.
+    The steps then run in chunks of ``_CHUNK``, and each limit-state
+    callable is called once per chunk on an array of times: the chunk's
+    first node, each step's stage-4 time t + h, each step's midpoint
+    t + h/2 and its last node.  The first chunk's column at t = 0 gives the
+    initial states and seed.  A step's t + h is the next node bit for bit,
+    but for the final step, whose node is forced to t_end, so the stage-4
+    coefficients (a, b, c) of a step are the next step's stage-1 floats,
+    and the monitor reads the last node for the final step.  The steps of a
+    chunk become Python floats in runs of at most ``_BLOCK`` steps with one
+    h; every step before the tail has h = dt, and a tail step's h is in
+    practice its own.  The RK4 stages are float arithmetic on these
+    coefficients.  The monitors are checked once per chunk, after its
+    steps, as array comparisons on the new masses and speeds against the
+    bounds at the nodes that end the steps; the first step that fails
+    raises the message a step-by-step loop would have, with the mass check
+    before the speed check.  A stage-mass error in the chunk is raised only
+    if no earlier step of it failed a monitor.  Node times are therefore
+    those of a step-by-step loop bit for bit, and so are mass, momentum,
+    speed, position and abort messages whenever the callables give the
+    same bits for a float time as for that time in an array, as those of
+    ``from_riemann`` do.
     """
     if not (math.isfinite(t_end) and math.isfinite(dt)):
         raise ValueError(f"t_end and dt must be finite, got t_end={t_end!r}, dt={dt!r}")
@@ -184,8 +306,25 @@ def integrate(
     if z0.mass < 0.0:
         raise ValueError("initial point mass must be nonnegative")
 
+    n_steps = max(1, math.ceil(t_end / dt - 1e-12))
+    ts = np.full(n_steps + 1, dt)
+    ts[0] = 0.0
+    np.add.accumulate(ts, out=ts)
+    # the sums increase, so the steps with t_end - t < dt are a suffix
+    tail = n_steps
+    while tail > 0 and t_end - ts[tail - 1] < dt:
+        tail -= 1
+    for k in range(tail, n_steps - 1):
+        t = float(ts[k])
+        ts[k + 1] = t + min(dt, t_end - t)
+    ts[n_steps] = t_end
+    # the trajectory ends at the first node on t_end, so no step has h = 0
+    n_steps = tail + int(np.argmax(ts[tail:] == t_end))
+    ts = ts[: n_steps + 1]
+
     limits = (states.alpha_l, states.u_l, states.alpha_r, states.u_r)
-    al0, ul0, ar0, ur0 = (float(f(0.0)) for f in limits)
+    hs, lim = _chunk_states(limits, ts, 0, dt, t_end)
+    al0, ul0, ar0, ur0 = lim[:, 0].tolist()  # the limit states at t = 0
     if z0.mass == 0.0:
         if sigma0 is None:
             sigma0 = initial_shock_speed(al0, ul0, ar0, ur0)
@@ -203,124 +342,13 @@ def integrate(
             f"({ur0:g}, {ul0:g})"
         )
 
-    n_steps = max(1, math.ceil(t_end / dt - 1e-12))
-    ts = np.full(n_steps + 1, dt)
-    ts[0] = 0.0
-    np.add.accumulate(ts, out=ts)
-    # the sums increase, so the steps with t_end - t < dt are a suffix
-    tail = n_steps
-    while tail > 0 and t_end - ts[tail - 1] < dt:
-        tail -= 1
-    for k in range(tail, n_steps - 1):
-        t = float(ts[k])
-        ts[k + 1] = t + min(dt, t_end - t)
-    ts[n_steps] = t_end
-    # the trajectory ends at the first node on t_end, so no step has h = 0
-    n_steps = tail + int(np.argmax(ts[tail:] == t_end))
-    ts = ts[: n_steps + 1]
     ws = np.empty(n_steps + 1)
     ms = np.empty(n_steps + 1)
     xs = np.empty(n_steps + 1)
-    x = 0.0
-    ws[0], ms[0], xs[0] = w, m, x
-    mu, ua = params.mu, params.ua
-    # the steps before the tail and the final one have h = dt and end on the
-    # next node; each remaining step is a block of its own
-    n_main = min(tail, n_steps - 1)
-    blocks = [(k0, min(_BLOCK, n_main - k0)) for k0 in range(0, n_main, _BLOCK)]
-    blocks += [(k, 1) for k in range(n_main, n_steps)]
-
-    for k0, nb in blocks:
-        nodes = ts[k0 : k0 + nb + 1]
-        starts = nodes[:-1]
-        if k0 < n_main:
-            # each step's stage-4 time t + dt is the next node
-            h, grid = dt, nodes
-        else:
-            # the stage-1 and stage-4 times, then the node the monitor reads
-            t = float(nodes[0])
-            h = min(dt, t_end - t)
-            grid = np.array([t, t + h, nodes[1]])
-        h2, h6 = 0.5 * h, h / 6.0
-        times = np.concatenate((grid, starts + h2))
-        # each limit state on all of them; assignment broadcasts a constant
-        lim = np.empty((4, times.size))
-        for row, f in zip(lim, limits):
-            row[...] = f(times)
-        al, ul, ar, ur = lim
-        a, b, c = _jump_coefficients(al, ul, ar, ur)
-        # the monitor's speed bounds at the nodes that end the steps
-        g = grid.size
-        ul, ur = ul[g - nb : g], ur[g - nb : g]
-        tol = 1e-9 * np.maximum(np.maximum(np.abs(ul), np.abs(ur)), 1.0)
-        # (a, b, c) of stage 1 at the first nb + 1 grid times, of stage 4 at
-        # the same lists shifted by one and of stages 2-3 at the midpoints
-        at_grid = [v[: nb + 1].tolist() for v in (a, b, c)]
-        per_step = zip(*at_grid, *(v[1:] for v in at_grid), *(v[g:].tolist() for v in (a, b, c)))
-        out_w, out_m, out_x = [], [], []
-
-        # w > 0 at a step whose predecessors pass the monitors: see the
-        # docstring; a later step of a block that failed one may divide by
-        # a zero mass
-        held = None
-        try:
-            for a1, b1, c1, a4, b4, c4, a2, b2, c2 in per_step:
-                s1 = m / w
-                k1w = a1 * s1 - b1
-                k1m = b1 * s1 + mu * (ua * w - m) - c1
-                w2 = w + h2 * k1w
-                m2 = m + h2 * k1m
-                if w2 <= 0.0:
-                    raise _nonpositive_mass(w2, float(starts[len(out_w)]) + h2)
-                s2 = m2 / w2
-                k2w = a2 * s2 - b2
-                k2m = b2 * s2 + mu * (ua * w2 - m2) - c2
-                w3 = w + h2 * k2w
-                m3 = m + h2 * k2m
-                if w3 <= 0.0:
-                    raise _nonpositive_mass(w3, float(starts[len(out_w)]) + h2)
-                s3 = m3 / w3
-                k3w = a2 * s3 - b2
-                k3m = b2 * s3 + mu * (ua * w3 - m3) - c2
-                w4 = w + h * k3w
-                m4 = m + h * k3m
-                if w4 <= 0.0:
-                    raise _nonpositive_mass(w4, float(starts[len(out_w)]) + h)
-                s4 = m4 / w4
-                k4w = a4 * s4 - b4
-                k4m = b4 * s4 + mu * (ua * w4 - m4) - c4
-                w = w + h6 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-                m = m + h6 * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
-                x = x + h6 * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
-                out_w.append(w)
-                out_m.append(m)
-                out_x.append(x)
-        except (GrhMonitorError, ZeroDivisionError) as exc:
-            held = exc  # an earlier step's monitor error comes first
-        del at_grid, per_step  # the block's floats, before the next block makes its own
-
-        j = len(out_w)  # the steps completed
-        w_old, w_new, m_new = ws[k0 : k0 + j], ws[k0 + 1 : k0 + j + 1], ms[k0 + 1 : k0 + j + 1]
-        w_new[...], m_new[...], xs[k0 + 1 : k0 + j + 1] = out_w, out_m, out_x
-        # the steps' monitors as the loop would have checked them: the
-        # comparisons are False on NaN, and a mass <= 0 gives a NaN speed;
-        # garbage after a failed step may overflow, which Python floats allow
-        dropped = w_new < w_old - 1e-13 * np.where(w_old > 1.0, w_old, 1.0)
-        s_new = np.divide(m_new, w_new, out=np.full(j, math.nan), where=w_new > 0.0)
-        failed = dropped | ~((ur[:j] - tol[:j] <= s_new) & (s_new <= ul[:j] + tol[:j]))
-        if failed.any():
-            i = int(failed.argmax())
-            step, t_node = k0 + i + 1, float(nodes[i + 1])
-            if dropped[i]:
-                raise GrhMonitorError(
-                    f"point mass decreased from {w_old[i]:.12g} to {w_new[i]:.12g} at step {step} "
-                    f"(t={t_node:g}); inputs are inadmissible or dt is too large"
-                )
-            raise GrhMonitorError(
-                f"entropy monitor: speed {s_new[i]:.12g} left the interval "
-                f"({ur[i]:.12g}, {ul[i]:.12g}) at step {step} (t={t_node:g})"
-            )
-        if held is not None:
-            raise held
+    ws[0], ms[0], xs[0] = w, m, 0.0
+    for c0 in range(0, n_steps, _CHUNK):
+        if c0:
+            hs, lim = _chunk_states(limits, ts, c0, dt, t_end)
+        _run_chunk(ts, ws, ms, xs, params, c0, hs, lim)
 
     return GrhTrajectory(t=ts, mass=ws, momentum=ms, speed=ms / ws, position=xs)

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import dropshock as ds
-from dropshock.cli import _run_text, build_parser, main, write_csv
+from dropshock import cli
+from dropshock.cli import _CSV_CHUNK_ROWS, _run_text, build_parser, main, write_csv
 
 from helpers import LN2, OMEGA1_FULL, PARAMS_02, SIGMA1_FULL
 
@@ -146,6 +147,26 @@ def test_blowup_report(tmp_path):
     assert report["blows_up"] is True
     assert report["t_star_formula"] == pytest.approx(LN2, abs=1e-9)
     assert report["t_star_oracle"] == pytest.approx(LN2, abs=1e-5)
+
+
+@pytest.mark.parametrize("center", [1e300, -1e308])
+def test_blowup_tanh_far_from_the_domain_ends_cleanly(tmp_path, center):
+    # sech^2 at |z| ~ 1e300: 1/cosh(z)**2 overflowed in cosh, a warning that
+    # -W error turned into a traceback; the profile is flat on the domain
+    cfg = tmp_path / "b.json"
+    write_config(
+        cfg,
+        {
+            "name": "far",
+            "params": {"mu": 1.0, "ua": 0.2},
+            "profile": {"kind": "tanh", "amplitude": -2.0, "center": center},
+            "sample_count": 201,
+            "n_feet": 201,
+        },
+    )
+    assert main(["blowup", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "far_blowup_report.json").read_text())
+    assert report["blows_up"] is False and report["t_star_oracle"] is None
 
 
 @pytest.mark.parametrize(
@@ -758,6 +779,51 @@ def test_write_csv_runs_equal_savetxt(tmp_path, table):
     assert (tmp_path / "a.csv").read_bytes() == expected
     write_csv(str(tmp_path / "b.csv"), header, [_run_text(columns[0])] + columns[1:])
     assert (tmp_path / "b.csv").read_bytes() == expected
+
+
+def test_write_csv_joins_runs_of_rows_as_savetxt_writes_them(tmp_path, monkeypatch):
+    # all columns text: a run of rows whose alpha and u repeat is one join,
+    # here rows 1 to n - 2, across two edges of _CSV_CHUNK_ROWS; the one-row
+    # runs at both ends and a one-row file go through the row template
+    templated = []
+    template_rows = cli._template_rows
+
+    def counted(fh, row, cells, i0, i1):
+        templated.extend(range(i0, i1))
+        template_rows(fh, row, cells, i0, i1)
+
+    monkeypatch.setattr(cli, "_template_rows", counted)
+    n = 2 * _CSV_CHUNK_ROWS + 3
+    x = np.linspace(-1.0, 2.0, n)
+    alpha = np.full(n, 0.008)
+    alpha[0], alpha[-1] = 0.003, -0.0
+    u = np.full(n, 1.0 / 3.0)
+    u[-1] = 1.5
+    for columns, rows in (((x, alpha, u), [0, n - 1]), ((x[:1], alpha[:1], u[:1]), [0])):
+        templated.clear()
+        expected = _savetxt_bytes(tmp_path / "ref.csv", ("x", "alpha", "u"), columns)
+        write_csv(str(tmp_path / "a.csv"), ("x", "alpha", "u"), (_run_text(columns[0]), *columns[1:]))
+        assert (tmp_path / "a.csv").read_bytes() == expected
+        assert templated == rows
+
+
+def test_exact_evaluates_each_snapshot_row_once(tmp_path, monkeypatch):
+    calls = []
+    snapshot_row = cli._exact_snapshot_row
+
+    def counted(solution, t):
+        calls.append(t)
+        return snapshot_row(solution, t)
+
+    monkeypatch.setattr(cli, "_exact_snapshot_row", counted)
+    cfg = tmp_path / "s.json"
+    write_config(cfg, DELTA_SCENARIO)
+    for command in ("exact", "compare"):
+        calls.clear()
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert calls == DELTA_SCENARIO["t_snapshots"], command
+        report = json.loads((tmp_path / f"delta_{command}_report.json").read_text())
+        assert [snap["t"] for snap in report["snapshots"]] == calls
 
 
 def test_write_csv_empty_columns_write_header_only(tmp_path):
