@@ -15,9 +15,11 @@ from .core import (
     RiemannData,
     SmoothProfile,
     characteristic_position,
+    cubic_profile,
     decay_integral,
     fan_velocity,
     relax_velocity,
+    tanh_profile,
 )
 from .burgers import BlowupReport, blowup, smooth_fields
 from .droplet import (

@@ -22,7 +22,7 @@ import numpy as np
 from . import fv, grh
 from ._runs import run_starts as _run_starts, run_text as _run_text
 from .burgers import blowup
-from .core import BlowupError, ModelParams, RiemannData, SmoothProfile
+from .core import BlowupError, ModelParams, RiemannData, SmoothProfile, cubic_profile, tanh_profile
 from .droplet import RiemannSolution, solve
 from .fv import FieldState, Grid1D, SolverAbort, advance, reconstruct_velocity
 from .svgplot import line_plot
@@ -405,41 +405,21 @@ def cmd_compare(args, cfg: dict, raw: str, out: str) -> int:
     return 0
 
 
-def _sech2(z):
-    """1/cosh(z)**2 as (2e/(1 + e*e))**2 with e = exp(-|z|): no overflow, where cosh overflows past |z| ~ 710."""
-    e = np.exp(-np.abs(z))
-    return (2.0 * e / (1.0 + e * e)) ** 2
-
-
 def _profile_from(cfg: dict) -> SmoothProfile:
     p = _object(_require(cfg, "profile"), "profile")
     kind = _require(p, "kind", "profile")
-    center = _number(p, "center", 0.0, "profile")
-    offset = _number(p, "offset", 0.0, "profile")
-    alpha0 = _number(p, "alpha0", 1.0, "profile")
-    domain = _domain(cfg, [-3.0, 3.0])
-    count = _count(cfg, "sample_count", 2001)
-    if kind == "tanh":
-        amp = _number(p, "amplitude", where="profile")
-        width = _number(p, "width", 1.0, "profile")
-        if width <= 0:
-            raise ConfigError("profile width must be positive")
-        u0 = lambda x: offset + amp * np.tanh((np.asarray(x) - center) / width)
-        u0p = lambda x: amp / width * _sech2((np.asarray(x) - center) / width)
-    elif kind == "cubic":
-        c1 = _number(p, "c1", where="profile")
-        c3 = _number(p, "c3", 0.0, "profile")
-        u0 = lambda x: offset + c1 * (np.asarray(x) - center) + c3 * (np.asarray(x) - center) ** 3
-        u0p = lambda x: c1 + 3.0 * c3 * (np.asarray(x) - center) ** 2
-    else:
-        raise ConfigError(f"unknown profile kind {kind!r} (expected 'tanh' or 'cubic')")
-    return SmoothProfile(
-        u0=u0,
-        u0_prime=u0p,
-        alpha0=lambda x: alpha0 + 0.0 * np.asarray(x, dtype=float),
-        domain=domain,
-        sample_count=count,
+    common = dict(
+        center=_number(p, "center", 0.0, "profile"),
+        offset=_number(p, "offset", 0.0, "profile"),
+        alpha0=_number(p, "alpha0", 1.0, "profile"),
+        domain=_domain(cfg, [-3.0, 3.0]),
+        sample_count=_count(cfg, "sample_count", 2001),
     )
+    if kind == "tanh":
+        return tanh_profile(_number(p, "amplitude", where="profile"), _number(p, "width", 1.0, "profile"), **common)
+    if kind == "cubic":
+        return cubic_profile(_number(p, "c1", where="profile"), _number(p, "c3", 0.0, "profile"), **common)
+    raise ConfigError(f"unknown profile kind {kind!r} (expected 'tanh' or 'cubic')")
 
 
 def cmd_blowup(args, cfg: dict, raw: str, out: str) -> int:

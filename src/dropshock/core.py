@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Tuple
 
 import numpy as np
@@ -35,10 +36,12 @@ __all__ = [
     "ModelParams",
     "RiemannData",
     "SmoothProfile",
+    "cubic_profile",
     "decay_integral",
     "relax_velocity",
     "characteristic_position",
     "fan_velocity",
+    "tanh_profile",
 ]
 
 
@@ -115,9 +118,12 @@ class RiemannData:
 class SmoothProfile:
     """C1 initial data (u0, alpha0) on a closed interval.
 
-    ``u0``, ``u0_prime`` and ``alpha0`` must accept numpy arrays.
+    ``u0``, ``u0_prime`` and ``alpha0`` must accept numpy arrays; alpha0
+    must be finite and nonnegative at the sample points.  Unless it is the
+    exact derivative of a ``tanh_profile`` or ``cubic_profile``,
     ``u0_prime`` is checked against central differences at the sample
-    points on construction (tolerance 1e-6 relative to max(1, |u0'|)).
+    points on construction (tolerance 1e-6 relative to max(1, |u0'|)),
+    and u0 and u0' must be finite there.
     """
 
     u0: Callable
@@ -134,23 +140,111 @@ class SmoothProfile:
             raise ValueError("sample_count must be at least 2")
         if self.sample_count > MAX_SAMPLES:
             raise ValueError(f"sample_count={self.sample_count} exceeds the limit of {MAX_SAMPLES}")
-        self._verify_derivative()
+        x = self.samples()
+        alpha0 = _finite_at(self.alpha0, x, "alpha0")
+        if not alpha0.min() >= 0.0:
+            raise ValueError(f"alpha0 must be nonnegative, got {float(alpha0.min())!r}")
+        if getattr(self.u0_prime, "func", None) not in (_tanh_prime, _cubic_prime):
+            self._verify_derivative(x)
 
     def samples(self) -> np.ndarray:
         return np.linspace(self.domain[0], self.domain[1], self.sample_count)
 
-    def _verify_derivative(self, rtol: float = 1e-6, h: float = 1e-6) -> None:
-        x = self.samples()
-        fd = (np.asarray(self.u0(x + h)) - np.asarray(self.u0(x - h))) / (2.0 * h)
-        claimed = np.asarray(self.u0_prime(x), dtype=float)
-        tol = rtol * np.maximum(1.0, np.abs(claimed))
-        bad = np.abs(fd - claimed) > tol
+    def _verify_derivative(self, x: np.ndarray, rtol: float = 1e-6, h: float = 1e-6) -> None:
+        u_right, u_left = _finite_at(self.u0, x + h, "u0"), _finite_at(self.u0, x - h, "u0")
+        claimed = _finite_at(self.u0_prime, x, "u0_prime")
+        with np.errstate(over="ignore"):  # a difference past the float range is inf, which fails
+            fd = (u_right - u_left) / (2.0 * h)
+            tol = rtol * np.maximum(1.0, np.abs(claimed))
+            bad = np.abs(fd - claimed) > tol
         if np.any(bad):
             i = int(np.argmax(bad))
             raise ValueError(
                 "u0_prime disagrees with central differences at "
                 f"x={x[i]:.6g}: claimed {claimed[i]:.6g}, finite difference {fd[i]:.6g}"
             )
+
+
+def _finite_at(f: Callable, x: np.ndarray, name: str) -> np.ndarray:
+    """f(x) as a float array of x's shape; ValueError names f and the first x where it is not finite."""
+    values = np.broadcast_to(np.asarray(f(x), dtype=float), x.shape)
+    finite = np.isfinite(values)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"{name} is not finite at x={x[i]:.6g}: {values[i]}")
+    return values
+
+
+def _sech2(z):
+    """1/cosh(z)**2 as (2e/(1 + e*e))**2 with e = exp(-|z|): no overflow, where cosh overflows past |z| ~ 710."""
+    e = np.exp(-np.abs(z))
+    return (2.0 * e / (1.0 + e * e)) ** 2
+
+
+# z = (x - center)/width may overflow to +-inf: harmless, as tanh(z) is +-1 there and _sech2(z) is 0
+@np.errstate(over="ignore")
+def _tanh(x, amplitude, width, center, offset):
+    return offset + amplitude * np.tanh((np.asarray(x) - center) / width)
+
+
+@np.errstate(over="ignore")
+def _tanh_prime(x, amplitude, width, center):
+    return amplitude / width * _sech2((np.asarray(x) - center) / width)
+
+
+def _cubic(x, c1, c3, center, offset):
+    return offset + c1 * (np.asarray(x) - center) + c3 * (np.asarray(x) - center) ** 3
+
+
+def _cubic_prime(x, c1, c3, center):
+    return c1 + 3.0 * c3 * (np.asarray(x) - center) ** 2
+
+
+def _constant(x, value):
+    return value + 0.0 * np.asarray(x, dtype=float)
+
+
+def _family_profile(u0, u0_prime, alpha0, domain, sample_count, u0_bound, u0_prime_bound) -> SmoothProfile:
+    """A family's profile, if its bounds on |u0| and |u0'| over the domain are finite: then no
+    evaluation on the domain overflows or warns.  Its u0' is exact, so SmoothProfile does not check it."""
+    profile = SmoothProfile(u0, u0_prime, partial(_constant, value=alpha0), domain, sample_count)
+    for name, bound in (("u0", u0_bound), ("u0_prime", u0_prime_bound)):
+        if not math.isfinite(bound):
+            raise ValueError(f"{name} leaves the float range on the domain {tuple(domain)!r}")
+    return profile
+
+
+def tanh_profile(amplitude, width=1.0, center=0.0, offset=0.0, alpha0=1.0, domain=(-3.0, 3.0),
+                 sample_count=2001) -> SmoothProfile:
+    """u0 = offset + amplitude*tanh((x - center)/width) and a constant alpha0.
+
+    Raises ValueError unless width > 0, center is finite and the bounds
+    |u0| <= |offset| + |amplitude| and |u0'| <= |amplitude|/width are finite.
+    """
+    if not (width > 0.0 and math.isfinite(center)):
+        raise ValueError(f"tanh profile needs width > 0 and a finite center, got width={width!r}, center={center!r}")
+    shape = dict(amplitude=amplitude, width=width, center=center)
+    return _family_profile(
+        partial(_tanh, offset=offset, **shape), partial(_tanh_prime, **shape), alpha0, domain, sample_count,
+        abs(offset) + abs(amplitude), abs(amplitude) / width,
+    )
+
+
+def cubic_profile(c1, c3=0.0, center=0.0, offset=0.0, alpha0=1.0, domain=(-3.0, 3.0),
+                  sample_count=2001) -> SmoothProfile:
+    """u0 = offset + c1*(x - center) + c3*(x - center)**3 and a constant alpha0.
+
+    With R = max|x - center| over the domain ends, raises ValueError unless
+    |u0| <= |offset| + |c1|*R + |c3|*R*R*R and |u0'| <= |c1| + 3|c3|*R*R are
+    finite.  R*R*R is formed first, as the formula forms (x - center)**3
+    even when c3 = 0, so a cube past the float range fails.
+    """
+    shape = dict(c1=c1, c3=c3, center=center)
+    r = max(abs(domain[0] - center), abs(domain[1] - center))
+    return _family_profile(
+        partial(_cubic, offset=offset, **shape), partial(_cubic_prime, **shape), alpha0, domain, sample_count,
+        abs(offset) + abs(c1) * r + abs(c3) * (r * r * r), abs(c1) + 3.0 * abs(c3) * (r * r),
+    )
 
 
 def _no_overflow(mu: float, tt: np.ndarray) -> np.ndarray:

@@ -47,6 +47,9 @@ _ROW_BLOCK = 32  # time rows per evaluation of psi in weak_residual: small tempo
 _ROUNDING = 1e-14  # relative bound, with a margin, on the rounding of a node and of its column
 
 
+# an overflow either makes a u0 difference non-finite, which is rejected, or
+# makes a gap +-inf through dv*tau, with the sign of the exact gap
+@np.errstate(over="ignore")
 def first_crossing_time(
     profile: SmoothProfile,
     params: ModelParams,
@@ -59,7 +62,8 @@ def first_crossing_time(
     adjacent pair the gap between their characteristic positions is
     monotone, so the crossing time is found by bisection; a pair drops out
     as soon as it can no longer hold the earliest crossing.  This is the
-    independent reference the blowup predictor is tested against.
+    independent reference the blowup predictor is tested against.  A u0
+    difference between adjacent feet that is not finite raises ValueError.
     """
     if n_feet < 3:
         raise ValueError("n_feet must be at least 3")
@@ -71,18 +75,23 @@ def first_crossing_time(
     x1, x2 = feet[:-1], feet[1:]
     v1 = np.asarray(profile.u0(x1), dtype=float)
     v2 = np.asarray(profile.u0(x2), dtype=float)
+    dx, dv = x2 - x1, v2 - v1
+    finite = np.isfinite(dv)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"u0 changes by {dv[i]} between the feet x={x1[i]:.6g} and x={x2[i]:.6g}")
 
     def gap(s):  # in the free frame, where the ua*s both positions share cancels exactly
-        return (x2 - x1) + (v2 - v1) * decay_integral(params.mu, s)
+        return dx + dv * decay_integral(params.mu, s)
 
     crossing = gap(t_max) < 0.0
     if not np.any(crossing):
         return None
     # gap reads these names at call time: bisect only the crossing pairs
-    x1, v1, x2, v2 = x1[crossing], v1[crossing], x2[crossing], v2[crossing]
+    dx, dv = dx[crossing], dv[crossing]
 
-    lo = np.zeros(x1.shape)
-    hi = np.full(x1.shape, float(t_max))
+    lo = np.zeros(dx.shape)
+    hi = np.full(dx.shape, float(t_max))
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         still_open = gap(mid) > 0.0
@@ -92,7 +101,7 @@ def first_crossing_time(
         # midpoint than that pair, so dropping it leaves the minimum as it is
         keep = lo <= hi[hi.argmin()]
         if not keep.all():
-            x1, v1, x2, v2, lo, hi = x1[keep], v1[keep], x2[keep], v2[keep], lo[keep], hi[keep]
+            dx, dv, lo, hi = dx[keep], dv[keep], lo[keep], hi[keep]
     return float(np.min(0.5 * (lo + hi)))
 
 

@@ -6,6 +6,7 @@ independent oracle (series, quadrature, or adaptive ODE integration) at
 run time so the literals never drift from their definitions.
 """
 
+import functools
 import math
 from typing import Optional
 
@@ -69,26 +70,9 @@ def velocity_solution(data, params):
     return ds.solve(data, params)
 
 
-def make_tanh_profile(amplitude, width=1.0, center=0.0, offset=0.0,
-                      domain=(-4.0, 4.0), alpha0=0.01, sample_count=2001):
-    return ds.SmoothProfile(
-        u0=lambda x: offset + amplitude * np.tanh((np.asarray(x, float) - center) / width),
-        u0_prime=lambda x: amplitude / width / np.cosh((np.asarray(x, float) - center) / width) ** 2,
-        alpha0=lambda x: alpha0 + 0.0 * np.asarray(x, float),
-        domain=domain,
-        sample_count=sample_count,
-    )
-
-
-def make_cubic_profile(c1, c3, center=0.0, offset=0.0,
-                       domain=(-2.0, 2.0), alpha0=0.01, sample_count=2001):
-    return ds.SmoothProfile(
-        u0=lambda x: offset + c1 * (np.asarray(x, float) - center) + c3 * (np.asarray(x, float) - center) ** 3,
-        u0_prime=lambda x: c1 + 3.0 * c3 * (np.asarray(x, float) - center) ** 2,
-        alpha0=lambda x: alpha0 + 0.0 * np.asarray(x, float),
-        domain=domain,
-        sample_count=sample_count,
-    )
+# the library's profile families on the tests' own domains and alpha0
+make_tanh_profile = functools.partial(ds.tanh_profile, alpha0=0.01, domain=(-4.0, 4.0))
+make_cubic_profile = functools.partial(ds.cubic_profile, alpha0=0.01, domain=(-2.0, 2.0))
 
 
 def random_admissible(rng):

@@ -232,13 +232,7 @@ def test_blowup_subcritical_slope():
 
 
 def test_blowup_constant_profile():
-    prof = ds.SmoothProfile(
-        u0=lambda x: 0.3 + 0.0 * np.asarray(x, float),
-        u0_prime=lambda x: 0.0 * np.asarray(x, float),
-        alpha0=lambda x: 1.0 + 0.0 * np.asarray(x, float),
-        domain=(-1.0, 1.0),
-        sample_count=11,
-    )
+    prof = ds.cubic_profile(0.0, offset=0.3, domain=(-1.0, 1.0), sample_count=11)
     assert not blowup(prof, ds.ModelParams(0.0, 0.0)).blows_up
 
 
@@ -274,22 +268,21 @@ def test_blowup_coarse_samples_find_the_foot():
 
 
 def test_blowup_scalar_and_nan_slopes():
-    def linear(u0_prime):
-        return ds.SmoothProfile(
-            u0=lambda x: -2.0 * np.asarray(x, float),
-            u0_prime=u0_prime,
-            alpha0=lambda x: 1.0 + 0.0 * np.asarray(x, float),
-            domain=(-1.0, 1.0),
-        )
+    def profile(u0, u0_prime, sample_count=2001):
+        return ds.SmoothProfile(u0, u0_prime, lambda x: 1.0 + 0.0 * x, domain=(-1.0, 1.0), sample_count=sample_count)
 
     p = ds.ModelParams(0.5, 0.0)
     # a u0_prime that returns a scalar for an array of points
-    rep = blowup(linear(lambda x: -2.0), p)
+    rep = blowup(profile(lambda x: -2.0 * x, lambda x: -2.0), p)
     assert rep.blows_up and rep.t_star == blowup_time_for_slope(-2.0, 0.5) == 0.5753641449035618
-    # a NaN slope never qualifies
-    rep = blowup(linear(lambda x: np.where(np.asarray(x) < 0.0, np.nan, -2.0)), p)
-    assert rep.t_star == 0.5753641449035618 and rep.x0_star >= 0.0
-    assert not blowup(linear(lambda x: np.full(np.shape(x), np.nan)), p).blows_up
+    # a NaN slope never qualifies: SmoothProfile checks u0' = x^2 - 2 at the
+    # samples -1, 0 and 1 only; between them it is NaN left of 0 and -3 right
+    # of it, which the rescans around x = 0 must find
+    def nan_off_the_samples(x):
+        return np.where(np.isin(x, (-1.0, 0.0, 1.0)), x * x - 2.0, np.where(x < 0.0, np.nan, -3.0))
+
+    rep = blowup(profile(lambda x: x**3 / 3.0 - 2.0 * x, nan_off_the_samples, sample_count=3), p)
+    assert rep.t_star == blowup_time_for_slope(-3.0, 0.5) and rep.x0_star > 0.0
 
 
 def test_smooth_fields_flat_slope_transports_alpha():

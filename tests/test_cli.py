@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import dropshock as ds
 from dropshock import cli
+from dropshock.burgers import blowup_time_for_slope
 from dropshock.cli import _CSV_CHUNK_ROWS, _run_text, build_parser, main, write_csv
 
 from helpers import LN2, OMEGA1_FULL, PARAMS_02, SIGMA1_FULL
@@ -129,15 +130,26 @@ def test_cells_override(tmp_path):
     assert len(lines) == 1 + 64
 
 
-def test_blowup_report(tmp_path):
+@pytest.mark.parametrize(
+    "width, sample_count, t_star, oracle_abs",
+    [
+        pytest.param(1.0, 2001, LN2, 1e-5, id="tanh"),
+        # u0' = -2e4 at the sample on the centre, where the central-difference
+        # check read -19999.3 and exited 2; the feet are 1.5e-3 apart, one on
+        # the centre, and the mean slope -2/1.5e-3 beside it reads 7.5e-4
+        pytest.param(1e-4, 201, blowup_time_for_slope(-2e4, 1.0), 1e-3, id="steep-tanh"),
+    ],
+)
+def test_blowup_report(tmp_path, width, sample_count, t_star, oracle_abs):
     cfg = tmp_path / "b.json"
     write_config(
         cfg,
         {
             "name": "tanh",
             "params": {"mu": 1.0, "ua": 0.2},
-            "profile": {"kind": "tanh", "amplitude": -2.0, "width": 1.0},
+            "profile": {"kind": "tanh", "amplitude": -2.0, "width": width},
             "domain": [-3.0, 3.0],
+            "sample_count": sample_count,
             "t_max": 50.0,
             "n_feet": 4001,
         },
@@ -145,8 +157,8 @@ def test_blowup_report(tmp_path):
     assert main(["blowup", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "tanh_blowup_report.json").read_text())
     assert report["blows_up"] is True
-    assert report["t_star_formula"] == pytest.approx(LN2, abs=1e-9)
-    assert report["t_star_oracle"] == pytest.approx(LN2, abs=1e-5)
+    assert report["t_star_formula"] == t_star
+    assert report["t_star_oracle"] == pytest.approx(t_star, abs=oracle_abs)
 
 
 @pytest.mark.parametrize("center", [1e300, -1e308])
@@ -483,6 +495,15 @@ def with_flags(command, *flags):
         pytest.param(run_as("blowup", profile=TANH, t_max=float("inf")), id="blowup-t_max-inf"),
         pytest.param(run_as("blowup", profile=dict(TANH, width=None)), id="blowup-width-null"),
         pytest.param(run_as("blowup", profile=dict(TANH, width=0)), id="blowup-width-zero"),
+        # u0 overflowed with a warning, then the central-difference check blamed u0_prime
+        pytest.param(with_message(run_as("blowup", profile={"kind": "cubic", "c1": -1.0, "c3": 1e300},
+                                         domain=[-1e3, 1e3]), "u0 leaves the float range"), id="blowup-cubic-c3-1e300"),
+        # the width 1e-310 read t* 0.0 against an oracle of 0.0151
+        pytest.param(with_message(run_as("blowup", profile=dict(TANH, width=1e-310)), "u0_prime leaves the float range"),
+                     id="blowup-tanh-width-1e-310"),
+        # RiemannData rejects a negative density too
+        pytest.param(with_message(run_as("blowup", profile=dict(TANH, alpha0=-1.0)), "alpha0 must be nonnegative"),
+                     id="blowup-alpha0-negative"),
         *[
             pytest.param(run_as(command, **{block: value}), id=f"{block}-{json.dumps(value)}")
             for command, block in (("exact", "params"), ("exact", "riemann"), ("blowup", "profile"))
@@ -912,34 +933,52 @@ FUZZ_FIELDS = [("params", "mu"), ("params", "ua"), ("riemann", "alpha_l"), ("rie
 FUZZ_VALUES = [0.0, -0.0, 5e-324, 1e-300, -1e-300, 1e-12, 1e-9, 0.5, 1.0, 2.0, -1.0, 1e12, 1e150, 1e300, -1e300,
                1.7e308]
 VACUUM_CHANGES = [(("riemann", "u_l"), 0.5), (("riemann", "u_r"), 1.5)]
+CUBIC_FULL = dict(PROFILE_FULL, profile={"kind": "cubic", "c1": -1.5, "c3": 0.3, "center": 0.1, "offset": 0.2,
+                                         "alpha0": 0.5})
+# a case is a command and the fields it fuzzes; `blowup` runs the tanh or the cubic family
+FUZZ_CASES = {command: (FUZZ_BASE, FUZZ_FIELDS) for command in ("exact", "simulate", "compare", "grh")}
+FUZZ_CASES.update({
+    f"blowup {base['profile']['kind']}": (base, [("params", "mu"), ("params", "ua"), ("domain", 0), ("domain", 1),
+                                                 ("t_max",)] + [("profile", key) for key in keys])
+    for base, keys in ((PROFILE_FULL, ("amplitude", "width", "center", "offset", "alpha0")),
+                       (CUBIC_FULL, ("c1", "c3", "center", "offset", "alpha0")))
+})
 
 
 def _no_constant(name):
     raise AssertionError(f"a report holds {name}")
 
 
-@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(
-    command=st.sampled_from(["exact", "simulate", "compare", "grh"]),
-    changes=st.lists(st.tuples(st.sampled_from(FUZZ_FIELDS), st.sampled_from(FUZZ_VALUES)), min_size=1, max_size=3),
-)
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=st.sampled_from(list(FUZZ_CASES)).flatmap(lambda label: st.tuples(st.just(label), st.lists(
+    st.tuples(st.sampled_from(FUZZ_CASES[label][1]), st.sampled_from(FUZZ_VALUES)), min_size=1, max_size=3))))
 # each warned "overflow encountered in divide" (the fan on every cell) or
 # "in multiply" (the shock position) and exited 0
-@example(command="exact", changes=VACUUM_CHANGES + [(("t_snapshots",), [5e-324])])
-@example(command="compare", changes=VACUUM_CHANGES + [(("t_snapshots",), [5e-324, 0.1])])
-@example(command="exact", changes=VACUUM_CHANGES + [(("domain", 1), 1.7e308)])
-@example(command="exact", changes=[(("params", "ua"), 2.0), (("t_snapshots",), [1.7e308])])
+@example(case=("exact", VACUUM_CHANGES + [(("t_snapshots",), [5e-324])]))
+@example(case=("compare", VACUUM_CHANGES + [(("t_snapshots",), [5e-324, 0.1])]))
+@example(case=("exact", VACUUM_CHANGES + [(("domain", 1), 1.7e308)]))
+@example(case=("exact", [(("params", "ua"), 2.0), (("t_snapshots",), [1.7e308])]))
 # an L1 error past the float range warned; a relative mass error over a
 # subnormal point mass was written as inf; the sqrt-weighted initial speed
 # overflowed to inf, and relaxing it warned
-@example(command="compare", changes=[(("params", "ua"), 1e150), (("domain", 1), 1e300)])
-@example(command="compare", changes=[(("params", "mu"), 1.7e308), (("riemann", "alpha_r"), 1e12)])
-@example(command="exact", changes=[(("params", "mu"), 1e150), (("riemann", "u_l"), 1.7e308),
-                                   (("riemann", "alpha_l"), 1e150)])
-def test_extreme_values_end_cleanly(monkeypatch, capsys, command, changes):
+@example(case=("compare", [(("params", "ua"), 1e150), (("domain", 1), 1e300)]))
+@example(case=("compare", [(("params", "mu"), 1.7e308), (("riemann", "alpha_r"), 1e12)]))
+@example(case=("exact", [(("params", "mu"), 1e150), (("riemann", "u_l"), 1.7e308),
+                         (("riemann", "alpha_l"), 1e150)]))
+# blowup warned "overflow encountered in power" ((x - center)**3), "in
+# multiply" (c1*(x - center)), "in divide" ((x - center)/width), and in the
+# crossing oracle "in subtract" (u0 at two adjacent feet) and "in multiply" (dv*tau)
+@example(case=("blowup cubic", [(("domain", 1), 1e300)]))
+@example(case=("blowup cubic", [(("profile", "center"), 1.7e308), (("params", "ua"), 1e150)]))
+@example(case=("blowup tanh", [(("profile", "width"), 5e-324)]))
+@example(case=("blowup tanh", [(("profile", "amplitude"), 1.7e308), (("domain", 1), 1e300)]))
+@example(case=("blowup tanh", [(("profile", "amplitude"), -1e300), (("params", "mu"), 0.0), (("t_max",), 1.7e308)]))
+def test_extreme_values_end_cleanly(monkeypatch, capsys, case):
     # a run that could only end at the step cap ends at 2,000 steps instead
     monkeypatch.setattr(ds.fv, "MAX_STEPS", 2000)
-    scenario = json.loads(json.dumps(FUZZ_BASE))
+    label, changes = case
+    command = label.split()[0]
+    scenario = json.loads(json.dumps(FUZZ_CASES[label][0]))
     for path, value in changes:
         block = scenario
         for key in path[:-1]:

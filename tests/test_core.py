@@ -249,6 +249,22 @@ def test_smooth_profile_rejects_wrong_derivative():
         )
 
 
+@pytest.mark.parametrize(
+    "u0, u0_prime, alpha0, match",
+    [
+        # inf - inf warned "invalid value encountered in subtract" in the central difference
+        (lambda x: np.where(x > 0.0, np.inf, 0.0), lambda x: 0.0 * x, 1.0, "u0 is not finite at x=1e-06"),
+        (np.sin, lambda x: np.full(np.shape(x), np.nan), 1.0, "u0_prime is not finite at x=-2"),
+        (np.sin, np.cos, -1.0, "alpha0 must be nonnegative, got -1.0"),  # as RiemannData's densities
+        (np.sin, np.cos, np.inf, "alpha0 is not finite at x=-2"),
+    ],
+    ids=["u0-inf-right-of-0", "u0_prime-nan", "alpha0-negative", "alpha0-inf"],
+)
+def test_smooth_profile_rejects_non_finite_values_and_negative_alpha0(u0, u0_prime, alpha0, match):
+    with pytest.raises(ValueError, match=match):
+        ds.SmoothProfile(u0, u0_prime, lambda x: alpha0 + 0.0 * x, domain=(-2.0, 2.0), sample_count=101)
+
+
 def test_model_params_validation():
     with pytest.raises(ValueError):
         ds.ModelParams(-0.1, 1.0)
