@@ -108,10 +108,7 @@ _HULL_PAD = 1e-9
 
 # advance grows its window by this many cells per side at a time (see the
 # module docstring).  A larger chunk relayouts less often but steps more
-# idle copies.  Median perfbench wall_s (8 s runs on a shared 2-core VM,
-# 3-7 runs each) for 1 (one cell a step), 8, 12, 16, 24, 32, 64:
-# delta_compare 0.1048, 0.0984, 0.1006, 0.0997, 0.1004, 0.1020, 0.1058 s;
-# vacuum_fine 0.1270, 0.1162, 0.1128, 0.1136, 0.1127, 0.1118, 0.1132 s
+# idle copies; the sweep that chose 16 is in CHANGES.md
 _GROW = 16
 
 # advance's work buffers start _STAGGER*k bytes past a _PAGE boundary, k = 0, 1, ...
@@ -477,17 +474,15 @@ def advance(
         np.subtract(s_upd, np.multiply(np.subtract(f_upper, f_lower, d_upd), lam, d_upd), s_upd)
 
         a_lo = awv[aw_argmin()]
+        if _nonfinite(aw, pw, a_lo):  # before the sign: a -inf or a bad p aborts as non-finite
+            raise SolverAbort(f"non-finite state at step {step} (t={t + dt:.6g})")
         if a_lo < -1e-13:
-            if _nonfinite(aw, pw, a_lo):  # a -inf or a bad p aborts as non-finite, not negative
-                raise SolverAbort(f"non-finite state at step {step} (t={t + dt:.6g})")
             k = int(aw_argmin())  # the grid's first such cell: cells 0..lo repeat window cell 0
             raise SolverAbort(
                 f"negative volume fraction {a_lo:g} in cell {lo + k if k else 0} at step {step} (t={t + dt:.6g})"
             )
         if a_lo <= 0.0:
             np.maximum(aw, _ZERO, out=aw)
-        if _nonfinite(aw, pw, a_lo):
-            raise SolverAbort(f"non-finite state at step {step} (t={t + dt:.6g})")
         t = t_end if remaining <= dt * (1.0 + 1e-12) else t + dt
 
     # q = alpha*ua + c*p at the final time; alpha*ua may overflow here

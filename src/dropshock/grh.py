@@ -40,20 +40,14 @@ __all__ = [
 
 # Largest RK4 step count integrate accepts.  Memory: four float64 output
 # arrays of MAX_STEPS + 1 nodes (320 MB at the cap; the returned speed adds
-# a fifth) plus one chunk's arrays and one run's float lists (~0.5 MB,
-# measured with tracemalloc).
+# a fifth) plus one chunk's arrays and its steps' floats (~0.5 MB, measured
+# with tracemalloc).
 MAX_STEPS = 10**7
-# RK4 steps whose limit states are evaluated in one call of each callable
-# and whose monitors run as one pass.  Traced memory beyond the outputs,
-# one run of floats included: 512: 0.15 MB, 1024: 0.27 MB, 2048: 0.51 MB,
-# 4096: 1.0 MB, 8192: 1.9 MB.  2048 makes one chunk of a 1,000-step run
-# and five of a 10,000-step one; 8192 timed the same within noise.
-_CHUNK = 2048
-# RK4 steps whose coefficients are Python floats at one time.  A run holds
-# 9 floats per step (6 new ones); traced run memory 256: 0.12 MB, 512:
-# 0.24 MB, 1024: 0.48 MB.  512 ran the integrate-only timings 8-10% faster
-# than 256, and 1024 only 3-5% faster again at twice the memory.
-_BLOCK = 512
+# RK4 steps whose limit states are evaluated in one call of each callable,
+# whose coefficients are Python floats at one time and whose monitors run
+# as one pass.  A chunk's memory grows with its size, 9 floats per step (6
+# new ones), while a larger chunk saves little time; the sweep is in CHANGES.md.
+_CHUNK = 1024
 
 
 class GrhMonitorError(RuntimeError):
@@ -88,7 +82,7 @@ def _chunk_states(limits, ts, c0: int, dt: float, t_end: float):
 def _run_chunk(ts, ws, ms, xs, params: ModelParams, c0: int, hs: np.ndarray, lim: np.ndarray) -> None:
     """The RK4 steps of the chunk from node c0 into ws, ms and xs; see ``_chunk_states``.
 
-    The steps run in runs of at most ``_BLOCK`` steps with one h, then the
+    The steps run in runs of one h, cut only where h changes, then the
     monitors check them all; see ``integrate``, whose numpy error state
     this runs under.
     """
@@ -100,8 +94,8 @@ def _run_chunk(ts, ws, ms, xs, params: ModelParams, c0: int, hs: np.ndarray, lim
     # stage-4 times but for the last, which may be the final node t_end
     ul, ur = (np.concatenate((v[1:nc], v[-1:])) for v in lim[1::2])
     tol = 1e-9 * np.maximum(np.maximum(np.abs(ul), np.abs(ur)), 1.0)
-    # runs of at most _BLOCK steps with one h; a tail step has its own
-    cuts = sorted({*range(0, nc, _BLOCK), *run_starts(hs).tolist()}) + [nc]
+    # runs of one h: in practice the final step is the only one of its own
+    cuts = run_starts(hs).tolist() + [nc]
     k = c0  # the steps completed
     held = None
     for r0, r1 in zip(cuts, cuts[1:]):
@@ -154,7 +148,6 @@ def _run_chunk(ts, ws, ms, xs, params: ModelParams, c0: int, hs: np.ndarray, lim
         j = len(out_w)
         ws[k + 1 : k + j + 1], ms[k + 1 : k + j + 1], xs[k + 1 : k + j + 1] = out_w, out_m, out_x
         k += j
-        del at_nodes, per_step  # the run's floats, before the next run makes its own
         if held is not None:
             break
 
@@ -274,14 +267,15 @@ def integrate(
     but for the final step, whose node is forced to t_end, so the stage-4
     coefficients (a, b, c) of a step are the next step's stage-1 floats,
     and the monitor reads the last node for the final step.  The steps of a
-    chunk become Python floats in runs of at most ``_BLOCK`` steps with one
-    h; every step before the tail has h = dt, and a tail step's h is in
-    practice its own.  The RK4 stages are float arithmetic on these
-    coefficients.  The monitors are checked once per chunk, after its
-    steps, as array comparisons on the new masses and speeds against the
-    bounds at the nodes that end the steps; the first step that fails
-    raises the message a step-by-step loop would have, with the mass check
-    before the speed check.  A stage-mass error in the chunk is raised only
+    chunk become Python floats in runs of one h, cut only where h changes:
+    every step before the tail has h = dt, and a tail step's h is in
+    practice its own, so a chunk is one run, or two if its final step is
+    short.  The RK4 stages are float arithmetic on these coefficients.  The
+    monitors are checked once per chunk, after its steps, as array
+    comparisons on the new masses and speeds against the bounds at the
+    nodes that end the steps; the first step that fails raises the message
+    a step-by-step loop would have, with the mass check before the speed
+    check.  A stage-mass error in the chunk is raised only
     if no earlier step of it failed a monitor.  Node times are therefore
     those of a step-by-step loop bit for bit, and so are mass, momentum,
     speed, position and abort messages whenever the callables give the

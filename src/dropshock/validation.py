@@ -60,8 +60,10 @@ def first_crossing_time(
 
     Brute force over ``n_feet`` equally spaced foot points: for each
     adjacent pair the gap between their characteristic positions is
-    monotone, so the crossing time is found by bisection; a pair drops out
-    as soon as it can no longer hold the earliest crossing.  This is the
+    monotone, so the crossing time is found by bisection from [0, t_max].
+    The bisection runs until every bracket is two adjacent floats, however
+    early the crossing, and returns the least midpoint; a pair drops out as
+    soon as it can no longer hold the earliest crossing.  This is the
     independent reference the blowup predictor is tested against.  A u0
     difference between adjacent feet that is not finite raises ValueError.
     """
@@ -92,8 +94,12 @@ def first_crossing_time(
 
     lo = np.zeros(dx.shape)
     hi = np.full(dx.shape, float(t_max))
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
+    while True:
+        # halving a normal float is exact, so this is 0.5*(lo + hi) bit for
+        # bit above 2^-1021, and it cannot overflow near the largest float
+        mid = 0.5 * lo + 0.5 * hi
+        if ((mid == lo) | (mid == hi)).all():  # every bracket is two adjacent floats
+            return float(np.min(mid))
         still_open = gap(mid) > 0.0
         lo = np.where(still_open, mid, lo)
         hi = np.where(still_open, hi, mid)
@@ -102,7 +108,6 @@ def first_crossing_time(
         keep = lo <= hi[hi.argmin()]
         if not keep.all():
             dx, dv, lo, hi = dx[keep], dv[keep], lo[keep], hi[keep]
-    return float(np.min(0.5 * (lo + hi)))
 
 
 def _bump(s: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

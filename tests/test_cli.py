@@ -161,6 +161,37 @@ def test_blowup_report(tmp_path, width, sample_count, t_star, oracle_abs):
     assert report["t_star_oracle"] == pytest.approx(t_star, abs=oracle_abs)
 
 
+@pytest.mark.parametrize(
+    "amplitude, mu, t_max",
+    [
+        # t* = 1e-300: 80 halvings of [0, t_max] read 2.07e-23, and 7.03e283
+        # at t_max 1.7e308
+        pytest.param(-1e300, 1.0, 50.0, id="t_star-1e-300"),
+        pytest.param(-1e300, 0.0, 1.7e308, id="t_star-1e-300-t_max-1.7e308"),
+        # t* = 1e308: the midpoint (lo + hi)/2 overflowed to inf and exited 2
+        pytest.param(-1e-308, 0.0, 1.7e308, id="t_star-1e308"),
+    ],
+)
+def test_blowup_oracle_resolves_extreme_crossing_times(tmp_path, amplitude, mu, t_max):
+    cfg = tmp_path / "b.json"
+    write_config(
+        cfg,
+        {
+            "name": "tanh",
+            "params": {"mu": mu, "ua": 0.2},
+            "profile": {"kind": "tanh", "amplitude": amplitude},
+            "sample_count": 201,
+            "t_max": t_max,
+            "n_feet": 201,
+        },
+    )
+    assert main(["blowup", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "tanh_blowup_report.json").read_text())
+    assert report["blows_up"] is True
+    # the feet 0.03 apart make the oracle's secant slope 3e-4 shallower than u0'(0)
+    assert report["t_star_oracle"] == pytest.approx(report["t_star_formula"], rel=1e-3, abs=0.0)
+
+
 @pytest.mark.parametrize("center", [1e300, -1e308])
 def test_blowup_tanh_far_from_the_domain_ends_cleanly(tmp_path, center):
     # sech^2 at |z| ~ 1e300: 1/cosh(z)**2 overflowed in cosh, a warning that

@@ -166,12 +166,13 @@ def _switch(t0, before, after):
 
 
 # CROSSING at dt = 1e-3 leaves the speed interval at step 699; from t = 0.8 on,
-# steps 800 on of the same 512-step run of floats, a right density of -1e6
-# drives a stage mass below 0
+# steps 800 on of the same chunk, a right density of -1e6 drives a stage mass
+# below 0
 SPEED_THEN_STAGE = LimitStates(
     alpha_l=_const(1.0), u_l=CROSSING.u_l, alpha_r=_switch(0.8, 1.0, -1e6), u_r=_const(0.0)
 )
-# the same from t = 1.6, steps 1600 on: a later run of the same chunk
+# the same from t = 1.6, steps 1600 on: the next chunk, which the speed abort
+# keeps from running
 SPEED_THEN_LATE_STAGE = LimitStates(
     alpha_l=_const(1.0), u_l=CROSSING.u_l, alpha_r=_switch(1.6, 1.0, -1e6), u_r=_const(0.0)
 )
@@ -205,7 +206,7 @@ def test_monotone_mass_and_entropy_randomized():
 
 def _assert_agrees_with_reference(z0, sigma0, t_end, dt, states, params, eps_seed=None):
     # every output bit for bit: the limit states give the same bits for a
-    # float time as for that time in a block's array; an abort must be the
+    # float time as for that time in a chunk's array; an abort must be the
     # same exception with the same message (step, stage time and values)
     args = (z0, sigma0, t_end, dt, states, params, eps_seed)
     try:
@@ -222,14 +223,12 @@ def _assert_agrees_with_reference(z0, sigma0, t_end, dt, states, params, eps_see
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), t_end=st.floats(0.05, 3.0), dt=st.floats(1e-3, 0.05))
-# 255, 256, 257 and 513 steps: one block short of, at and past the edge of
-# a 256-step block
+# 255, 256, 257 and 513 steps, then 511 to 514 and 1025 of dt = 2^-7: the
+# final node at several places inside the first chunk, and one step past it
 @example(seed=1, t_end=2.55, dt=0.01)
 @example(seed=2, t_end=2.56, dt=0.01)
 @example(seed=3, t_end=2.57, dt=0.01)
 @example(seed=4, t_end=2.565, dt=0.005)
-# 511, 512, 513, 514 and 1025 steps of dt = 2^-7: one run of floats short
-# of, at and past the edge of a 512-step run
 @example(seed=6, t_end=511 / 128, dt=1 / 128)
 @example(seed=7, t_end=512 / 128, dt=1 / 128)
 @example(seed=8, t_end=513 / 128, dt=1 / 128)
@@ -263,8 +262,10 @@ OMEGA0_DATA = ds.RiemannData(0.008, 1.5, 0.003, 0.5, omega0=0.01)
         pytest.param(GrhState(0.0, 0.0), None, 1.0, 3e-3, STATES, PARAMS_02, None, id="short-last-step"),
         # ten steps of 0.1 sum to 0.9999999999999999: the last node is set to t_end
         pytest.param(GrhState(0.0, 0.0), None, 1.0, 0.1, STATES, PARAMS_02, None, id="last-node-is-t_end"),
+        # 3334 steps, four chunks
         pytest.param(GrhState(0.0, 0.0), None, 1.0, 3e-4, STATES, PARAMS_02, None, id="many-blocks"),
         pytest.param(GrhState(0.0, 0.0), 0.5, 3.0, 1e-2, CROSSING, FREE, None, id="entropy-abort"),
+        # aborts at step 280, in the first chunk, and at step 6982, in the seventh
         pytest.param(GrhState(0.0, 0.0), 0.5, 3.0, 2.5e-3, CROSSING, FREE, None, id="entropy-abort-second-block"),
         pytest.param(GrhState(0.0, 0.0), 0.5, 3.0, 1e-4, CROSSING, FREE, None, id="entropy-abort-late-block"),
         pytest.param(GrhState(1.0, 0.5 + 7e-10), None, 1.0, 1e-2, EQUAL, FREE, None, id="speed-inside-tolerance"),
@@ -273,7 +274,8 @@ OMEGA0_DATA = ds.RiemannData(0.008, 1.5, 0.003, 0.5, omega0=0.01)
         pytest.param(GrhState(1.0, 0.5), None, 0.75, 0.75, STAGE4_NEGATIVE, FREE, None,
                      id="nonpositive-stage-4-abort"),
         # the chunk runs on past the speed abort at step 699 to a stage mass
-        # <= 0 at step 800, or at step 1600: the monitor's error is the one raised
+        # <= 0 at step 800: the monitor's error is the one raised; a stage mass
+        # <= 0 from step 1600 on lies in the next chunk, which never runs
         pytest.param(GrhState(0.0, 0.0), 0.5, 3.0, 1e-3, SPEED_THEN_STAGE, FREE, None, id="speed-abort-before-stage-abort"),
         pytest.param(GrhState(0.0, 0.0), 0.5, 3.0, 1e-3, SPEED_THEN_LATE_STAGE, FREE, None,
                      id="speed-abort-runs-before-stage-abort"),
@@ -281,13 +283,13 @@ OMEGA0_DATA = ds.RiemannData(0.008, 1.5, 0.003, 0.5, omega0=0.01)
         pytest.param(GrhState(0.0, 0.0), 0.5, 0.7, 1e-2, CROSSING, FREE, None, id="entropy-abort-final-step"),
         pytest.param(GrhState(0.0, 0.0), None, 1.0, 1e-2, _negative_right_density_from(0.995, -1e6), FREE, None,
                      id="nonpositive-stage-abort-final-step"),
-        # step 713, in the middle of the second 512-step run
+        # step 713, in the middle of the first chunk
         pytest.param(GrhState(0.0, 0.0), None, 1.0, 1e-3, _negative_right_density_from(0.7125, -1.0), FREE, None,
                      id="mass-decrease-abort-late-block"),
         # the same step also leaves the speed interval, now empty: the mass check comes first
         pytest.param(GrhState(0.0, 0.0), None, 1.0, 1e-3, _negative_right_density_from(0.7125, -1.0, 0.0), FREE, None,
                      id="mass-and-speed-abort-same-step"),
-        # steps 2793 and 2851, in the second chunk
+        # steps 2793 and 2851, in the third chunk
         pytest.param(GrhState(0.0, 0.0), 0.5, 3.0, 2.5e-4, CROSSING, FREE, None, id="entropy-abort-second-chunk"),
         pytest.param(GrhState(0.0, 0.0), None, 1.0, 2.5e-4, _negative_right_density_from(0.7125, -1.0), FREE, None,
                      id="mass-decrease-abort-second-chunk"),
@@ -330,12 +332,12 @@ def test_limit_states_evaluated_once_per_chunk():
 
 
 def test_integrate_memory_beyond_its_outputs_is_bounded():
-    # 10^4 steps, five chunks: beyond the outputs (t, mass, momentum and
-    # position, 0.32 MB) one chunk's arrays and one run of floats add about
-    # 0.56 MB whatever the step count, and the speed formed at return
-    # 0.08 MB; keeping every step's new floats would add 1 MB.  Under
-    # tracemalloc 10^5 steps take about 15 s (0.2 s untraced) and read
-    # 0.93 MB, the speed 0.8 MB of it.
+    # 10^4 steps, ten chunks: beyond the outputs (t, mass, momentum and
+    # position, 0.32 MB) one chunk's arrays and floats peak at about
+    # 0.49 MB whatever the step count, and the speed formed at return,
+    # 0.08 MB, comes after them; keeping every step's new floats would add
+    # 1 MB.  Under tracemalloc 10^5 steps take about 12 s (0.2 s untraced)
+    # and read 0.85 MB, the speed 0.8 MB of it.
     integrate(GrhState(0.0, 0.0), None, 1e-3, 1e-4, STATES, PARAMS_02)  # imports and caches outside the trace
     tracemalloc.start()
     try:

@@ -27,7 +27,7 @@ formatter (such as the run formatter) with the plot.
 must equal byte for byte, abort messages included.  It may take from
 ``dropshock.grh`` only the step cap, the monitor exception and the state,
 trajectory and limit-state types, so it cannot share the jump
-coefficients, the block size or the block loop with the code it checks.
+coefficients, the chunk size or the chunk loop with the code it checks.
 
 ``helpers.reference_front_fields`` and ``reference_vacuum_fields`` are the
 two per-kind bodies that ``regular_fields`` replaced and must equal bit for
@@ -365,8 +365,8 @@ STEP_COUNT = "    n_steps = max(1, math.ceil(t_end / dt - 1e-12))\n"
         ([(GRH_IMPORT, GRH_IMPORT[:-1] + ", _nonpositive_mass\n"), (NONPOSITIVE, "raise _nonpositive_mass(w, t)")],
          "grh._nonpositive_mass"),
         ([(STEP_COUNT, STEP_COUNT + "    _ = ds.integrate\n")], "reference_integrate: grh.integrate"),
-        ([("import math\n", "import math\nfrom dropshock import grh as G\n_block = G._BLOCK\n"),
-          (STEP_COUNT, STEP_COUNT + "    _ = _block\n")], "_block = grh._BLOCK"),
+        ([("import math\n", "import math\nfrom dropshock import grh as G\n_chunk = G._CHUNK\n"),
+          (STEP_COUNT, STEP_COUNT + "    _ = _chunk\n")], "_chunk = grh._CHUNK"),
         ([(GRH_IMPORT, GRH_IMPORT[:-1] + ", integrate\n")], None),
     ],
     ids=["private-coefficients", "private-abort", "package-function", "module-alias", "unused-import"],

@@ -109,6 +109,27 @@ def test_crossing_oracle_equals_unpruned_bisection(cubic, slope, shape, center, 
     assert got == want
 
 
+def test_crossing_oracle_waits_for_every_bracket_to_close():
+    # gaps 1 - s and 1 - (1 - 2^-53)*s: the second pair's bracket [1, 1 + 2^-52]
+    # closes one halving before the first pair's [1 - 2^-52, 1], whose
+    # midpoint 1 - 2^-53 is not yet the earliest crossing
+    slope = 1.0 - 2.0**-53
+
+    def u0(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x <= 1.0, 1.0 - x, (1.0 - x) * slope)
+
+    prof = ds.SmoothProfile(
+        u0=u0,
+        u0_prime=lambda x: np.where(np.asarray(x, dtype=float) <= 1.0, -1.0, -slope),
+        alpha0=lambda x: np.ones(np.shape(x)),
+        domain=(0.0, 2.0),
+        sample_count=3,
+    )
+    p = ds.ModelParams(0.0, 0.0)
+    assert first_crossing_time(prof, p, 2.0, n_feet=3) == reference_first_crossing_time(prof, p, 2.0, n_feet=3) == 1.0
+
+
 def test_bump_function_support_and_smoothness():
     psi = BumpTestFunction(0.5, 0.9, 0.8, 0.7, ((1.0, 1, 1),))
     assert psi.value(0.5 + 0.9, 0.8) == 0.0
