@@ -22,7 +22,7 @@ import numpy as np
 from . import fv, grh
 from ._runs import run_starts as _run_starts, run_text as _run_text
 from .burgers import blowup
-from .core import BlowupError, ModelParams, RiemannData, SmoothProfile, cubic_profile, tanh_profile
+from .core import BlowupError, ModelParams, RiemannData, cubic_profile, tanh_profile
 from .droplet import RiemannSolution, solve
 from .fv import FieldState, Grid1D, SolverAbort, advance, reconstruct_velocity
 from .svgplot import line_plot
@@ -37,8 +37,6 @@ class ConfigError(Exception):
 
 
 _CSV_CHUNK_ROWS = 1024  # rows formatted per % operation or join: bounds the transient string and tuple
-# rows in a run joined as one text; a shorter run saves less than splitting the template costs
-_CSV_MIN_RUN = 16
 
 
 def write_csv(path: str, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
@@ -48,38 +46,33 @@ def write_csv(path: str, header: Sequence[str], columns: Sequence[np.ndarray]) -
     bit patterns and written as text; a column with none goes through the
     %.17g row template.  A column may also be text that ``_run_text``
     returned, so a command formats a shared x column once for all its files.
-    When every column is text and those after the first are runs found
-    here, each run of at least ``_CSV_MIN_RUN`` rows whose columns after the
-    first repeat is written as the first column's text joined by the rest
-    of the row; the other rows go through the template.  Floats become
+    When the first column is text, each run of two or more rows whose
+    columns after the first all repeat is written as the first column's
+    text joined by the rest of the row, and the other rows go through the
+    template; a text column after the first joins no rows.  Floats become
     Python lists, and runs are joined, one chunk of rows at a time.
     """
     n = len(columns[0])
-    cells, breaks = [], []
+    cells = []
+    # a flag on the first row of each run (np.unique would import numpy.ma, 1.1 MB)
+    first = np.zeros(n + 1, dtype=bool)
+    first[[0, n]] = True
     for j, col in enumerate(columns):
+        starts = slice(None)  # text is not searched for runs
         if not (isinstance(col, np.ndarray) and col.dtype == object):
             col = np.ascontiguousarray(col, dtype=float)
             starts = _run_starts(col)
             if len(starts) < len(col):
                 col = _run_text(col, starts)
-                if j:
-                    breaks.append(starts)
         if len(col) != n:
             raise ValueError(f"CSV columns differ in length: {len(col)} != {n}")
-        cells.append(col)
-    width = len(cells)
-    row = ",".join("%s" if col.dtype == object else "%.17g" for col in cells) + "\n"
-    # the rows [i0, i1) of each run whose columns after the first repeat
-    runs = ()
-    if cells[0].dtype == object and len(breaks) == width - 1:
-        # a flag per row that starts a run (np.unique would import numpy.ma, 1.1 MB)
-        first = np.zeros(n + 1, dtype=bool)
-        first[[0, n]] = True
-        for starts in breaks:
+        if j or col.dtype != object:  # a float first column joins no rows
             first[starts] = True
-        bounds = np.flatnonzero(first)
-        long = np.flatnonzero(np.diff(bounds) >= _CSV_MIN_RUN)
-        runs = zip(bounds[long].tolist(), bounds[long + 1].tolist())
+        cells.append(col)
+    row = ",".join("%s" if col.dtype == object else "%.17g" for col in cells) + "\n"
+    bounds = np.flatnonzero(first)
+    long = np.flatnonzero(np.diff(bounds) > 1)  # the rows [i0, i1) of each run of two or more
+    runs = zip(bounds[long].tolist(), bounds[long + 1].tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         done = 0
@@ -405,7 +398,8 @@ def cmd_compare(args, cfg: dict, raw: str, out: str) -> int:
     return 0
 
 
-def _profile_from(cfg: dict) -> SmoothProfile:
+def _profile_from(cfg: dict):
+    """The configured profile's family and shape: a partial of ``tanh_profile`` or ``cubic_profile``."""
     p = _object(_require(cfg, "profile"), "profile")
     kind = _require(p, "kind", "profile")
     common = dict(
@@ -416,21 +410,25 @@ def _profile_from(cfg: dict) -> SmoothProfile:
         sample_count=_count(cfg, "sample_count", 2001),
     )
     if kind == "tanh":
-        return tanh_profile(_number(p, "amplitude", where="profile"), _number(p, "width", 1.0, "profile"), **common)
-    if kind == "cubic":
-        return cubic_profile(_number(p, "c1", where="profile"), _number(p, "c3", 0.0, "profile"), **common)
-    raise ConfigError(f"unknown profile kind {kind!r} (expected 'tanh' or 'cubic')")
+        shape = tanh_profile, _number(p, "amplitude", where="profile"), _number(p, "width", 1.0, "profile")
+    elif kind == "cubic":
+        shape = cubic_profile, _number(p, "c1", where="profile"), _number(p, "c3", 0.0, "profile")
+    else:
+        raise ConfigError(f"unknown profile kind {kind!r} (expected 'tanh' or 'cubic')")
+    return functools.partial(*shape, **common)
 
 
 def cmd_blowup(args, cfg: dict, raw: str, out: str) -> int:
     name = _name_from(cfg, "profile")
     params = _params_from(cfg)
-    profile = _profile_from(cfg)
+    family = _profile_from(cfg)
+    profile = family()
     t_max = _number(cfg, "t_max", 50.0)
     n_feet = _count(cfg, "n_feet", 4001)
     outputs = _outputs_from(cfg)
     report = blowup(profile, params)
-    oracle = first_crossing_time(profile, params, t_max, n_feet)
+    # an offset cancels in the u0 difference of two feet, which keeps its digits at offset 0
+    oracle = first_crossing_time(family(offset=0.0), params, t_max, n_feet)
     if outputs["report"]:
         _write_report(
             os.path.join(out, f"{name}_blowup_report.json"),
@@ -492,13 +490,18 @@ def cmd_batch(args, cfg: dict, raw: str, out: str) -> int:
     runs = cfg.get("runs")
     if not isinstance(runs, list) or not runs:
         raise ConfigError("batch config needs a nonempty 'runs' list")
+    plan = {}  # output name -> (index, command, scenario), all checked before the first run
     for k, run in enumerate(runs):
         command = _object(run, f"runs[{k}]").get("command")
         if not isinstance(command, str) or command not in _COMMANDS or command == "batch":
             raise ConfigError(f"runs[{k}] has unknown command {command!r}")
         scenario = _object(run.get("scenario"), f"runs[{k}] scenario")
-        sub_out = _output_dir(os.path.join(out, _name_from(scenario, f"run{k}")))
-        _COMMANDS[command][0](args, scenario, json.dumps(scenario, indent=2), sub_out)
+        name = _name_from(scenario, f"run{k}")
+        if name in plan:
+            raise ConfigError(f"runs[{plan[name][0]}] and runs[{k}] both write to the output directory {name!r}")
+        plan[name] = (k, command, scenario)
+    for name, (_, command, scenario) in plan.items():
+        _COMMANDS[command][0](args, scenario, json.dumps(scenario, indent=2), _output_dir(os.path.join(out, name)))
     return 0
 
 

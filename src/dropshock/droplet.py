@@ -58,8 +58,16 @@ class DeltaVariant(Enum):
     SUBSYSTEM = "subsystem"
 
 
-def _sqrt_weighted_speed(alpha_l: float, u_l: float, alpha_r: float, u_r: float) -> float:
-    # with one density 0 the mean is the other side's u, which the quotient may round
+def initial_shock_speed(alpha_l: float, u_l: float, alpha_r: float, u_r: float) -> float:
+    """Entropy-admissible initial speed of a freshly forming delta shock.
+
+    The square-root-of-density weighted mean of the side velocities,
+    strictly between u_r and u_l and the arithmetic mean for equal
+    densities.  With one density zero it is the other side's velocity bit
+    for bit; two zero densities, or a negative or NaN one, raise ValueError.
+    """
+    if not (alpha_l >= 0.0 and alpha_r >= 0.0) or alpha_l == alpha_r == 0.0:
+        raise ValueError(f"densities must be nonnegative and not both zero, got {alpha_l!r}, {alpha_r!r}")
     if alpha_l == 0.0 or alpha_r == 0.0:
         return u_r if alpha_l == 0.0 else u_l
     sl, sr = math.sqrt(alpha_l), math.sqrt(alpha_r)
@@ -67,18 +75,6 @@ def _sqrt_weighted_speed(alpha_l: float, u_l: float, alpha_r: float, u_r: float)
     # the weighted sum may overflow although the mean cannot; only then are the
     # weights normalised first, which would change the bits of a finite mean
     return mean if math.isfinite(mean) else sr / (sr + sl) * u_r + sl / (sr + sl) * u_l
-
-
-def initial_shock_speed(alpha_l: float, u_l: float, alpha_r: float, u_r: float) -> float:
-    """Entropy-admissible initial speed of a freshly forming delta shock.
-
-    The square-root-of-density weighted mean of the side velocities; it
-    always lies strictly between u_r and u_l, and reduces to the
-    arithmetic mean for equal densities.
-    """
-    if not (alpha_l > 0.0 and alpha_r > 0.0):
-        raise ValueError("initial_shock_speed requires strictly positive densities")
-    return _sqrt_weighted_speed(alpha_l, u_l, alpha_r, u_r)
 
 
 def weight_lower_bound(t, data: RiemannData, params: ModelParams):
@@ -190,7 +186,7 @@ class DeltaShockSolution(_Front):
     def initial_speed(self) -> float:
         d = self.data
         if self.variant is DeltaVariant.FULL_SYSTEM:
-            return _sqrt_weighted_speed(d.alpha_l, d.u_l, d.alpha_r, d.u_r)
+            return initial_shock_speed(d.alpha_l, d.u_l, d.alpha_r, d.u_r)
         return 0.5 * (d.u_l + d.u_r)
 
     @property

@@ -236,8 +236,8 @@ def integrate(
 
     A zero initial mass is replaced by ``eps_seed`` (default
     1e-10 * max(1, |u_l - u_r| * max(alpha_l, alpha_r)) at t = 0) moving at
-    ``sigma0``; when ``sigma0`` is None the entropy-admissible initial
-    speed of the equal-jump quadratic is used.  The position is carried as
+    ``sigma0``, by default ``initial_shock_speed`` at t = 0 (beside one
+    empty side, the other side's velocity).  The position is carried as
     a third state (d(position)/dt = speed) so it shares RK4 accuracy.
 
     Every accepted step is monitored: the speed must stay inside the

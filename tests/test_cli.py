@@ -131,23 +131,26 @@ def test_cells_override(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "width, sample_count, t_star, oracle_abs",
+    "width, offset, sample_count, t_star, oracle_abs",
     [
-        pytest.param(1.0, 2001, LN2, 1e-5, id="tanh"),
+        pytest.param(1.0, 0.0, 2001, LN2, 1e-5, id="tanh"),
+        # an offset cancels in the u0 difference of two feet; at 1e300 that
+        # difference rounded to 0 and the oracle read null
+        pytest.param(1.0, 1e300, 2001, LN2, 1e-5, id="tanh-offset-1e300"),
         # u0' = -2e4 at the sample on the centre, where the central-difference
         # check read -19999.3 and exited 2; the feet are 1.5e-3 apart, one on
         # the centre, and the mean slope -2/1.5e-3 beside it reads 7.5e-4
-        pytest.param(1e-4, 201, blowup_time_for_slope(-2e4, 1.0), 1e-3, id="steep-tanh"),
+        pytest.param(1e-4, 0.0, 201, blowup_time_for_slope(-2e4, 1.0), 1e-3, id="steep-tanh"),
     ],
 )
-def test_blowup_report(tmp_path, width, sample_count, t_star, oracle_abs):
+def test_blowup_report(tmp_path, width, offset, sample_count, t_star, oracle_abs):
     cfg = tmp_path / "b.json"
     write_config(
         cfg,
         {
             "name": "tanh",
             "params": {"mu": 1.0, "ua": 0.2},
-            "profile": {"kind": "tanh", "amplitude": -2.0, "width": width},
+            "profile": {"kind": "tanh", "amplitude": -2.0, "width": width, "offset": offset},
             "domain": [-3.0, 3.0],
             "sample_count": sample_count,
             "t_max": 50.0,
@@ -264,9 +267,9 @@ def test_grh_trajectory_csv(tmp_path):
     ids=["both-positive", "alpha_r-0", "alpha_l-0", "alpha_r-0-no-mass", "alpha_l-0-no-mass"],
 )
 def test_grh_with_initial_point_mass(tmp_path, alpha_l, alpha_r, omega0):
-    # a point mass on a closing jump, also beside an empty side, which
-    # initial_shock_speed rejects and `exact` solves; with omega0 = 0 the
-    # seed there starts at the exact speed too (it exited 2), and the strict
+    # a point mass on a closing jump, also beside an empty side, where
+    # initial_shock_speed gives the other side's velocity; with omega0 = 0
+    # the seed there starts at the exact speed too, and the strict
     # entropy_ok flag falls either way by rounding: the warning says why
     cfg = tmp_path / "g.json"
     riemann = {"alpha_l": alpha_l, "u_l": 1.5, "alpha_r": alpha_r, "u_r": 0.5, "omega0": omega0}
@@ -574,6 +577,22 @@ def with_flags(command, *flags):
                          id=f"batch-run-name-{name!r}")
             for name in ("../x", "..", "")
         ],
+        # every run is checked before the first: two runs named d wrote
+        # into one directory, and a bad last command came after two runs
+        pytest.param(with_message(run_as("batch", runs=[
+            {"command": "exact", "scenario": dict(DELTA_SCENARIO, name="d", t_snapshots=[0.5])},
+            {"command": "grh", "scenario": dict(GRH_SCENARIO, name="d", params={"mu": 0.9, "ua": 1.0})},
+        ]), "runs[0] and runs[1] both write to the output directory 'd'"), id="batch-same-name"),
+        # an unnamed run writes to run<k>, which a named run may take
+        pytest.param(with_message(run_as("batch", runs=[
+            {"command": "exact", "scenario": dict(DELTA_SCENARIO, name="run1", t_snapshots=[0.5])},
+            {"command": "grh", "scenario": {k: v for k, v in GRH_SCENARIO.items() if k != "name"}},
+        ]), "runs[0] and runs[1] both write to the output directory 'run1'"), id="batch-default-name"),
+        pytest.param(with_message(run_as("batch", runs=[
+            {"command": "exact", "scenario": dict(DELTA_SCENARIO, name="a", t_snapshots=[0.5])},
+            {"command": "grh", "scenario": dict(GRH_SCENARIO, name="b")},
+            {"command": "nope", "scenario": dict(GRH_SCENARIO, name="c")},
+        ]), "runs[2] has unknown command 'nope'"), id="batch-unknown-command-last"),
         pytest.param(out_is_file("exact"), id="out-is-file"),
         pytest.param(out_is_file("batch"), id="batch-out-is-file"),
         pytest.param(run_as("grh", outputs={"csv": "no"}), id="grh-outputs-csv-text"),
@@ -608,7 +627,7 @@ def test_config_errors_exit_2(tmp_path, mutate, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert getattr(mutate, "message", "") in err
-    assert not list(tmp_path.glob("*.csv"))
+    assert not list(tmp_path.rglob("*.csv"))  # batch writes under out/<name>/
 
 
 def test_nonfinite_snapshot_exit_2(tmp_path):
@@ -835,8 +854,9 @@ def test_write_csv_runs_equal_savetxt(tmp_path, table):
 
 def test_write_csv_joins_runs_of_rows_as_savetxt_writes_them(tmp_path, monkeypatch):
     # all columns text: a run of rows whose alpha and u repeat is one join,
-    # here rows 1 to n - 2, across two edges of _CSV_CHUNK_ROWS; the one-row
-    # runs at both ends and a one-row file go through the row template
+    # here rows 1 to n - 2, across two edges of _CSV_CHUNK_ROWS, and rows 1
+    # and 2 of a five-row file; the one-row runs at both ends and a one-row
+    # file go through the row template
     templated = []
     template_rows = cli._template_rows
 
@@ -851,7 +871,8 @@ def test_write_csv_joins_runs_of_rows_as_savetxt_writes_them(tmp_path, monkeypat
     alpha[0], alpha[-1] = 0.003, -0.0
     u = np.full(n, 1.0 / 3.0)
     u[-1] = 1.5
-    for columns, rows in (((x, alpha, u), [0, n - 1]), ((x[:1], alpha[:1], u[:1]), [0])):
+    short = (x[:5], np.array([0.003, 0.008, 0.008, 0.001, -0.0]), np.array([1.0, u[1], u[1], 2.0, 1.5]))
+    for columns, rows in (((x, alpha, u), [0, n - 1]), ((x[:1], alpha[:1], u[:1]), [0]), (short, [0, 3, 4])):
         templated.clear()
         expected = _savetxt_bytes(tmp_path / "ref.csv", ("x", "alpha", "u"), columns)
         write_csv(str(tmp_path / "a.csv"), ("x", "alpha", "u"), (_run_text(columns[0]), *columns[1:]))
@@ -980,9 +1001,54 @@ def _no_constant(name):
     raise AssertionError(f"a report holds {name}")
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(case=st.sampled_from(list(FUZZ_CASES)).flatmap(lambda label: st.tuples(st.just(label), st.lists(
-    st.tuples(st.sampled_from(FUZZ_CASES[label][1]), st.sampled_from(FUZZ_VALUES)), min_size=1, max_size=3))))
+def _fuzz_case(label):
+    """A label and its field changes; a `batch` case is one or two such runs."""
+    if label == "batch":
+        return st.tuples(st.just(label), st.lists(st.sampled_from(list(FUZZ_CASES)).flatmap(_fuzz_case),
+                                                  min_size=1, max_size=2))
+    return st.tuples(st.just(label), st.lists(
+        st.tuples(st.sampled_from(FUZZ_CASES[label][1]), st.sampled_from(FUZZ_VALUES)), min_size=1, max_size=3))
+
+
+def _fuzzed_scenario(label, changes):
+    scenario = json.loads(json.dumps(FUZZ_CASES[label][0]))
+    for path, value in changes:
+        block = scenario
+        for key in path[:-1]:
+            block = block[key]
+        block[path[-1]] = value
+    return scenario
+
+
+def _check_exit_0_outputs(out, scenario):
+    """What a run that exits 0 writes: finite CSVs, alpha >= 0, u in the data's hull, sane reports."""
+    r = scenario.get("riemann", {})
+    hull = [r.get("u_l", 0.0), r.get("u_r", 0.0), scenario["params"]["ua"]]
+    # advance clips the free-frame velocity to the hull widened by _HULL_PAD;
+    # q/alpha then rounds by a few ulps of the largest |velocity|
+    pad = ds.fv._HULL_PAD + 4.0 * np.spacing(max(map(abs, hull)))
+    for path in out.glob("*.csv"):
+        rows = list(csv.reader(io.StringIO(path.read_text())))[1:]
+        values = np.array([row[1:] if path.name.endswith("_errors.csv") else row for row in rows], dtype=float)
+        assert np.isfinite(values).all(), path.name
+        if "_t" in path.name and not path.name.endswith("_errors.csv"):
+            assert (values[:, 1] >= 0.0).all(), path.name
+        if "_num_t" in path.name:
+            assert (min(hull) - pad <= values[:, 2]).all() and (values[:, 2] <= max(hull) + pad).all(), path.name
+    for path in out.glob("*.json"):
+        report = json.loads(path.read_text(), parse_constant=_no_constant)
+        if not path.name.endswith(("_exact_report.json", "_compare_report.json")):
+            continue
+        snaps = report["snapshots"]
+        if report["solution_kind"] == "vacuum":
+            assert all(snap["X1"] <= snap["X2"] for snap in snaps), path.name
+        else:
+            omega = [r.get("omega0", 0.0)] + [snap["omega"] for snap in snaps]
+            assert all(a <= b for a, b in zip(omega, omega[1:])), path.name
+
+
+@settings(max_examples=350, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=st.sampled_from(list(FUZZ_CASES) + ["batch"]).flatmap(_fuzz_case))
 # each warned "overflow encountered in divide" (the fan on every cell) or
 # "in multiply" (the shock position) and exited 0
 @example(case=("exact", VACUUM_CHANGES + [(("t_snapshots",), [5e-324])]))
@@ -1004,35 +1070,32 @@ def _no_constant(name):
 @example(case=("blowup tanh", [(("profile", "width"), 5e-324)]))
 @example(case=("blowup tanh", [(("profile", "amplitude"), 1.7e308), (("domain", 1), 1e300)]))
 @example(case=("blowup tanh", [(("profile", "amplitude"), -1e300), (("params", "mu"), 0.0), (("t_max",), 1.7e308)]))
+@example(case=("batch", [("compare", VACUUM_CHANGES), ("grh", [(("riemann", "omega0"), 0.5)])]))
 def test_extreme_values_end_cleanly(monkeypatch, capsys, case):
     # a run that could only end at the step cap ends at 2,000 steps instead
     monkeypatch.setattr(ds.fv, "MAX_STEPS", 2000)
     label, changes = case
-    command = label.split()[0]
-    scenario = json.loads(json.dumps(FUZZ_CASES[label][0]))
-    for path, value in changes:
-        block = scenario
-        for key in path[:-1]:
-            block = block[key]
-        block[path[-1]] = value
     with tempfile.TemporaryDirectory() as out:
-        cfg = Path(out) / "s.json"
+        out = Path(out)
+        if label == "batch":
+            named = [(name, sub, dict(_fuzzed_scenario(sub, ch), name=name)) for name, (sub, ch) in zip("ab", changes)]
+            scenario = {"runs": [{"command": sub.split()[0], "scenario": sc} for _, sub, sc in named]}
+            runs = [(out / name, sc) for name, _, sc in named]
+        else:
+            scenario = _fuzzed_scenario(label, changes)
+            runs = [(out, scenario)]
+        cfg = out / "s.json"
         write_config(cfg, scenario)
-        rc = main([command, "--config", str(cfg), "--out", out])
+        rc = main([label.split()[0], "--config", str(cfg), "--out", str(out)])
         err = capsys.readouterr().err
         assert rc in (0, 2, 3)
         assert err == "" if rc == 0 else err.startswith(("config error:", "numerical abort:"))
         if rc != 0:
             return
-        for path in Path(out).glob("*.csv"):
-            rows = list(csv.reader(io.StringIO(path.read_text())))[1:]
-            values = np.array([row[1:] if path.name.endswith("_errors.csv") else row for row in rows], dtype=float)
-            assert np.isfinite(values).all(), path.name
-            if "_t" in path.name and not path.name.endswith("_errors.csv"):
-                assert (values[:, 1] >= 0.0).all(), path.name
-        for path in Path(out).glob("*.json"):
-            if path.name != "s.json":
-                json.loads(path.read_text(), parse_constant=_no_constant)
+        cfg.unlink()
+        assert {p.parent for p in out.rglob("*") if p.is_file()} <= {run_out for run_out, _ in runs}
+        for run_out, run_scenario in runs:
+            _check_exit_0_outputs(run_out, run_scenario)
 
 
 def test_python_m_dropshock_help(tmp_path):

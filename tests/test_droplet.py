@@ -87,8 +87,16 @@ def test_initial_shock_speed_degenerate_weighting():
 
 
 def test_initial_shock_speed_rejects_zero_density():
-    with pytest.raises(ValueError):
-        initial_shock_speed(0.0, 1.5, 0.003, 0.5)
+    # one empty side sweeps in no mass: the front takes the other side's u,
+    # bit for bit; there is no mean of two empty sides or of a bad density
+    u = 1.0 / 3.0
+    assert initial_shock_speed(0.0, 1.5, 0.003, u) == u
+    assert initial_shock_speed(0.008, u, 0.0, 0.5) == u
+    assert initial_shock_speed(-0.0, 1.5, 1e-300, u) == u
+    for alpha_l, alpha_r in ((0.0, 0.0), (-0.0, 0.0), (-1e-300, 0.003), (0.008, -1.0), (np.nan, 0.003),
+                             (0.008, np.nan), (0.0, np.nan)):
+        with pytest.raises(ValueError, match="nonnegative and not both zero"):
+            initial_shock_speed(alpha_l, 1.5, alpha_r, 0.5)
 
 
 @given(

@@ -70,6 +70,17 @@ def test_integrate_reproduces_closed_form():
     assert abs(traj.position[-1] - FULL.position(1.0)) <= 1e-8
 
 
+@pytest.mark.parametrize("alpha_l, alpha_r", [(0.01, 0.0), (0.0, 0.003)], ids=["alpha_r-0", "alpha_l-0"])
+def test_integrate_default_start_beside_an_empty_side(alpha_l, alpha_r):
+    # the default seed speed is the non-empty side's velocity, as in the
+    # closed form, so integrate starts every closing jump that solve accepts
+    d = ds.RiemannData(alpha_l, 1.5, alpha_r, 0.5)
+    exact = ds.solve(d, PARAMS_02)
+    traj = integrate(GrhState(0.0, 0.0), None, 1.0, 1e-3, LimitStates.from_riemann(d, PARAMS_02), PARAMS_02)
+    assert traj.mass[-1] == pytest.approx(exact.weight(1.0), abs=1e-8)
+    assert traj.speed[-1] == pytest.approx(exact.speed(1.0), abs=1e-8)
+
+
 def test_integrate_fourth_order_in_dt():
     # positive starting mass so the measured error is pure truncation
     d = ds.RiemannData(0.008, 1.5, 0.003, 0.5, omega0=0.01)
