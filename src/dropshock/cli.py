@@ -3,12 +3,23 @@
 One JSON scenario per run (schema in the README); subcommands `exact`,
 `simulate`, `compare`, `blowup`, `grh` and `batch`.  CSV output carries a
 header row and 17 significant digits so runs are byte-reproducible.
-Exit codes: 0 ok, 2 configuration error, 3 numerical abort.
+
+Each ``cmd_*(args, cfg, raw)`` is a generator in two phases.  Its plan
+parses and checks the whole scenario and runs every step that can
+reject it (the exact rows, the initial FV state, the step settings of
+each snapshot interval, the grh trajectory, the blowup times); then
+``out = yield`` takes the output directory, and its run computes the
+rest and writes there.  `main` creates the directory between the two
+phases, and `batch` plans every entry before the first one writes.  Exit codes: 0 ok; 2 the input was rejected during the plan,
+and nothing was written, not even the output directory; 3 a numerical
+abort, or a failure once the directory exists (an OSError while writing,
+say), where the files already finished stay.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -228,14 +239,8 @@ def _scenario_from(cfg: dict, raw: str, args) -> Scenario:
     if getattr(args, "fixed_dt", None) is not None:
         fixed_dt = args.fixed_dt
     fixed_dt = None if fixed_dt is None else _finite(fixed_dt, "fixed_dt")
-    if fixed_dt is not None and fixed_dt > 0.0:  # advance rejects any other fixed_dt
-        # advance's step cap on each snapshot interval, checked before any output
-        for t0, t1 in zip([0.0] + snaps, snaps):
-            if (t1 - t0) / fixed_dt > fv.MAX_STEPS:
-                raise ConfigError(
-                    f"fixed_dt={fixed_dt!r} needs {(t1 - t0) / fixed_dt:g} steps from t={t0:g} to t={t1:g}, "
-                    f"over the limit of {fv.MAX_STEPS}"
-                )
+    for t0, t1 in zip([0.0] + snaps, snaps):  # advance's checks on each snapshot interval, before any output
+        fv.check_span(t0, t1, cfl, fixed_dt)
     excl = _number(cfg, "exclusion_half_width", 0.05)
     if excl < 0.0:
         raise ConfigError(f"exclusion_half_width must be nonnegative, got {excl!r}")
@@ -284,14 +289,6 @@ def _write_report(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _output_dir(path: str) -> str:
-    try:
-        os.makedirs(path, exist_ok=True)
-    except OSError as exc:  # e.g. the path names an existing file
-        raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
-    return path
-
-
 def _x_columns(sc: Scenario):
     """The cell centres, and their CSV text formatted once for every file of a command (None without CSV)."""
     x = sc.grid.centers()
@@ -315,28 +312,29 @@ def _numeric_snapshot(sc: Scenario, out: str, x_text, t: float, state: FieldStat
     return u, fname
 
 
-def cmd_exact(args, cfg: dict, raw: str, out: str) -> int:
+def cmd_exact(args, cfg: dict, raw: str):
     sc = _scenario_from(cfg, raw, args)
+    out = yield
     x, x_text = _x_columns(sc)
     for t in sc.t_snapshots:
         _exact_snapshot(sc, out, x, x_text, t)
     if sc.outputs["report"]:
         _write_report(os.path.join(out, f"{sc.name}_exact_report.json"), _report_head(sc))
-    return 0
 
 
-def _run_snapshots(sc: Scenario):
-    state = FieldState.from_riemann(sc.grid, sc.solution.data)
+def _run_snapshots(sc: Scenario, state: FieldState):
     for t in sc.t_snapshots:
         state = advance(state, sc.solution.params, t, cfl=sc.cfl, fixed_dt=sc.fixed_dt)
         yield t, state
 
 
-def cmd_simulate(args, cfg: dict, raw: str, out: str) -> int:
+def cmd_simulate(args, cfg: dict, raw: str):
     sc = _scenario_from(cfg, raw, args)
+    state = FieldState.from_riemann(sc.grid, sc.solution.data)
+    out = yield
     _, x_text = _x_columns(sc)
     files = []
-    for t, state in _run_snapshots(sc):
+    for t, state in _run_snapshots(sc, state):
         _, fname = _numeric_snapshot(sc, out, x_text, t, state)
         files.append({"t": t, "file": fname})
     if sc.outputs["report"]:
@@ -344,7 +342,6 @@ def cmd_simulate(args, cfg: dict, raw: str, out: str) -> int:
             os.path.join(out, f"{sc.name}_simulate_report.json"),
             {"scenario": sc.raw, "snapshots": files},
         )
-    return 0
 
 
 _ERRORS_HEADER = ("scenario", "n_cells", "t", "l1_u", "l1_alpha", "pos_err_cells", "mass_rel_err")
@@ -357,7 +354,7 @@ def _csv_text(value: str) -> str:
     return value
 
 
-def cmd_compare(args, cfg: dict, raw: str, out: str) -> int:
+def cmd_compare(args, cfg: dict, raw: str):
     sc = _scenario_from(cfg, raw, args)
     grid, h = sc.grid, sc.exclusion_half_width
     # before any output: the window checks that validation.compare and fv.shock_mass make later
@@ -366,9 +363,11 @@ def cmd_compare(args, cfg: dict, raw: str, out: str) -> int:
         if not (grid.x_min < xi < grid.x_max and xi - h >= grid.x_min and xi + h <= grid.x_max):
             raise ConfigError(f"exclusion window {xi:g} ± {h:g} (shock at t={t:g}) must lie inside the domain")
     scale, suffix = (100.0, " (x100)") if getattr(args, "rescale_alpha", False) else (1.0, "")
+    state = FieldState.from_riemann(grid, sc.solution.data)
+    out = yield
     reports = []
     x, x_text = _x_columns(sc)
-    for t, state in _run_snapshots(sc):
+    for t, state in _run_snapshots(sc, state):
         u_num, _ = _numeric_snapshot(sc, out, x_text, t, state)
         alpha_ex, u_ex = _exact_snapshot(sc, out, x, x_text, t)
         reports.append(compare(state, sc.solution, h, label=f"{sc.name}_t{t:g}"))
@@ -395,7 +394,6 @@ def cmd_compare(args, cfg: dict, raw: str, out: str) -> int:
     if sc.outputs["report"]:
         payload = dict(_report_head(sc), errors=[rep.__dict__ for rep in reports])
         _write_report(os.path.join(out, f"{sc.name}_compare_report.json"), payload)
-    return 0
 
 
 def _profile_from(cfg: dict):
@@ -418,7 +416,7 @@ def _profile_from(cfg: dict):
     return functools.partial(*shape, **common)
 
 
-def cmd_blowup(args, cfg: dict, raw: str, out: str) -> int:
+def cmd_blowup(args, cfg: dict, raw: str):
     name = _name_from(cfg, "profile")
     params = _params_from(cfg)
     family = _profile_from(cfg)
@@ -429,6 +427,7 @@ def cmd_blowup(args, cfg: dict, raw: str, out: str) -> int:
     report = blowup(profile, params)
     # an offset cancels in the u0 difference of two feet, which keeps its digits at offset 0
     oracle = first_crossing_time(family(offset=0.0), params, t_max, n_feet)
+    out = yield
     if outputs["report"]:
         _write_report(
             os.path.join(out, f"{name}_blowup_report.json"),
@@ -440,10 +439,9 @@ def cmd_blowup(args, cfg: dict, raw: str, out: str) -> int:
                 "t_star_oracle": oracle,
             },
         )
-    return 0
 
 
-def cmd_grh(args, cfg: dict, raw: str, out: str) -> int:
+def cmd_grh(args, cfg: dict, raw: str):
     name = _name_from(cfg, "grh")
     params = _params_from(cfg)
     data = _riemann_from(cfg)
@@ -461,6 +459,7 @@ def cmd_grh(args, cfg: dict, raw: str, out: str) -> int:
     # a zero mass is seeded by integrate at sigma0
     z0 = grh.GrhState(mass=data.omega0, momentum=data.omega0 * sigma0)
     traj = grh.integrate(z0, sigma0, t_end, dt, states, params)
+    out = yield
     u_l = np.asarray(states.u_l(traj.t), dtype=float)
     u_r = np.asarray(states.u_r(traj.t), dtype=float)
     entropy_ok = ((u_r < traj.speed) & (traj.speed < u_l)).astype(float)
@@ -483,26 +482,31 @@ def cmd_grh(args, cfg: dict, raw: str, out: str) -> int:
         if solution.warning:
             report["warning"] = solution.warning
         _write_report(os.path.join(out, f"{name}_grh_report.json"), report)
-    return 0
 
 
-def cmd_batch(args, cfg: dict, raw: str, out: str) -> int:
+def cmd_batch(args, cfg: dict, raw: str):
     runs = cfg.get("runs")
     if not isinstance(runs, list) or not runs:
         raise ConfigError("batch config needs a nonempty 'runs' list")
-    plan = {}  # output name -> (index, command, scenario), all checked before the first run
+    plans = {}  # output name -> (index, the entry's command, planned and waiting for its directory)
     for k, run in enumerate(runs):
         command = _object(run, f"runs[{k}]").get("command")
         if not isinstance(command, str) or command not in _COMMANDS or command == "batch":
             raise ConfigError(f"runs[{k}] has unknown command {command!r}")
         scenario = _object(run.get("scenario"), f"runs[{k}] scenario")
         name = _name_from(scenario, f"run{k}")
-        if name in plan:
-            raise ConfigError(f"runs[{plan[name][0]}] and runs[{k}] both write to the output directory {name!r}")
-        plan[name] = (k, command, scenario)
-    for name, (_, command, scenario) in plan.items():
-        _COMMANDS[command][0](args, scenario, json.dumps(scenario, indent=2), _output_dir(os.path.join(out, name)))
-    return 0
+        if name in plans:
+            raise ConfigError(f"runs[{plans[name][0]}] and runs[{k}] both write to the output directory {name!r}")
+        plans[name] = (k, _COMMANDS[command][0](args, scenario, json.dumps(scenario, indent=2)))
+        try:
+            next(plans[name][1])
+        except (ConfigError, ValueError) as exc:
+            raise ConfigError(f"runs[{k}]: {exc}") from exc
+    out = yield
+    for name, (_, planned) in plans.items():
+        os.makedirs(os.path.join(out, name), exist_ok=True)
+        with contextlib.suppress(StopIteration):
+            planned.send(os.path.join(out, name))
 
 
 _FLAGS = {
@@ -546,16 +550,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    writing = False  # set once the output directory exists
     try:
         cfg, raw = _load_config(args.config)
-        out = _output_dir(args.out or ".")
-        return args.func(args, cfg, raw, out)
-    except (ConfigError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        run = args.func(args, cfg, raw)
+        next(run)
+        os.makedirs(args.out or ".", exist_ok=True)
+        writing = True
+        with contextlib.suppress(StopIteration):  # the command's normal end (PEP 479)
+            run.send(args.out or ".")
+    except (ConfigError, ValueError, OSError) as exc:
+        print(f"{'numerical abort' if writing else 'config error'}: {exc}", file=sys.stderr)
+        return 3 if writing else 2
     except (SolverAbort, GrhMonitorError, BlowupError) as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 3
+    return 0
 
 
 if __name__ == "__main__":

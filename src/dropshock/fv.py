@@ -88,6 +88,7 @@ __all__ = [
     "reconstruct_velocity",
     "source_step",
     "advance",
+    "check_span",
     "shock_mass",
 ]
 
@@ -314,6 +315,28 @@ def _nonfinite(a, q, a_lo) -> bool:
     return not all(map(math.isfinite, (a_lo, float(a.max()), float(q.min()), float(q.max()))))
 
 
+def check_span(t0: float, t_end: float, cfl: float = 0.15, fixed_dt: float = None) -> None:
+    """Raise ValueError unless ``advance`` takes a run from time t0 to t_end with this cfl and fixed_dt.
+
+    Both times finite and t0 <= t_end; cfl in (0, 1] when there is no
+    ``fixed_dt``, else a positive, finite ``fixed_dt`` that needs at most
+    ``MAX_STEPS`` steps, (t_end - t0)/fixed_dt <= MAX_STEPS.  A caller can
+    check every interval of a run with it before the run begins.
+    """
+    if not math.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end!r}")
+    if not math.isfinite(t0):  # a NaN time would take no step and pass every check
+        raise ValueError(f"the state time must be finite, got {t0!r}")
+    if t_end < t0:
+        raise ValueError("t_end must not precede the state time")
+    if fixed_dt is None and not 0.0 < cfl <= 1.0:
+        raise ValueError("cfl must lie in (0, 1]")
+    if fixed_dt is not None and not (fixed_dt > 0.0 and math.isfinite(fixed_dt)):
+        raise ValueError(f"fixed_dt must be positive and finite, got {fixed_dt!r}")
+    if fixed_dt is not None and (t_end - t0) / fixed_dt > MAX_STEPS:  # inf too
+        raise ValueError(f"(t_end - t)/fixed_dt = {(t_end - t0) / fixed_dt:g} steps exceeds the limit of {MAX_STEPS}")
+
+
 # once per call: an errstate per step would cost about what the dot saves
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def advance(
@@ -330,25 +353,13 @@ def advance(
     Boundaries are outflow (ghost cells copy the adjacent interior cell),
     so the total mass changes by the net boundary flux.
 
-    A run takes at most ``MAX_STEPS`` steps.  A ``fixed_dt`` that needs
-    more, (t_end - time)/fixed_dt > MAX_STEPS, is rejected up front with
-    ValueError; a run whose step count passes the cap (a dt so small that
-    t + dt == t, say, from velocities near 1e100) raises SolverAbort.
+    A run takes at most ``MAX_STEPS`` steps.  ``check_span(state.time,
+    t_end, cfl, fixed_dt)`` runs first and raises ValueError for bad
+    arguments, a ``fixed_dt`` that needs more steps among them; a run whose
+    step count passes the cap (a dt so small that t + dt == t, say, from
+    velocities near 1e100) raises SolverAbort.
     """
-    if not math.isfinite(t_end):
-        raise ValueError(f"t_end must be finite, got {t_end!r}")
-    if not math.isfinite(state.time):  # a NaN time would take no step and pass every check
-        raise ValueError(f"the state time must be finite, got {state.time!r}")
-    if t_end < state.time:
-        raise ValueError("t_end must not precede the state time")
-    if fixed_dt is None and not 0.0 < cfl <= 1.0:
-        raise ValueError("cfl must lie in (0, 1]")
-    if fixed_dt is not None and not (fixed_dt > 0.0 and math.isfinite(fixed_dt)):
-        raise ValueError(f"fixed_dt must be positive and finite, got {fixed_dt!r}")
-    if fixed_dt is not None and (t_end - state.time) / fixed_dt > MAX_STEPS:  # inf too
-        raise ValueError(
-            f"(t_end - t)/fixed_dt = {(t_end - state.time) / fixed_dt:g} steps exceeds the limit of {MAX_STEPS}"
-        )
+    check_span(state.time, t_end, cfl, fixed_dt)
     grid = state.grid
     n, dx = grid.n_cells, grid.dx
     alpha, q = np.array(state.alpha, dtype=float), np.array(state.q, dtype=float)

@@ -472,6 +472,12 @@ def with_message(mutate, message):
     return mutate
 
 
+def second_run_fails(command, scenario):
+    """A batch whose runs[1] fails in its scenario, after a runs[0] that would write."""
+    first = {"command": "exact", "scenario": dict(DELTA_SCENARIO, name="a", t_snapshots=[0.5])}
+    return with_message(run_as("batch", runs=[first, {"command": command, "scenario": scenario}]), "runs[1]:")
+
+
 def with_flags(command, *flags):
     """A mutation that keeps the scenario and runs ``command`` with extra flags."""
     return lambda s: (command, None, list(flags))
@@ -501,6 +507,10 @@ def with_flags(command, *flags):
         pytest.param(run_as("simulate", fixed_dt=0), id="fixed_dt-zero"),
         pytest.param(run_as("simulate", fixed_dt=-1e-3), id="fixed_dt-negative"),
         pytest.param(run_as("simulate", fixed_dt=float("nan")), id="fixed_dt-nan"),
+        # exact checks the step settings as simulate does, though it takes no step
+        pytest.param(with_message(run_as("exact", cfl=2), "cfl must lie in (0, 1]"), id="exact-cfl-2"),
+        pytest.param(with_message(run_as("exact", fixed_dt=-1), "fixed_dt must be positive"),
+                     id="exact-fixed_dt-negative"),
         # t + 1e-25 == t from t ~ 9.3e-10 on: more than fv.MAX_STEPS steps
         pytest.param(run_as("simulate", fixed_dt=1e-25), id="simulate-fixed_dt-1e-25"),
         pytest.param(run_as("exact", params={"mu": None, "ua": 1.0}), id="mu-null"),
@@ -593,6 +603,15 @@ def with_flags(command, *flags):
             {"command": "grh", "scenario": dict(GRH_SCENARIO, name="b")},
             {"command": "nope", "scenario": dict(GRH_SCENARIO, name="c")},
         ]), "runs[2] has unknown command 'nope'"), id="batch-unknown-command-last"),
+        # every entry is planned before the first writes: runs[0] wrote its CSV and report
+        pytest.param(second_run_fails("exact", dict(DELTA_SCENARIO, name="b", params={"mu": "x", "ua": 1.0})),
+                     id="batch-second-mu-text"),
+        pytest.param(second_run_fails("simulate", dict(DELTA_SCENARIO, name="b", cfl=2)), id="batch-second-cfl-2"),
+        pytest.param(second_run_fails("grh", dict(GRH_SCENARIO, name="b", dt=0)), id="batch-second-grh-dt-zero"),
+        pytest.param(second_run_fails("blowup", dict(BLOWUP_SCENARIO, name="b", n_feet=2)),
+                     id="batch-second-blowup-n_feet-2"),
+        pytest.param(second_run_fails("simulate", dict(DELTA_SCENARIO, name="b", riemann=dict(
+            DELTA_SCENARIO["riemann"], omega0=0.02))), id="batch-second-simulate-omega0"),
         pytest.param(out_is_file("exact"), id="out-is-file"),
         pytest.param(out_is_file("batch"), id="batch-out-is-file"),
         pytest.param(run_as("grh", outputs={"csv": "no"}), id="grh-outputs-csv-text"),
@@ -618,16 +637,17 @@ def test_config_errors_exit_2(tmp_path, mutate, capsys):
     command, out_file, flags = command if isinstance(command, tuple) else (command, None, [])
     cfg = tmp_path / "bad.json"
     write_config(cfg, scenario)
-    out = tmp_path
+    out = tmp_path / (out_file or "out")
     if out_file:
-        out = tmp_path / out_file
         out.write_text("")
     command = command if command in ("exact", "simulate", "compare", "grh", "blowup", "batch") else "exact"
     assert main([command, "--config", str(cfg), "--out", str(out), *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert getattr(mutate, "message", "") in err
-    assert not list(tmp_path.rglob("*.csv"))  # batch writes under out/<name>/
+    # exit 2 writes nothing, not even --out
+    assert out.is_file() if out_file else not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted({"bad.json", out_file or "bad.json"})
 
 
 def test_nonfinite_snapshot_exit_2(tmp_path):
@@ -646,7 +666,7 @@ def test_fixed_dt_step_cap_checked_before_any_output(tmp_path, monkeypatch, caps
     cfg = tmp_path / "s.json"
     write_config(cfg, dict(DELTA_SCENARIO, n_cells=64, t_snapshots=[0.4, 1.0], fixed_dt=5e-4))
     assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
-    assert "over the limit of 1000" in capsys.readouterr().err
+    assert "exceeds the limit of 1000" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
 
 
@@ -767,6 +787,17 @@ def test_numerical_abort_exit_3(tmp_path):
     assert main([
         "simulate", "--config", str(cfg), "--out", str(tmp_path), "--fixed-dt", "0.1",
     ]) == 3
+
+
+def test_write_time_os_error_exits_3_and_keeps_finished_files(tmp_path, capsys):
+    # a directory where the second snapshot's CSV goes: IsADirectoryError ended in a traceback
+    cfg = tmp_path / "s.json"
+    write_config(cfg, dict(DELTA_SCENARIO, n_cells=64, t_snapshots=[0.5, 1.0]))
+    out = tmp_path / "out"
+    (out / "delta_exact_t1.csv").mkdir(parents=True)
+    assert main(["exact", "--config", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("numerical abort: [Errno 21] Is a directory:")
+    assert (out / "delta_exact_t0.5.csv").is_file()
 
 
 def test_cells_zero_exit_2(tmp_path, capsys):
@@ -1075,8 +1106,8 @@ def test_extreme_values_end_cleanly(monkeypatch, capsys, case):
     # a run that could only end at the step cap ends at 2,000 steps instead
     monkeypatch.setattr(ds.fv, "MAX_STEPS", 2000)
     label, changes = case
-    with tempfile.TemporaryDirectory() as out:
-        out = Path(out)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"  # created by the run, if at all
         if label == "batch":
             named = [(name, sub, dict(_fuzzed_scenario(sub, ch), name=name)) for name, (sub, ch) in zip("ab", changes)]
             scenario = {"runs": [{"command": sub.split()[0], "scenario": sc} for _, sub, sc in named]}
@@ -1084,15 +1115,15 @@ def test_extreme_values_end_cleanly(monkeypatch, capsys, case):
         else:
             scenario = _fuzzed_scenario(label, changes)
             runs = [(out, scenario)]
-        cfg = out / "s.json"
+        cfg = Path(tmp) / "s.json"
         write_config(cfg, scenario)
         rc = main([label.split()[0], "--config", str(cfg), "--out", str(out)])
         err = capsys.readouterr().err
         assert rc in (0, 2, 3)
         assert err == "" if rc == 0 else err.startswith(("config error:", "numerical abort:"))
+        assert rc != 2 or not out.exists()  # exit 2 writes nothing, not even --out
         if rc != 0:
             return
-        cfg.unlink()
         assert {p.parent for p in out.rglob("*") if p.is_file()} <= {run_out for run_out, _ in runs}
         for run_out, run_scenario in runs:
             _check_exit_0_outputs(run_out, run_scenario)

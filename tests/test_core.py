@@ -177,6 +177,39 @@ def test_relax_velocity_preserves_order(u0a, gap, t, mu, ua):
     assert relax_velocity(u0a, p, t) < relax_velocity(u0a + gap, p, t)
 
 
+def _zero_and_log_uniform(rng, n):
+    """0, both ends of [5e-324, 1.7e308], and n draws log-uniform over it."""
+    return np.concatenate([[0.0, 5e-324, 1.7e308], np.exp(rng.uniform(np.log(5e-324), np.log(1.7e308), n))])
+
+
+def test_error_budgets_against_mpmath():
+    """The budgets the docstrings state, on a seeded grid of (mu, t) pairs.
+
+    ``decay_integral`` is within 3 ulps of the exact value, and
+    ``relax_velocity`` within 3 ulps of max(|u0|, |ua|), for mu and t at 0
+    and over every positive float up to 1.7e308, subnormals included.
+    The velocities are up to 1e307 in size, so u0 - ua stays finite; half
+    of the u0 lie within a factor 2 of ua, where u0 - ua rounds most.
+    """
+    from mpmath import mp, mpf, exp, expm1
+
+    mp.prec = 200
+    rng = np.random.default_rng(36)
+    worst_tau = worst_u = 0.0
+    for mu in _zero_and_log_uniform(rng, 45):
+        for t in _zero_and_log_uniform(rng, 45):
+            tau = decay_integral(mu, t)
+            exact = mpf(t) if mu == 0.0 else -expm1(-mpf(mu) * mpf(t)) / mpf(mu)
+            worst_tau = max(worst_tau, abs(tau - exact) / np.spacing(abs(float(exact))))
+            ua, u0 = rng.choice([-1.0, 1.0], 2) * np.exp(rng.uniform(np.log(5e-324), np.log(1e307), 2))
+            if rng.random() < 0.5:
+                u0 = ua * rng.uniform(-2.0, 2.0)
+            u = relax_velocity(u0, ds.ModelParams(mu, ua), t)
+            exact = mpf(ua) + (mpf(u0) - mpf(ua)) * exp(-mpf(mu) * mpf(t))
+            worst_u = max(worst_u, abs(u - exact) / np.spacing(max(abs(u0), abs(ua))))
+    assert worst_tau <= 3.0 and worst_u <= 3.0, (float(worst_tau), float(worst_u))
+
+
 def test_characteristic_at_equilibrium_is_line():
     p = ds.ModelParams(1.7, 0.3)
     for t in (0.0, 0.5, 3.0):
