@@ -12,11 +12,11 @@ shock, ``droplet.solve`` otherwise).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from ._record import _Record
 from .core import BlowupError, ModelParams, SmoothProfile, decay_integral
 
 __all__ = [
@@ -27,8 +27,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BlowupReport:
+class BlowupReport(_Record):
     """Outcome of the gradient-blowup scan over a smooth profile."""
 
     blows_up: bool

@@ -25,12 +25,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import astuple, dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from . import fv, grh
+from ._record import _Record
 from ._runs import run_starts as _run_starts, run_text as _run_text
 from .burgers import blowup
 from .core import BlowupError, ModelParams, RiemannData, cubic_profile, tanh_profile
@@ -45,6 +45,10 @@ __all__ = ["main", "ConfigError"]
 
 class ConfigError(Exception):
     """The scenario file is missing, malformed, or inconsistent."""
+
+
+# the numerical aborts: exit 3
+_ABORTS = (SolverAbort, GrhMonitorError, BlowupError)
 
 
 _CSV_CHUNK_ROWS = 1024  # rows formatted per % operation or join: bounds the transient string and tuple
@@ -190,8 +194,7 @@ def _name_from(cfg: dict, default: str) -> str:
     return name
 
 
-@dataclass
-class Scenario:
+class Scenario(_Record):
     name: str
     solution: RiemannSolution  # carries the scenario's params and Riemann data
     grid: Grid1D
@@ -213,9 +216,13 @@ def _outputs_from(cfg: dict) -> dict:
     return outputs
 
 
+def _common_from(cfg: dict, default_name: str):
+    """The scenario's (name, params, outputs), checked in that order."""
+    return _name_from(cfg, default_name), _params_from(cfg), _outputs_from(cfg)
+
+
 def _scenario_from(cfg: dict, raw: str, args) -> Scenario:
-    name = _name_from(cfg, "scenario")
-    params = _params_from(cfg)
+    name, params, outputs = _common_from(cfg, "scenario")
     solution = solve(_riemann_from(cfg), params)  # rejects data with no exact solution, so `simulate` does too
     domain = _domain(cfg, [-1.0, 2.0])
     n_cells = _count(cfg, "n_cells", 3000)
@@ -252,7 +259,7 @@ def _scenario_from(cfg: dict, raw: str, args) -> Scenario:
         snapshot_rows=rows,
         cfl=cfl,
         fixed_dt=fixed_dt,
-        outputs=_outputs_from(cfg),
+        outputs=outputs,
         exclusion_half_width=excl,
         raw=raw,
     )
@@ -388,7 +395,7 @@ def cmd_compare(args, cfg: dict, raw: str):
             )
     if sc.outputs["csv"]:
         # one column per ErrorReport field, in field order
-        scenario, *numbers = zip(*(astuple(rep) for rep in reports))
+        scenario, *numbers = zip(*(rep.__dict__.values() for rep in reports))
         scenario = np.array([_csv_text(s) for s in scenario], dtype=object)
         write_csv(os.path.join(out, f"{sc.name}_errors.csv"), _ERRORS_HEADER, (scenario, *numbers))
     if sc.outputs["report"]:
@@ -417,13 +424,11 @@ def _profile_from(cfg: dict):
 
 
 def cmd_blowup(args, cfg: dict, raw: str):
-    name = _name_from(cfg, "profile")
-    params = _params_from(cfg)
+    name, params, outputs = _common_from(cfg, "profile")
     family = _profile_from(cfg)
     profile = family()
     t_max = _number(cfg, "t_max", 50.0)
     n_feet = _count(cfg, "n_feet", 4001)
-    outputs = _outputs_from(cfg)
     report = blowup(profile, params)
     # an offset cancels in the u0 difference of two feet, which keeps its digits at offset 0
     oracle = first_crossing_time(family(offset=0.0), params, t_max, n_feet)
@@ -442,15 +447,13 @@ def cmd_blowup(args, cfg: dict, raw: str):
 
 
 def cmd_grh(args, cfg: dict, raw: str):
-    name = _name_from(cfg, "grh")
-    params = _params_from(cfg)
+    name, params, outputs = _common_from(cfg, "grh")
     data = _riemann_from(cfg)
     solution = solve(data, params)
     if solution.kind == "vacuum":
         raise ConfigError("grh needs u_l >= u_r: an opening jump forms a vacuum and carries no point mass")
     if solution.kind == "contact" and data.omega0 == 0.0:
         raise ConfigError("grh on a contact needs omega0 > 0: with u_l == u_r no point mass forms")
-    outputs = _outputs_from(cfg)
     t_end = _number(cfg, "t_end", 1.0)
     dt = _number(cfg, "dt", 1e-4)
     sigma0 = cfg.get("sigma0")
@@ -502,6 +505,8 @@ def cmd_batch(args, cfg: dict, raw: str):
             next(plans[name][1])
         except (ConfigError, ValueError) as exc:
             raise ConfigError(f"runs[{k}]: {exc}") from exc
+        except _ABORTS as exc:
+            raise type(exc)(f"runs[{k}]: {exc}") from exc
     out = yield
     for name, (_, planned) in plans.items():
         os.makedirs(os.path.join(out, name), exist_ok=True)
@@ -562,7 +567,7 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError, OSError) as exc:
         print(f"{'numerical abort' if writing else 'config error'}: {exc}", file=sys.stderr)
         return 3 if writing else 2
-    except (SolverAbort, GrhMonitorError, BlowupError) as exc:
+    except _ABORTS as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -25,11 +25,12 @@ the matching element of an array call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Tuple
 
 import numpy as np
+
+from ._record import _Record
 
 __all__ = [
     "BlowupError",
@@ -71,8 +72,7 @@ def _scalar_or_array(out):
     return float(out) if np.ndim(out) == 0 else out
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(_Record):
     """Drag coefficient ``mu`` (1/time) and carrier velocity ``ua``.
 
     ``mu = 0`` selects the homogeneous (drag-free) limit; every kernel
@@ -90,8 +90,7 @@ class ModelParams:
             raise ValueError(f"ua must be finite, got {self.ua!r}")
 
 
-@dataclass(frozen=True)
-class RiemannData:
+class RiemannData(_Record):
     """Piecewise-constant initial data with a single jump at x = 0.
 
     ``omega0`` is the weight of a point mass sitting on the jump at t = 0;
@@ -114,8 +113,7 @@ class RiemannData:
             raise ValueError("u_l and u_r must be finite")
 
 
-@dataclass(frozen=True)
-class SmoothProfile:
+class SmoothProfile(_Record):
     """C1 initial data (u0, alpha0) on a closed interval.
 
     ``u0``, ``u0_prime`` and ``alpha0`` must accept numpy arrays; alpha0

@@ -26,12 +26,12 @@ Point masses are carried by ``weight`` and ``position``;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Tuple, Union
 
 import numpy as np
 
+from ._record import _Record
 from .core import (
     ModelParams,
     RiemannData,
@@ -83,8 +83,7 @@ def weight_lower_bound(t, data: RiemannData, params: ModelParams):
     return data.omega0 + k * decay_integral(params.mu, t)
 
 
-@dataclass(frozen=True)
-class _Solution:
+class _Solution(_Record):
     """Riemann data and parameters, with the relaxed one-sided limit states.
 
     Every solution has a ``kind``, a ``warning`` (None when the closed form's
@@ -118,7 +117,6 @@ class _Solution:
         return alpha, u
 
 
-@dataclass(frozen=True)
 class _Front(_Solution):
     """A single discontinuity leaving x = 0 with ``initial_speed``.
 
@@ -147,7 +145,6 @@ class _Front(_Solution):
         return 0.5 * (self.data.alpha_l + self.data.alpha_r), self.speed(t)
 
 
-@dataclass(frozen=True)
 class DeltaShockSolution(_Front):
     """Closed-form delta shock: point mass, speed and trajectory vs time.
 
@@ -206,7 +203,6 @@ class DeltaShockSolution(_Front):
         return self.left_state(t)[1] - s, s - self.right_state(t)[1]
 
 
-@dataclass(frozen=True)
 class VacuumSolution(_Solution):
     """Two contact discontinuities enclosing a vacuum, velocity continuous."""
 
@@ -235,7 +231,6 @@ class VacuumSolution(_Solution):
         return 0.0, self.fan_velocity(x, t)
 
 
-@dataclass(frozen=True)
 class ContactSolution(_Front):
     """Equal side velocities: a single contact moving with the relaxed velocity."""
 

@@ -73,10 +73,10 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._record import _Record
 from .core import ModelParams, RiemannData
 
 __all__ = [
@@ -132,8 +132,7 @@ class SolverAbort(RuntimeError):
     """The time loop hit NaN/negative density or a CFL violation."""
 
 
-@dataclass(frozen=True)
-class Grid1D:
+class Grid1D(_Record):
     x_min: float
     x_max: float
     n_cells: int
@@ -171,8 +170,7 @@ class Grid1D:
         return int(min(max(r, 0.0), self.n_cells - 1))
 
 
-@dataclass(frozen=True)
-class FieldState:
+class FieldState(_Record):
     """Cell-averaged volume fraction and momentum at one time."""
 
     grid: Grid1D
@@ -272,7 +270,7 @@ def source_step(state: FieldState, params: ModelParams, dt: float) -> FieldState
     if params.mu == 0.0:
         return state
     q_eq = state.alpha * params.ua
-    return replace(state, q=(state.q - q_eq) * math.exp(-params.mu * dt) + q_eq)
+    return FieldState(state.grid, state.alpha, (state.q - q_eq) * math.exp(-params.mu * dt) + q_eq, state.time)
 
 
 def _work_buffers(*sizes: int) -> list:

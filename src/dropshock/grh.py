@@ -20,11 +20,11 @@ speed between the limit states) ever fail.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
+from ._record import _Record
 from ._runs import run_starts
 from .core import ModelParams, RiemannData, relax_velocity
 from .droplet import initial_shock_speed
@@ -175,8 +175,7 @@ def _run_chunk(ts, ws, ms, xs, params: ModelParams, c0: int, hs: np.ndarray, lim
         raise held
 
 
-@dataclass(frozen=True)
-class LimitStates:
+class LimitStates(_Record):
     """One-sided limit states as functions of time, continuous and bounded.
 
     Each callable takes a float time or a numpy array of times and returns
@@ -201,16 +200,14 @@ class LimitStates:
         )
 
 
-@dataclass(frozen=True)
-class GrhState:
+class GrhState(_Record):
     """Point mass and its momentum."""
 
     mass: float
     momentum: float
 
 
-@dataclass(frozen=True)
-class GrhTrajectory:
+class GrhTrajectory(_Record):
     """Recorded integration nodes: times, mass, momentum, speed and position."""
 
     t: np.ndarray

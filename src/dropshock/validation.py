@@ -23,11 +23,11 @@ psi on every node.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from ._record import _Record
 from .core import ModelParams, RiemannData, SmoothProfile, decay_integral
 from .fv import FieldState, Grid1D, reconstruct_velocity, shock_mass
 
@@ -128,8 +128,7 @@ def _monomial(c: float, x: np.ndarray, ix: int, t: np.ndarray, it: int):
     return c
 
 
-@dataclass(frozen=True)
-class BumpTestFunction:
+class BumpTestFunction(_Record):
     """Smooth compactly supported psi(x,t): bump(x) * bump(t) * polynomial.
 
     The polynomial is a sum of coef * x**px * t**pt terms; partial
@@ -345,8 +344,7 @@ def sample_exact(solution, grid: Grid1D, t: float, lump_delta: bool = False) -> 
     return FieldState(grid=grid, alpha=alpha, q=q, time=float(t))
 
 
-@dataclass(frozen=True)
-class ErrorReport:
+class ErrorReport(_Record):
     """L1 and feature errors of a numerical state against an exact solution."""
 
     scenario: str

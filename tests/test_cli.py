@@ -789,6 +789,20 @@ def test_numerical_abort_exit_3(tmp_path):
     ]) == 3
 
 
+def test_batch_names_the_entry_behind_a_numerical_abort_in_its_plan(tmp_path, capsys):
+    # runs[1]'s grh trajectory fails in its plan: exit 3, the entry named, nothing written
+    grh_run = dict(GRH_SCENARIO, name="b", riemann=dict(GRH_SCENARIO["riemann"], u_l=1e300), t_end=0.01)
+    cfg = tmp_path / "batch.json"
+    write_config(cfg, {"runs": [
+        {"command": "exact", "scenario": dict(DELTA_SCENARIO, name="a", t_snapshots=[0.5])},
+        {"command": "grh", "scenario": grh_run},
+    ]})
+    out = tmp_path / "out"
+    assert main(["batch", "--config", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "numerical abort: runs[1]: point mass became nonpositive (-inf) at t=0.0005\n"
+    assert not out.exists()
+
+
 def test_write_time_os_error_exits_3_and_keeps_finished_files(tmp_path, capsys):
     # a directory where the second snapshot's CSV goes: IsADirectoryError ended in a traceback
     cfg = tmp_path / "s.json"
